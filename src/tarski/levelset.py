@@ -26,13 +26,17 @@ exhaustive for monotone F falls through, the solver raises
 MonotonicityViolation carrying the constant-size set of (point, value)
 pairs it was looking at, plus the pair (u, F(u)) behind every corner the
 outer loop moved to an image.
+
+Each mirrored pair of cases is written once, for a direction sign s: s = +1
+reads its comparisons as written, s = -1 reads them in the order dual, which
+swaps upward with downward, i-upward with i-downward, and meet with join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .baseline import dqy_solve
+from .baseline import brute_solve, dqy_solve
 from .errors import MonotonicityViolation
 from .lattice import (
     Box,
@@ -42,7 +46,6 @@ from .lattice import (
     classify,
     full_box,
     glb,
-    iter_box,
     level_point,
     lub,
     norm1,
@@ -61,6 +64,10 @@ PHASE_THIRD = "third"
 PHASE_OUTER = "outer"
 PHASE_BRUTE = "brute"
 
+# The two ends of an init segment's bracket, as indices into it.
+_LOW = 0
+_HIGH = 1
+
 
 @dataclass(frozen=True)
 class LevelOutcome:
@@ -76,14 +83,12 @@ class LevelOutcome:
 
 @dataclass
 class LevelState:
-    """The six bounding points of one level run, with their cached F-values
-    and per-phase query-call counters."""
+    """The six bounding points of one level run, with their cached F-values."""
 
     box: Box
     k: int
     up: list[tuple[Point, Point]]
     down: list[tuple[Point, Point]]
-    stats: dict[str, int] = field(default_factory=dict)
 
     def pairs(self) -> tuple[tuple[Point, Point], ...]:
         return tuple(self.up) + tuple(self.down)
@@ -151,63 +156,47 @@ def find_configuration(state: LevelState) -> Config:
     down(i)_i at most one above up(i)_i; costs one more binary search. One of
     them must exist once some diameter of S is <= 1.
     """
-    ups, downs = state.up, state.down
+    flavors = ((1, state.up), (-1, state.down))
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            x, y = ups[i][0], ups[j][0]
-            if x[i] >= y[i] and x[j] <= y[j]:
-                return Config("first", UPWARD, (ups[i], ups[j]))
-            x, y = downs[i][0], downs[j][0]
-            if x[i] <= y[i] and x[j] >= y[j]:
-                return Config("first", DOWNWARD, (downs[i], downs[j]))
+            for s, pairs in flavors:
+                x, y = pairs[i][0], pairs[j][0]
+                if s * (x[i] - y[i]) >= 0 and s * (y[j] - x[j]) >= 0:
+                    return Config("first", _kind(s), (pairs[i], pairs[j]))
     for i, j, p in ((0, 1, 2), (0, 2, 1)):
-        x, y, z = ups[i][0], ups[j][0], ups[p][0]
-        if x[i] >= y[i] and y[j] >= z[j] and z[p] >= x[p]:
-            return Config("second", UPWARD, (ups[i], ups[j], ups[p]))
-        x, y, z = downs[i][0], downs[j][0], downs[p][0]
-        if x[i] <= y[i] and y[j] <= z[j] and z[p] <= x[p]:
-            return Config("second", DOWNWARD, (downs[i], downs[j], downs[p]))
+        for s, pairs in flavors:
+            x, y, z = pairs[i][0], pairs[j][0], pairs[p][0]
+            if s * (x[i] - y[i]) >= 0 and s * (y[j] - z[j]) >= 0 and s * (z[p] - x[p]) >= 0:
+                return Config("second", _kind(s), (pairs[i], pairs[j], pairs[p]))
     for i in range(3):
-        if downs[i][0][i] - ups[i][0][i] <= 1:
-            return Config("third", None, (ups[i], downs[i]), axis=i)
+        if state.down[i][0][i] - state.up[i][0][i] <= 1:
+            return Config("third", None, (state.up[i], state.down[i]), axis=i)
     raise MonotonicityViolation(
         "no configuration among the bounding points", implicated=state.pairs()
     )
 
 
-def check_state(state: LevelState) -> None:
-    """Assert the level invariants; they depend only on cached values."""
-    box, k = state.box, state.k
-    for i in range(3):
-        for pt, fpt, want_up in ((*state.up[i], True), (*state.down[i], False)):
-            if norm1(pt) != k or not box.contains(pt):
-                raise MonotonicityViolation(
-                    f"bounding point {pt} left level {k} of {box.lo}..{box.hi}",
-                    implicated=state.pairs(),
-                )
-            _, labels = classify(pt, fpt)
-            ok = i in (labels.i_upward if want_up else labels.i_downward)
-            if not ok:
-                raise MonotonicityViolation(
-                    f"bounding point {pt} lost its axis-{i} label",
-                    implicated=state.pairs(),
-                )
-        if state.up[i][0][i] > state.down[i][0][i]:
-            raise MonotonicityViolation(
-                f"axis-{i} bounds crossed", implicated=state.pairs()
-            )
-    a = sum(state.up[i][0][i] for i in range(3))
-    b = sum(state.down[i][0][i] for i in range(3))
-    if not a <= k <= b:
-        raise MonotonicityViolation(
-            "remaining search space is empty", implicated=state.pairs()
-        )
-
-
 def _others(axis: int) -> tuple[int, int]:
     return tuple(x for x in range(3) if x != axis)
+
+
+def _kind(s: int) -> str:
+    """UPWARD for direction +1, DOWNWARD for -1."""
+    return UPWARD if s > 0 else DOWNWARD
+
+
+def _meet_outcome(s: int, points) -> LevelOutcome:
+    """The meet of the points as a downward certificate for s = +1, their
+    join as an upward one for s = -1."""
+    return LevelOutcome(_kind(-s), glb(*points) if s > 0 else lub(*points))
+
+
+def _half(box: Box, kind: str, corner: Point) -> Box:
+    """The part of the box at-or-above an upward corner, or at-or-below a
+    downward one."""
+    return Box(corner, box.hi) if kind == UPWARD else Box(box.lo, corner)
 
 
 def _fmt_point(p: Point) -> str:
@@ -246,7 +235,6 @@ class LevelsetSolver:
         self.observer = observer
         self._phase = PHASE_OUTER
         self._level = -1
-        self._stats: dict[str, int] | None = None
         self._evidence: tuple[tuple[Point, Point], ...] = ()
 
     # -- plumbing ---------------------------------------------------------
@@ -257,8 +245,6 @@ class LevelsetSolver:
 
     def _query(self, x: Point) -> Point:
         fx = self.oracle.query(x)
-        if self._stats is not None:
-            self._stats[self._phase] = self._stats.get(self._phase, 0) + 1
         if self.trace is not None:
             _, labels = classify(x, fx)
             self.trace.write(
@@ -357,10 +343,7 @@ class LevelsetSolver:
                 if out.kind == FIXED:
                     return self._verified(out.point)
                 prev = box
-                if out.kind == UPWARD:
-                    box = Box(out.point, box.hi)
-                else:
-                    box = Box(box.lo, out.point)
+                box = _half(box, out.kind, out.point)
                 self._emit("recurse", {"before": prev, "after": box, "outcome": out})
                 if out.fvalue is not None:
                     pending = out
@@ -390,7 +373,7 @@ class LevelsetSolver:
             )
         self._evidence += ((u, fu),)
         corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
-        return Box(corner, box.hi) if out.kind == UPWARD else Box(box.lo, corner)
+        return _half(box, out.kind, corner)
 
     def _verified(self, point: Point) -> Point:
         self._phase = PHASE_OUTER
@@ -414,15 +397,7 @@ class LevelsetSolver:
     def _finish_brute(self, box: Box) -> Point:
         self._phase = PHASE_BRUTE
         self._level = -1
-        scanned = []
-        for x in iter_box(box):
-            fx = self._query(x)
-            if fx == x:
-                return x
-            scanned.append((x, fx))
-        raise MonotonicityViolation(
-            "no fixed point in a certified box", implicated=tuple(scanned)
-        )
+        return brute_solve(_TracingOracle(self), box)
 
     # -- one level --------------------------------------------------------
 
@@ -434,7 +409,6 @@ class LevelsetSolver:
         if any(s < 2 for s in box.sides):
             raise ValueError("solve_level needs all box sides >= 2")
         self._level = k
-        self._stats = {}
         before = self.oracle.distinct_queries
         self._emit("level_start", {"box": box, "k": k, "queries": before})
         try:
@@ -451,7 +425,6 @@ class LevelsetSolver:
                 "level_done",
                 {"box": box, "k": k, "queries": self.oracle.distinct_queries - before},
             )
-            self._stats = None
             self._level = -1
 
     def _run_level(self, box: Box, k: int) -> LevelOutcome:
@@ -465,10 +438,9 @@ class LevelsetSolver:
             up_pair, down_pair = res
             ups.append(up_pair)
             downs.append(down_pair)
-        state = LevelState(box, k, ups, downs, self._stats if self._stats is not None else {})
+        state = LevelState(box, k, ups, downs)
         self._emit("init_done", state.snapshot())
         while True:
-            check_state(state)
             view = search_space(state)
             if min(view.dia) <= 1:
                 break
@@ -483,10 +455,8 @@ class LevelsetSolver:
             state = res
         cfg = find_configuration(state)
         self._emit("config", {"config": cfg, "state": state.snapshot()})
-        if cfg.kind == "first":
-            return self.resolve_first(cfg)
-        if cfg.kind == "second":
-            return self.resolve_second(cfg)
+        if cfg.kind != "third":
+            return self.resolve_meet_join(cfg)
         self._phase = PHASE_THIRD
         return self.resolve_third(cfg, k)
 
@@ -497,39 +467,17 @@ class LevelsetSolver:
         largest possible i-coordinate on the level and an i-upward point with
         the smallest, or an early LevelOutcome if a search hits one. The
         coordinate extremes make up(i)_i <= down(i)_i automatic."""
-        res = self._extreme_search(box, k, axis, +1)
-        if res[0] == "outcome":
-            return res[1]
-        down_pair = res[1]
-        res = self._extreme_search(box, k, axis, -1)
-        if res[0] == "outcome":
-            return res[1]
-        return res[1], down_pair
+        down_pair = self._extreme_search(box, k, axis, 1)
+        if isinstance(down_pair, LevelOutcome):
+            return down_pair
+        up_pair = self._extreme_search(box, k, axis, -1)
+        if isinstance(up_pair, LevelOutcome):
+            return up_pair
+        return up_pair, down_pair
 
-    def _init_case(self, q, fq, axis, j, p, orient) -> str:
-        """Classify a point of the init segment. Comparisons are oriented:
-        orient > 0 reads them as written, orient < 0 swaps up and down,
-        turning the i-downward search into the i-upward one."""
-        si = orient * sign(fq[axis] - q[axis])
-        sj = orient * sign(fq[j] - q[j])
-        sp = orient * sign(fq[p] - q[p])
-        if si == 0 and sj == 0 and sp == 0:
-            return "fixed"
-        if si >= 0 and sj >= 0 and sp >= 0:
-            return "rising"
-        if sj >= 0 and sp >= 0:
-            return "found"
-        if si <= 0 and sj <= 0 and sp <= 0:
-            return "sinking"
-        if si <= 0 and sj >= 0:
-            return "low"
-        if si <= 0 and sp >= 0:
-            return "high"
-        return "impossible"
-
-    def _extreme_search(self, box: Box, k: int, axis: int, orient: int):
-        """Find the extreme i-downward point (orient=+1) or i-upward point
-        (orient=-1) of the level, or an early outcome.
+    def _extreme_search(self, box: Box, k: int, axis: int, s: int):
+        """Find the extreme i-downward point (s = +1) or i-upward point
+        (s = -1) of the level as a (point, value) pair, or an early outcome.
 
         The candidates form the one-dimensional segment of the level where
         coordinate ``axis`` is as large (oriented) as the box allows. Its two
@@ -539,74 +487,62 @@ class LevelsetSolver:
         adjacent, where their meet is a certified downward (oriented) point.
         """
         j, p = _others(axis)
-        up_kind = UPWARD if orient > 0 else DOWNWARD
-        down_kind = DOWNWARD if orient > 0 else UPWARD
 
-        def classify_point(q: Point, fq: Point):
-            case = self._init_case(q, fq, axis, j, p, orient)
-            if case == "fixed":
-                return ("outcome", LevelOutcome(FIXED, q, fq))
-            if case == "rising":
-                return ("outcome", LevelOutcome(up_kind, q, fq))
-            if case == "sinking":
-                return ("outcome", LevelOutcome(down_kind, q, fq))
-            if case == "found":
-                return ("found", (q, fq))
-            return (case, None)
+        def probe(q: Point, fq: Point):
+            """An outcome, the sought pair when q is axis-downward (oriented),
+            the bracket end q can replace (_LOW or _HIGH), or None when its
+            sign pattern is impossible on the segment."""
+            si = s * sign(fq[axis] - q[axis])
+            sj = s * sign(fq[j] - q[j])
+            sp = s * sign(fq[p] - q[p])
+            if sj >= 0 and sp >= 0:
+                if si < 0:
+                    return q, fq
+                return LevelOutcome(FIXED if si == sj == sp == 0 else _kind(s), q, fq)
+            if si > 0:
+                return None
+            if sj <= 0 and sp <= 0:
+                return LevelOutcome(_kind(-s), q, fq)
+            return _LOW if sj >= 0 else _HIGH
 
-        ell = _oriented_extreme(box, k, axis, j, orient)
-        f_ell = self._query(ell)
-        res = classify_point(ell, f_ell)
-        if res[0] in ("outcome", "found"):
-            return res
-        if res[0] != "low":
-            raise self._violation(
-                f"endpoint {ell} of the axis-{axis} init segment has an impossible sign pattern",
-                ((ell, f_ell),),
-                box,
-            )
-        right = _oriented_extreme(box, k, axis, p, orient)
-        if right == ell:
-            raise self._violation(
-                f"single-point init segment for axis {axis} did not resolve",
-                ((ell, f_ell),),
-                box,
-            )
-        f_right = self._query(right)
-        res = classify_point(right, f_right)
-        if res[0] in ("outcome", "found"):
-            return res
-        if res[0] != "high":
-            raise self._violation(
-                f"endpoint {right} of the axis-{axis} init segment has an impossible sign pattern",
-                ((ell, f_ell), (right, f_right)),
-                box,
-            )
-        pinned = ell[axis]
-        while abs(right[j] - ell[j]) > 1:
-            mid = (ell[j] + right[j]) // 2
+        ends: list[tuple[Point, Point]] = []
+        for side, far in ((_LOW, j), (_HIGH, p)):
+            q = _oriented_extreme(box, k, axis, far, s)
+            if ends and q == ends[_LOW][0]:
+                raise self._violation(
+                    f"single-point init segment for axis {axis} did not resolve",
+                    ends,
+                    box,
+                )
+            fq = self._query(q)
+            res = probe(q, fq)
+            if isinstance(res, (LevelOutcome, tuple)):
+                return res
+            if res != side:
+                raise self._violation(
+                    f"endpoint {q} of the axis-{axis} init segment has an impossible sign pattern",
+                    (*ends, (q, fq)),
+                    box,
+                )
+            ends.append((q, fq))
+        pinned = ends[_LOW][0][axis]
+        while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
+            mid = (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2
             q = [0, 0, 0]
             q[axis], q[j], q[p] = pinned, mid, k - pinned - mid
             q = tuple(q)
             fq = self._query(q)
-            res = classify_point(q, fq)
-            if res[0] in ("outcome", "found"):
+            res = probe(q, fq)
+            if isinstance(res, (LevelOutcome, tuple)):
                 return res
-            if res[0] == "low":
-                ell, f_ell = q, fq
-            elif res[0] == "high":
-                right, f_right = q, fq
-            else:
+            if res is None:
                 raise self._violation(
                     f"segment point {q} has an impossible sign pattern",
-                    ((ell, f_ell), (right, f_right), (q, fq)),
+                    (*ends, (q, fq)),
                     box,
                 )
-        meet = glb(ell, right) if orient > 0 else lub(ell, right)
-        out = self._certify(
-            LevelOutcome(down_kind, meet), ((ell, f_ell), (right, f_right))
-        )
-        return ("outcome", out)
+            ends[res] = (q, fq)
+        return self._certify(_meet_outcome(s, [pt for pt, _ in ends]), tuple(ends))
 
     # -- shrinking --------------------------------------------------------
 
@@ -646,26 +582,23 @@ class LevelsetSolver:
         """One constant-size step once every diameter is below 6.
 
         If S still has a point strictly inside every bound, probing it shrinks
-        some diameter. Otherwise S hugs one corner of its bounding ranges;
-        probing the three points one step inside that corner either makes
-        progress through an unexpected label or proves (all three i-upward,
-        resp. i-downward) that the corner plus one is an upward point, resp.
-        minus one a downward point, with no further query.
+        some diameter. Otherwise S hugs one corner of its bounding ranges, the
+        lower one (s = +1) or the upper one (s = -1); probing the three points
+        one step inside that corner either makes progress through an
+        unexpected label or proves (all three i-upward, resp. i-downward) that
+        the corner plus s is an upward, resp. downward, point with no further
+        query.
         """
         view = view or search_space(state)
         assert all(d > 1 for d in view.dia) and max(view.dia) < 6
         ell, r, k = view.ell, view.r, state.k
         before = state.snapshot()
         if sum(ell) + 3 <= k <= sum(r) - 3:
-            lower = tuple(c + 1 for c in ell)
-            upper = tuple(c - 1 for c in r)
-            q = level_point(lower, upper, k)
-            fq = self._query(q)
-            res = self._apply_query(state, q, fq)
-            self._emit_small(before, view, res)
-            return res
-        if sum(ell) + 3 > k:
-            if sum(ell) != k - 2:
+            q = level_point(tuple(c + 1 for c in ell), tuple(c - 1 for c in r), k)
+            res = self._apply_query(state, q, self._query(q))
+        else:
+            s, corner = (1, ell) if sum(ell) + 3 > k else (-1, r)
+            if sum(corner) != k - 2 * s:
                 raise self._violation(
                     "search-space bounds inconsistent with the level",
                     state.pairs(),
@@ -673,50 +606,21 @@ class LevelsetSolver:
                 )
             probes = []
             for axis in range(3):
-                q = tuple(ell[a] + (0 if a == axis else 1) for a in range(3))
+                q = tuple(c + s * (a != axis) for a, c in enumerate(corner))
                 fq = self._query(q)
                 probes.append((q, fq))
                 _, labels = classify(q, fq)
-                out = self._outcome_from_labels(q, fq, labels)
-                if out is not None:
-                    self._emit_small(before, view, out)
-                    return out
+                res = self._outcome_from_labels(q, fq, labels)
+                if res is not None:
+                    break
                 self._update_state(state, q, fq, labels)
-                if axis not in labels.i_upward:
-                    self._emit_small(before, view, state)
-                    return state
-            out = self._certify(
-                LevelOutcome(UPWARD, tuple(c + 1 for c in ell)), tuple(probes)
-            )
-            self._emit_small(before, view, out)
-            return out
-        if sum(r) != k + 2:
-            raise self._violation(
-                "search-space bounds inconsistent with the level",
-                state.pairs(),
-                state.box,
-            )
-        probes = []
-        for axis in range(3):
-            q = tuple(r[a] - (0 if a == axis else 1) for a in range(3))
-            fq = self._query(q)
-            probes.append((q, fq))
-            _, labels = classify(q, fq)
-            out = self._outcome_from_labels(q, fq, labels)
-            if out is not None:
-                self._emit_small(before, view, out)
-                return out
-            self._update_state(state, q, fq, labels)
-            if axis not in labels.i_downward:
-                self._emit_small(before, view, state)
-                return state
-        out = self._certify(
-            LevelOutcome(DOWNWARD, tuple(c - 1 for c in r)), tuple(probes)
-        )
-        self._emit_small(before, view, out)
-        return out
-
-    def _emit_small(self, before, view, res) -> None:
+                if axis not in (labels.i_upward if s > 0 else labels.i_downward):
+                    res = state
+                    break
+            else:
+                res = self._certify(
+                    LevelOutcome(_kind(s), tuple(c + s for c in corner)), tuple(probes)
+                )
         self._emit(
             "small",
             {
@@ -726,26 +630,21 @@ class LevelsetSolver:
                 "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
             },
         )
+        return res
 
     # -- configuration resolution -----------------------------------------
 
-    def resolve_first(self, cfg: Config) -> LevelOutcome:
-        """Meet of an upward-flavored pair is downward (join of a downward
-        pair is upward): each point bounds the other's strict axis, and
-        monotonicity carries both bounds to the meet. No query needed."""
-        return self._resolve_meet_join(cfg)
+    def resolve_meet_join(self, cfg: Config) -> LevelOutcome:
+        """Resolve a first or second configuration with no query.
 
-    def resolve_second(self, cfg: Config) -> LevelOutcome:
-        """Same argument as resolve_first, threaded through a cyclic triple."""
-        return self._resolve_meet_join(cfg)
-
-    def _resolve_meet_join(self, cfg: Config) -> LevelOutcome:
-        points = [pt for pt, _ in cfg.points]
-        if cfg.flavor == UPWARD:
-            out = LevelOutcome(DOWNWARD, glb(*points))
-        else:
-            out = LevelOutcome(UPWARD, lub(*points))
-        return self._certify(out, cfg.points)
+        The meet of an upward-flavored pair is downward (the join of a
+        downward-flavored pair is upward): each point bounds the other's
+        strict axis, and monotonicity carries both bounds to the meet. A
+        second configuration threads the same argument through a cyclic
+        triple.
+        """
+        s = 1 if cfg.flavor == UPWARD else -1
+        return self._certify(_meet_outcome(s, [pt for pt, _ in cfg.points]), cfg.points)
 
     def resolve_third(self, cfg: Config, k: int) -> LevelOutcome:
         """Resolve an i-upward x and i-downward y with y_i <= x_i + 1.
@@ -826,8 +725,8 @@ class LevelsetSolver:
 
 
 class _TracingOracle:
-    """Adapter letting the baseline run its queries through a solver, so
-    delegated boxes show up in traces and per-phase counters."""
+    """Adapter letting a baseline run its queries through a solver, so
+    delegated boxes and the final scan show up in the trace."""
 
     def __init__(self, solver: LevelsetSolver):
         self._solver = solver

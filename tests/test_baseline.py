@@ -91,6 +91,19 @@ def test_brute_solve_capacity():
         brute_solve(o)
 
 
+def test_brute_solve_violation_lists_distinct_points_and_both_corners():
+    # axis 0 cycles 1 -> 2 -> 3 -> 4 -> 1, so no point is fixed
+    box = full_box((4, 4, 4))
+    table = tuple((x[0] % 4 + 1, x[1], x[2]) for x in iter_box(box))
+    o = CountedOracle(Instance(shape=(4, 4, 4), kind="table", table=table))
+    with pytest.raises(MonotonicityViolation) as err:
+        brute_solve(o)
+    pts = [p for p, _ in err.value.implicated]
+    assert len(pts) == len(set(pts)) == 33
+    assert box.lo in pts and box.hi in pts
+    assert all(v == o.query(p) for p, v in err.value.implicated)
+
+
 def test_dqy_violation_on_hostile_table():
     # cyclic 1D permutation with no fixed point: 1 -> 2 -> 1
     inst = Instance(shape=(2,), kind="table", table=((2,), (1,)))

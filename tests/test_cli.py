@@ -31,6 +31,27 @@ def test_solve_usage_errors_exit_2():
     assert run("solve", "--shape", "4,4,4", "--target", "9,1,1").exit_code == 2
 
 
+def test_solve_levelset_on_4d_grid_is_usage_error(tmp_path):
+    res = run("solve", "--shape", "4,4,4,4", "--target", "1,2,3,4")
+    assert res.exit_code == 2, res.output
+    assert "at most 3 dimensions" in res.output
+    assert "Traceback" not in res.output
+    path = tmp_path / "t4.txt"
+    assert run(
+        "gen", "--shape", "4,4,4,4", "--kind", "target", "--target", "1,2,3,4",
+        "-o", str(path),
+    ).exit_code == 0
+    res = run("solve", "--instance", str(path))
+    assert res.exit_code == 2, res.output
+    assert "at most 3 dimensions" in res.output
+
+
+def test_solve_dqy_on_4d_grid():
+    res = run("solve", "--shape", "4,4,4,4", "--target", "1,2,3,4", "--algo", "dqy")
+    assert res.exit_code == 0, res.output
+    assert "fixed_point = (1,2,3,4)" in res.output
+
+
 def test_solve_malformed_instance_exit_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("tarski-instance v1\nd 3\nshape 2 2\nkind target\ntarget 1 1 1\n")

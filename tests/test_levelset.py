@@ -479,7 +479,7 @@ def test_resolve_first_example():
     solver._level = 12
     x, y = (5, 2, 5), (3, 4, 5)
     cfg = Config("first", UPWARD, ((x, (6, 2, 4)), (y, (3, 5, 4))))
-    out = solver.resolve_first(cfg)
+    out = solver.resolve_meet_join(cfg)
     assert out.kind == DOWNWARD
     assert out.point == (3, 2, 5)
     assert norm1(out.point) <= 12
@@ -492,7 +492,7 @@ def test_resolve_second_mirrored_flavor():
     pts = ((2, 4, 6), (4, 3, 5), (3, 6, 3))
     vals = ((1, 4, 6), (4, 2, 5), (3, 6, 2))
     cfg = Config("second", DOWNWARD, tuple(zip(pts, vals)))
-    out = solver.resolve_second(cfg)
+    out = solver.resolve_meet_join(cfg)
     assert out.kind == UPWARD
     assert out.point == lub(*pts)
 
@@ -813,7 +813,7 @@ def test_resolve_first_and_second_planted_on_real_instances():
                 pairs = tuple((p, o.query(p)) for p in pts)
                 solver = LevelsetSolver(o, verify_certificates=True)
                 solver._level = k
-                out = solver.resolve_first(Config("first", flavor, pairs))
+                out = solver.resolve_meet_join(Config("first", flavor, pairs))
                 assert outcome_is_valid(inst, out, k), (pts, flavor)
                 firsts += 1
             for pts, flavor in planted_second_configs(inst, k):
@@ -821,7 +821,7 @@ def test_resolve_first_and_second_planted_on_real_instances():
                 pairs = tuple((p, o.query(p)) for p in pts)
                 solver = LevelsetSolver(o, verify_certificates=True)
                 solver._level = k
-                out = solver.resolve_second(Config("second", flavor, pairs))
+                out = solver.resolve_meet_join(Config("second", flavor, pairs))
                 assert outcome_is_valid(inst, out, k), (pts, flavor)
                 seconds += 1
     assert firsts > 2 and seconds > 50, (firsts, seconds)
