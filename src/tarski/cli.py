@@ -203,6 +203,8 @@ def cmd_bench(sides, kind, reps, seed, algos, output):
     sees the same inputs and reruns reproduce the same counts.
     """
     side_list = _parse_coords(sides, "--sides")
+    if min(side_list) < 1:
+        raise click.UsageError(f"--sides must be positive, got {sides!r}")
     algo_list = tuple(a.strip() for a in algos.split(",") if a.strip())
     for a in algo_list:
         if a not in ALGOS:

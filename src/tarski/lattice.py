@@ -69,7 +69,7 @@ class Box:
 
     @property
     def sides(self) -> tuple[int, ...]:
-        return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
+        return tuple([b - a + 1 for a, b in zip(self.lo, self.hi)])
 
     @property
     def size(self) -> int:
@@ -125,20 +125,17 @@ def classify(x: Point, fx: Point) -> tuple[SignVector, LabelSet]:
     i-downward symmetrically. In 3D the label set is never empty.
     """
     _same_dim(x, fx)
-    signs = tuple(sign(f - c) for c, f in zip(x, fx))
-    is_up = all(s >= 0 for s in signs)
-    is_down = all(s <= 0 for s in signs)
-    i_up = tuple(
-        i
-        for i, s in enumerate(signs)
-        if s > 0 and all(t <= 0 for j, t in enumerate(signs) if j != i)
+    signs = tuple([(f > c) - (f < c) for c, f in zip(x, fx)])
+    rises = [i for i, s in enumerate(signs) if s > 0]
+    falls = [i for i, s in enumerate(signs) if s < 0]
+    # i-upward means that i is the only coordinate F raises; dually i-downward.
+    return signs, LabelSet(
+        not rises and not falls,
+        not falls,
+        not rises,
+        tuple(rises) if len(rises) == 1 else (),
+        tuple(falls) if len(falls) == 1 else (),
     )
-    i_down = tuple(
-        i
-        for i, s in enumerate(signs)
-        if s < 0 and all(t >= 0 for j, t in enumerate(signs) if j != i)
-    )
-    return signs, LabelSet(is_up and is_down, is_up, is_down, i_up, i_down)
 
 
 def level_point(lower: Point, upper: Point, k: int) -> Point:
@@ -207,7 +204,7 @@ def _oriented_extreme(box: Box, k: int, i: int, j: int, orient: int) -> Point:
     (real max if orient > 0, real min otherwise), then coordinate j pushed the
     opposite way."""
     lo, hi = box.lo, box.hi
-    if not norm1(lo) <= k <= norm1(hi):
+    if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
         raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
     p = 3 - i - j
     if orient > 0:

@@ -49,7 +49,6 @@ from .lattice import (
     level_point,
     lub,
     norm1,
-    sign,
     _oriented_extreme,
 )
 
@@ -64,9 +63,13 @@ PHASE_THIRD = "third"
 PHASE_OUTER = "outer"
 PHASE_BRUTE = "brute"
 
-# The two ends of an init segment's bracket, as indices into it.
+# The two ends of a bracket on an init or third-configuration segment, as
+# indices into it.
 _LOW = 0
 _HIGH = 1
+
+# The two axes other than each axis, in increasing order.
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -129,22 +132,20 @@ def search_space(state: LevelState) -> SearchSpaceView:
     coordinate sum, clamped to the box. Both bounds are attained by points
     of S whenever S is nonempty.
     """
-    lo, hi = state.box.lo, state.box.hi
+    (lo0, lo1, lo2), (hi0, hi1, hi2) = state.box.lo, state.box.hi
     k = state.k
-    a = tuple(state.up[i][0][i] for i in range(3))
-    b = tuple(state.down[i][0][i] for i in range(3))
-    ell = []
-    r = []
-    for i in range(3):
-        j, p = _others(i)
-        ell.append(max(a[i], k - min(b[j], hi[j]) - min(b[p], hi[p]), lo[i]))
-        r.append(min(b[i], k - max(a[j], lo[j]) - max(a[p], lo[p]), hi[i]))
-    dia = tuple(hb - lb for lb, hb in zip(ell, r))
-    if any(d < 0 for d in dia):
+    up, down = state.up, state.down
+    # The per-axis bounds a_i = up(i)_i and b_i = down(i)_i, clamped to the box.
+    a0, a1, a2 = max(up[0][0][0], lo0), max(up[1][0][1], lo1), max(up[2][0][2], lo2)
+    b0, b1, b2 = min(down[0][0][0], hi0), min(down[1][0][1], hi1), min(down[2][0][2], hi2)
+    ell = (max(a0, k - b1 - b2), max(a1, k - b0 - b2), max(a2, k - b0 - b1))
+    r = (min(b0, k - a1 - a2), min(b1, k - a0 - a2), min(b2, k - a0 - a1))
+    dia = (r[0] - ell[0], r[1] - ell[1], r[2] - ell[2])
+    if min(dia) < 0:
         raise MonotonicityViolation(
             "remaining search space is empty", implicated=state.pairs()
         )
-    return SearchSpaceView(tuple(ell), tuple(r), dia)
+    return SearchSpaceView(ell, r, dia)
 
 
 def find_configuration(state: LevelState) -> Config:
@@ -176,10 +177,6 @@ def find_configuration(state: LevelState) -> Config:
     raise MonotonicityViolation(
         "no configuration among the bounding points", implicated=state.pairs()
     )
-
-
-def _others(axis: int) -> tuple[int, int]:
-    return tuple(x for x in range(3) if x != axis)
 
 
 def _kind(s: int) -> str:
@@ -225,6 +222,8 @@ class LevelsetSolver:
     trace: file-like object receiving one tab-separated record per query
     call: phase, level, point, F(point), labels.
     observer: callable(event, payload) fed solver progress; used by tests.
+    Payloads are built only when an observer is attached, so a solve
+    without one spends nothing on them.
     """
 
     def __init__(self, oracle, *, verify_certificates: bool = False,
@@ -240,6 +239,9 @@ class LevelsetSolver:
     # -- plumbing ---------------------------------------------------------
 
     def _emit(self, event: str, payload: dict) -> None:
+        """Hand a cheap payload to the observer, if any. Call sites whose
+        payload costs work (state snapshots, search-space views) test
+        ``self.observer`` themselves and build it only for an observer."""
         if self.observer is not None:
             self.observer(event, payload)
 
@@ -294,8 +296,12 @@ class LevelsetSolver:
             return LevelOutcome(DOWNWARD, q, fq)
         return None
 
-    def _update_state(self, state: LevelState, q: Point, fq: Point, labels: LabelSet) -> None:
-        view = search_space(state)
+    def _update_state(self, state: LevelState, q: Point, fq: Point, labels: LabelSet,
+                      view: SearchSpaceView | None = None) -> None:
+        """Move the bounds q's labels select, after checking that q lies in
+        the remaining search space; view, when given, must be the search
+        space of the state as it is."""
+        view = view or search_space(state)
         if not all(l <= c <= r for l, c, r in zip(view.ell, q, view.r)) or norm1(q) != state.k:
             raise self._violation(
                 f"probe {q} fell outside the remaining search space",
@@ -307,12 +313,13 @@ class LevelsetSolver:
         for i in labels.i_downward:
             state.down[i] = (q, fq)
 
-    def _apply_query(self, state: LevelState, q: Point, fq: Point):
+    def _apply_query(self, state: LevelState, q: Point, fq: Point,
+                     view: SearchSpaceView | None = None):
         _, labels = classify(q, fq)
         out = self._outcome_from_labels(q, fq, labels)
         if out is not None:
             return out
-        self._update_state(state, q, fq, labels)
+        self._update_state(state, q, fq, labels, view)
         return state
 
     # -- outer loop -------------------------------------------------------
@@ -329,7 +336,7 @@ class LevelsetSolver:
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
-                if any(s == 1 for s in box.sides):
+                if 1 in box.sides:
                     return self._delegate(box)
                 span = norm1(box.hi) - norm1(box.lo)
                 if span <= 6:
@@ -406,17 +413,19 @@ class LevelsetSolver:
         at-or-below it, inside a box with certified corners."""
         if not norm1(box.lo) < k < norm1(box.hi):
             raise ValueError(f"level {k} must lie strictly inside {box.lo}..{box.hi}")
-        if any(s < 2 for s in box.sides):
+        if min(box.sides) < 2:
             raise ValueError("solve_level needs all box sides >= 2")
         self._level = k
         before = self.oracle.distinct_queries
         self._emit("level_start", {"box": box, "k": k, "queries": before})
         try:
             outcome = self._run_level(box, k)
-            if outcome.kind == UPWARD:
-                assert norm1(outcome.point) >= k
-            elif outcome.kind == DOWNWARD:
-                assert norm1(outcome.point) <= k
+            side = norm1(outcome.point) - k
+            if (side < 0 and outcome.kind == UPWARD) or (side > 0 and outcome.kind == DOWNWARD):
+                raise MonotonicityViolation(
+                    f"{outcome.kind} outcome {outcome.point} lies on the wrong side of level {k}",
+                    implicated=((outcome.point, outcome.fvalue),),
+                )
             return outcome
         except MonotonicityViolation as mv:
             raise mv.extended(self._corner_pairs(box)) from None
@@ -439,7 +448,8 @@ class LevelsetSolver:
             ups.append(up_pair)
             downs.append(down_pair)
         state = LevelState(box, k, ups, downs)
-        self._emit("init_done", state.snapshot())
+        if self.observer is not None:
+            self.observer("init_done", state.snapshot())
         while True:
             view = search_space(state)
             if min(view.dia) <= 1:
@@ -454,7 +464,8 @@ class LevelsetSolver:
                 return res
             state = res
         cfg = find_configuration(state)
-        self._emit("config", {"config": cfg, "state": state.snapshot()})
+        if self.observer is not None:
+            self.observer("config", {"config": cfg, "state": state.snapshot()})
         if cfg.kind != "third":
             return self.resolve_meet_join(cfg)
         self._phase = PHASE_THIRD
@@ -486,15 +497,16 @@ class LevelsetSolver:
         middle axis; binary search keeps that bracket until the endpoints are
         adjacent, where their meet is a certified downward (oriented) point.
         """
-        j, p = _others(axis)
+        j, p = _OTHERS[axis]
 
         def probe(q: Point, fq: Point):
             """An outcome, the sought pair when q is axis-downward (oriented),
             the bracket end q can replace (_LOW or _HIGH), or None when its
-            sign pattern is impossible on the segment."""
-            si = s * sign(fq[axis] - q[axis])
-            sj = s * sign(fq[j] - q[j])
-            sp = s * sign(fq[p] - q[p])
+            sign pattern is impossible on the segment. Only the signs of the
+            oriented moves si, sj, sp are ever tested."""
+            si = s * (fq[axis] - q[axis])
+            sj = s * (fq[j] - q[j])
+            sp = s * (fq[p] - q[p])
             if sj >= 0 and sp >= 0:
                 if si < 0:
                     return q, fq
@@ -557,25 +569,30 @@ class LevelsetSolver:
         pushing the first axes to one bound and the last to the other.
         """
         view = view or search_space(state)
-        assert all(d > 1 for d in view.dia) and max(view.dia) >= 6
+        if min(view.dia) <= 1 or max(view.dia) < 6:
+            raise ValueError(
+                f"shrink_once needs every diameter >= 2 and one >= 6, got {view.dia}"
+            )
         step = tuple(-(-d // 6) for d in view.dia)
         lower = tuple(l + s for l, s in zip(view.ell, step))
         upper = tuple(r - s for r, s in zip(view.r, step))
         q = central_level_point(lower, upper, state.k)
         fq = self._query(q)
-        before = state.snapshot()
-        res = self._apply_query(state, q, fq)
-        self._emit(
-            "shrink",
-            {
-                "state_before": before,
-                "view": view,
-                "q": q,
-                "fq": fq,
-                "outcome": res if isinstance(res, LevelOutcome) else None,
-                "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
-            },
-        )
+        observer = self.observer
+        before = state.snapshot() if observer is not None else None
+        res = self._apply_query(state, q, fq, view)
+        if observer is not None:
+            observer(
+                "shrink",
+                {
+                    "state_before": before,
+                    "view": view,
+                    "q": q,
+                    "fq": fq,
+                    "outcome": res if isinstance(res, LevelOutcome) else None,
+                    "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
+                },
+            )
         return res
 
     def small_case_step(self, state: LevelState, view: SearchSpaceView | None = None):
@@ -590,12 +607,16 @@ class LevelsetSolver:
         query.
         """
         view = view or search_space(state)
-        assert all(d > 1 for d in view.dia) and max(view.dia) < 6
+        if min(view.dia) <= 1 or max(view.dia) >= 6:
+            raise ValueError(
+                f"small_case_step needs every diameter in 2..5, got {view.dia}"
+            )
         ell, r, k = view.ell, view.r, state.k
-        before = state.snapshot()
+        observer = self.observer
+        before = state.snapshot() if observer is not None else None
         if sum(ell) + 3 <= k <= sum(r) - 3:
             q = level_point(tuple(c + 1 for c in ell), tuple(c - 1 for c in r), k)
-            res = self._apply_query(state, q, self._query(q))
+            res = self._apply_query(state, q, self._query(q), view)
         else:
             s, corner = (1, ell) if sum(ell) + 3 > k else (-1, r)
             if sum(corner) != k - 2 * s:
@@ -613,7 +634,8 @@ class LevelsetSolver:
                 res = self._outcome_from_labels(q, fq, labels)
                 if res is not None:
                     break
-                self._update_state(state, q, fq, labels)
+                # Only the first probe sees the state the view was made from.
+                self._update_state(state, q, fq, labels, view if axis == 0 else None)
                 if axis not in (labels.i_upward if s > 0 else labels.i_downward):
                     res = state
                     break
@@ -621,15 +643,16 @@ class LevelsetSolver:
                 res = self._certify(
                     LevelOutcome(_kind(s), tuple(c + s for c in corner)), tuple(probes)
                 )
-        self._emit(
-            "small",
-            {
-                "state_before": before,
-                "view": view,
-                "outcome": res if isinstance(res, LevelOutcome) else None,
-                "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
-            },
-        )
+        if observer is not None:
+            observer(
+                "small",
+                {
+                    "state_before": before,
+                    "view": view,
+                    "outcome": res if isinstance(res, LevelOutcome) else None,
+                    "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
+                },
+            )
         return res
 
     # -- configuration resolution -----------------------------------------
@@ -658,7 +681,7 @@ class LevelsetSolver:
         """
         (x, fx), (y, fy) = cfg.points
         i = cfg.axis
-        others = _others(i)
+        others = _OTHERS[i]
         low_axes = [a for a in others if y[a] < x[a]]
         if len(low_axes) != 1 or not x[i] <= y[i] <= x[i] + 1:
             raise MonotonicityViolation(
@@ -682,46 +705,46 @@ class LevelsetSolver:
             q[i], q[j], q[p] = pinned, cj, k - pinned - cj
             return tuple(q)
 
-        def settle(q: Point, fq: Point) -> LevelOutcome | str:
+        def settle(q: Point, fq: Point) -> LevelOutcome | int:
+            """A certificate, or the bracket end q replaces: _LOW when
+            fq_i < q_i and fq_j > q_j, _HIGH when fq_i >= q_i and fq_j < q_j."""
             if fq[i] >= q[i]:
                 if fq[j] >= q[j]:
                     return self._certify(
                         LevelOutcome(UPWARD, lub(q, y)), ((q, fq), (y, fy))
                     )
-                return "keep_high"
+                return _HIGH
             if fq[j] <= q[j]:
                 return self._certify(
                     LevelOutcome(DOWNWARD, glb(x, q)), ((x, fx), (q, fq))
                 )
-            return "keep_low"
+            return _LOW
 
-        ell, f_ell = y, fy
         right = segment_point(x[j] - 1)
         f_right = self._query(right)
         res = settle(right, f_right)
         if isinstance(res, LevelOutcome):
             return res
-        if res == "keep_low":
+        if res == _LOW:
             # The whole bracket is low-typed; the meet with x still certifies
             # because f_right_i < right_i = y_i <= x_i + 1 and fx_j < x_j = right_j + 1.
             return self._certify(
                 LevelOutcome(DOWNWARD, glb(x, right)), ((x, fx), (right, f_right))
             )
-        while right[j] - ell[j] > 1:
-            q = segment_point((ell[j] + right[j]) // 2)
+        ends = [(y, fy), (right, f_right)]
+        while ends[_HIGH][0][j] - ends[_LOW][0][j] > 1:
+            q = segment_point((ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2)
             fq = self._query(q)
             res = settle(q, fq)
             if isinstance(res, LevelOutcome):
                 return res
-            if res == "keep_low":
-                ell, f_ell = q, fq
-            else:
-                right, f_right = q, fq
-        if f_right[p] <= right[p]:
-            out = LevelOutcome(DOWNWARD, glb(ell, right))
+            ends[res] = (q, fq)
+        (low, _), (high, f_high) = ends
+        if f_high[p] <= high[p]:
+            out = LevelOutcome(DOWNWARD, glb(low, high))
         else:
-            out = LevelOutcome(UPWARD, lub(ell, right))
-        return self._certify(out, ((ell, f_ell), (right, f_right)))
+            out = LevelOutcome(UPWARD, lub(low, high))
+        return self._certify(out, tuple(ends))
 
 
 class _TracingOracle:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, InstanceFormatError, Violation
-from .lattice import Point, full_box, iter_box, sign
+from .lattice import Point, full_box, iter_box
 from .rng import SplitMix64
 
 MAX_DENSE_POINTS = 10**6
@@ -64,14 +64,18 @@ class Instance:
         return v
 
     def contains(self, x: Point) -> bool:
-        return len(x) == len(self.shape) and all(
-            1 <= c <= n for c, n in zip(x, self.shape)
-        )
+        if len(x) != len(self.shape):
+            return False
+        for c, n in zip(x, self.shape):
+            if not 1 <= c <= n:
+                return False
+        return True
 
     def value(self, x: Point) -> Point:
         """Evaluate F(x). No bounds check; the oracle validates queries."""
         if self.kind == KIND_TARGET:
-            return tuple(c + sign(t - c) for c, t in zip(x, self.target))
+            # c + sign(t - c), with the sign written out
+            return tuple([c + (t > c) - (t < c) for c, t in zip(x, self.target)])
         idx = 0
         for c, n in zip(x, self.shape):
             idx = idx * n + (c - 1)
@@ -98,9 +102,10 @@ class CountedOracle:
         fx = self.cache.get(x)
         if fx is not None:
             return fx
-        if not self.instance.contains(x):
-            raise ValueError(f"query {x} outside grid {self.instance.shape}")
-        fx = self.instance.value(x)
+        inst = self.instance
+        if not inst.contains(x):
+            raise ValueError(f"query {x} outside grid {inst.shape}")
+        fx = inst.value(x)
         self.cache[x] = fx
         self.distinct_queries += 1
         if self.transcript is not None:

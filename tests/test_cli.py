@@ -192,6 +192,14 @@ def test_bench_rejects_unknown_algo():
     assert run("bench", "--sides", "8", "--algos", "quantum").exit_code == 2
 
 
+def test_bench_rejects_non_positive_sides():
+    for kind in ("target", "random"):
+        for sides in ("0", "8,-3"):
+            res = run("bench", "--sides", sides, "--kind", kind)
+            assert res.exit_code == 2, (kind, sides, res.output)
+            assert "--sides must be positive" in res.output
+
+
 def test_solve_huge_grid_within_query_budget():
     res = run(
         "solve", "--shape", "1048576,1048576,1048576", "--target", "1,1,1",

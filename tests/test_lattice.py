@@ -6,6 +6,7 @@ import pytest
 from tarski.errors import InfeasibleLevelError
 from tarski.lattice import (
     Box,
+    LabelSet,
     central_level_point,
     classify,
     extreme_level_point,
@@ -105,6 +106,28 @@ def test_classify_completeness_all_27_sign_vectors():
             or labels.i_downward
         )
         assert nonempty, signs
+
+
+def test_classify_matches_definition():
+    # every sign vector in one to four dimensions, against the definitions
+    # written out literally
+    for d in range(1, 5):
+        base = (2,) * d
+        for signs in itertools.product((-1, 0, 1), repeat=d):
+            fx = tuple(b + s for b, s in zip(base, signs))
+            got_signs, labels = classify(base, fx)
+            up = all(s >= 0 for s in signs)
+            down = all(s <= 0 for s in signs)
+            i_up = tuple(
+                i for i, s in enumerate(signs)
+                if s > 0 and all(t <= 0 for j, t in enumerate(signs) if j != i)
+            )
+            i_down = tuple(
+                i for i, s in enumerate(signs)
+                if s < 0 and all(t >= 0 for j, t in enumerate(signs) if j != i)
+            )
+            assert got_signs == signs
+            assert labels == LabelSet(up and down, up, down, i_up, i_down), signs
 
 
 def test_level_point_examples():

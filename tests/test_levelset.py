@@ -22,6 +22,7 @@ from tarski.levelset import (
     LevelOutcome,
     LevelsetSolver,
     LevelState,
+    SearchSpaceView,
     search_space,
     solve,
     solve_level,
@@ -401,6 +402,39 @@ def test_small_case_probe_branch_all_upward_spec_example():
     assert out.kind == UPWARD
     assert out.point == (3, 3, 3)
     assert norm1(out.point) >= 8
+
+
+def test_step_preconditions_raise_value_error():
+    # shrink_once needs every diameter >= 2 and one >= 6, small_case_step
+    # every diameter in 2..5; a view breaking that is refused before any
+    # query, also under python -O
+    box = full_box((9, 9, 9))
+    st = state_from_coords(box, 15, (1, 1, 1), (9, 9, 9))
+    oracle = CountedOracle(gen_target(box.hi, (5, 5, 5)))
+    solver = LevelsetSolver(oracle)
+    for ell, r in (((3, 3, 3), (6, 6, 6)), ((1, 1, 1), (2, 9, 9))):
+        view = SearchSpaceView(ell, r, tuple(b - a for a, b in zip(ell, r)))
+        with pytest.raises(ValueError, match="shrink_once needs"):
+            solver.shrink_once(st, view)
+    for ell, r in (((1, 3, 3), (7, 6, 6)), ((4, 3, 3), (5, 6, 6))):
+        view = SearchSpaceView(ell, r, tuple(b - a for a, b in zip(ell, r)))
+        with pytest.raises(ValueError, match="small_case_step needs"):
+            solver.small_case_step(st, view)
+    assert oracle.distinct_queries == 0
+
+
+def test_solve_level_rejects_outcome_on_wrong_side_of_level(monkeypatch):
+    # an upward outcome must sit at-or-above the level and a downward one
+    # at-or-below it; otherwise the level raises a typed violation that
+    # carries the outcome, also under python -O
+    box = full_box((8, 8, 8))
+    for kind, point in ((UPWARD, (2, 3, 4)), (DOWNWARD, (5, 6, 7))):
+        bad = LevelOutcome(kind, point, (4, 4, 4))
+        solver = LevelsetSolver(CountedOracle(gen_target(box.hi, (4, 4, 4))))
+        monkeypatch.setattr(solver, "_run_level", lambda box, k, bad=bad: bad)
+        with pytest.raises(MonotonicityViolation, match="wrong side of level 12") as exc:
+            solver.solve_level(box, 12)
+        assert (point, (4, 4, 4)) in exc.value.implicated
 
 
 # -- configurations ----------------------------------------------------------

@@ -6,7 +6,8 @@ trace, the observer events with their payloads, and the result: the fixed
 point, or the violation's message, implicated pairs and whether it carries
 a witness. A refactor of the solver must leave the digest unchanged; a
 change that is meant to alter queries, traces or events updates it on
-purpose and says why.
+purpose and says why. Solves with no trace and no observer must match the
+hooked ones query for query, and must not build observer payloads at all.
 
 Configurations of the first and second kind almost never arise in whole
 solves, so find_configuration is also pinned directly, on states built from
@@ -38,23 +39,30 @@ def _instances():
         yield raw_random_table((side,) * 3, seed)
 
 
-def _fold(sha, inst, verify_certificates: bool) -> None:
+def _run(inst, verify_certificates: bool, hooked: bool):
+    """One solve: its oracle transcript, TSV trace, observer events and
+    result. Without hooks the trace and events stay empty."""
     oracle = CountedOracle(inst, record_transcript=True)
     trace = io.StringIO()
     events = []
     solver = LevelsetSolver(
         oracle,
         verify_certificates=verify_certificates,
-        trace=trace,
-        observer=lambda event, payload: events.append((event, payload)),
+        trace=trace if hooked else None,
+        observer=(lambda event, payload: events.append((event, payload))) if hooked else None,
     )
     try:
         result = f"fixed {solver.solve()}"
     except MonotonicityViolation as mv:
         result = f"violation {mv}|{mv.implicated}|{mv.witness is not None}"
-    for point, value in oracle.transcript:
+    return oracle.transcript, trace.getvalue(), events, result
+
+
+def _fold(sha, inst, verify_certificates: bool) -> None:
+    transcript, trace, events, result = _run(inst, verify_certificates, hooked=True)
+    for point, value in transcript:
         sha.update(f"{point}\t{value}\n".encode())
-    sha.update(trace.getvalue().encode())
+    sha.update(trace.encode())
     for event, payload in events:
         sha.update(f"{event}\t{payload!r}\n".encode())
     sha.update(f"{result}\n--\n".encode())
@@ -66,6 +74,38 @@ def test_transcripts_traces_events_and_results_are_pinned():
         for verify_certificates in (False, True):
             _fold(sha, inst, verify_certificates)
     assert sha.hexdigest() == DIGEST
+
+
+def test_hook_free_solves_match_hooked_solves():
+    # With no trace and no observer a solve must make the same queries, in
+    # the same order, and end the same way as the hooked solves pinned above.
+    for inst in _instances():
+        for verify_certificates in (False, True):
+            transcript, _, _, result = _run(inst, verify_certificates, hooked=False)
+            hooked_transcript, _, _, hooked_result = _run(inst, verify_certificates, hooked=True)
+            assert transcript == hooked_transcript
+            assert result == hooked_result
+
+
+def test_hook_free_solves_build_no_observer_payloads(monkeypatch):
+    # Observer payloads are built only for an attached observer; with none,
+    # not a single state snapshot may be taken.
+    def refuse(self):
+        raise RuntimeError("state snapshot built with no observer attached")
+
+    monkeypatch.setattr(LevelState, "snapshot", refuse)
+    rng = SplitMix64(3)
+    targets = [
+        gen_target((n, n, n), tuple(1 + rng.below(n) for _ in range(3)))
+        for n in (1 << 8, 1 << 20, 1 << 40)
+        for _ in range(5)
+    ]
+    for inst in targets + rotation_batch(30, 11):
+        for verify_certificates in (False, True):
+            point = LevelsetSolver(
+                CountedOracle(inst), verify_certificates=verify_certificates
+            ).solve()
+            assert inst.value(point) == point
 
 
 def _states():
