@@ -5,39 +5,17 @@ in O(log^2 N) distinct queries on 3D grids, together with classic baselines,
 verified instance generators, and a query-counting benchmark harness.
 """
 
-from .baseline import BaselineReport, brute_solve, dqy_solve
-from .errors import (
-    CapacityError,
-    InfeasibleLevelError,
-    InstanceFormatError,
-    MonotonicityViolation,
-    Violation,
-)
+from .baseline import brute_solve, dqy_solve
+from .errors import MonotonicityViolation
 from .lattice import (
-    Box,
-    LabelSet,
-    Point,
     classify,
     extreme_level_point,
     full_box,
-    glb,
     iter_box,
     leq,
     level_point,
-    lub,
-    norm1,
 )
-from .levelset import (
-    Config,
-    LevelOutcome,
-    LevelsetSolver,
-    LevelState,
-    SearchSpaceView,
-    find_configuration,
-    search_space,
-    solve,
-    solve_level,
-)
+from .levelset import LevelState, search_space, solve
 from .oracle import (
     CountedOracle,
     Instance,
@@ -54,43 +32,26 @@ from .rng import SplitMix64
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineReport",
-    "Box",
-    "CapacityError",
-    "Config",
     "CountedOracle",
-    "InfeasibleLevelError",
     "Instance",
-    "InstanceFormatError",
-    "LabelSet",
-    "LevelOutcome",
     "LevelState",
-    "LevelsetSolver",
     "MonotonicityViolation",
-    "Point",
-    "SearchSpaceView",
     "SplitMix64",
-    "Violation",
     "brute_solve",
     "classify",
     "dqy_solve",
     "extreme_level_point",
-    "find_configuration",
     "fixed_points_bruteforce",
     "full_box",
     "gen_random_monotone",
     "gen_target",
-    "glb",
     "iter_box",
     "leq",
     "level_point",
     "load_instance",
-    "lub",
     "monotonize_table",
-    "norm1",
     "save_instance",
     "search_space",
     "solve",
-    "solve_level",
     "verify_monotone",
 ]

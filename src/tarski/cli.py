@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 
@@ -21,25 +20,6 @@ from .rng import SplitMix64
 ALGOS = ("levelset", "dqy", "brute")
 
 BENCH_HEADER = "algo,shape,N,seed,queries,verified,wall_time_ms"
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """One benchmark measurement; only wall_time_ms is non-reproducible."""
-
-    algo: str
-    shape: str
-    n_measure: int
-    seed: int
-    queries: int
-    verified: bool
-    wall_time_ms: int
-
-    def render(self) -> str:
-        return (
-            f"{self.algo},{self.shape},{self.n_measure},{self.seed},"
-            f"{self.queries},{'true' if self.verified else 'false'},{self.wall_time_ms}"
-        )
 
 
 def _parse_coords(text: str, label: str) -> tuple[int, ...]:
@@ -68,6 +48,11 @@ def _dump_violation(exc: MonotonicityViolation) -> None:
             f"F{_fmt_point(w.x)} = {_fmt_point(w.fx)} !<= F{_fmt_point(w.y)} = {_fmt_point(w.fy)}",
             err=True,
         )
+
+
+def _cannot_write(path, exc: OSError):
+    click.echo(f"cannot write {path}: {exc.strerror or exc}", err=True)
+    sys.exit(2)
 
 
 def _load_or_build(instance_path, shape, target) -> orc.Instance:
@@ -118,7 +103,10 @@ def cmd_solve(instance_path, shape, target, algo, trace_path, verify_certificate
             "use --algo dqy or brute"
         )
     counted = orc.CountedOracle(inst)
-    trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
+    try:
+        trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
+    except OSError as exc:
+        _cannot_write(trace_path, exc)
     try:
         try:
             point = _run_algo(algo, counted, verify_certificates, trace)
@@ -156,7 +144,10 @@ def cmd_gen(shape, kind, seed, target, output):
         sys.exit(2)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    orc.save_instance(inst, output)
+    try:
+        orc.save_instance(inst, output)
+    except OSError as exc:
+        _cannot_write(output, exc)
     click.echo(f"wrote {output}")
 
 
@@ -239,23 +230,20 @@ def cmd_bench(sides, kind, reps, seed, algos, output):
                     _dump_violation(exc)
                     sys.exit(3)
                 wall_ms = int(round((time.perf_counter() - t0) * 1000))
+                # Every column but wall_time_ms is reproducible.
                 rows.append(
-                    BenchRow(
-                        algo=algo,
-                        shape=f"{side}x{side}x{side}",
-                        n_measure=full_box(inst.shape).size,
-                        seed=seed,
-                        queries=counted.distinct_queries,
-                        verified=True,
-                        wall_time_ms=wall_ms,
-                    ).render()
+                    f"{algo},{side}x{side}x{side},{full_box(inst.shape).size},{seed},"
+                    f"{counted.distinct_queries},true,{wall_ms}"
                 )
     text = "\n".join(rows) + "\n"
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _cannot_write(output, exc)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,13 @@ def _half(box: Box, kind: str, corner: Point) -> Box:
     return Box(corner, box.hi) if kind == UPWARD else Box(box.lo, corner)
 
 
+def _segment_point(i: int, ci: int, j: int, cj: int, k: int) -> Point:
+    """The point of level k with coordinates ci on axis i and cj on axis j."""
+    q = [k - ci - cj] * 3
+    q[i], q[j] = ci, cj
+    return tuple(q)
+
+
 def _fmt_point(p: Point) -> str:
     return ",".join(str(c) for c in p)
 
@@ -268,12 +275,7 @@ class LevelsetSolver:
         if self.verify_certificates:
             fq = self._query(outcome.point)
             _, labels = classify(outcome.point, fq)
-            ok = (
-                labels.is_fixed
-                if outcome.kind == FIXED
-                else labels.is_upward if outcome.kind == UPWARD else labels.is_downward
-            )
-            if not ok:
+            if not (labels.is_upward if outcome.kind == UPWARD else labels.is_downward):
                 raise MonotonicityViolation(
                     f"implied {outcome.kind} certificate failed at {outcome.point}",
                     implicated=tuple(sources) + ((outcome.point, fq),),
@@ -286,40 +288,30 @@ class LevelsetSolver:
         )
         return outcome
 
-    @staticmethod
-    def _outcome_from_labels(q: Point, fq: Point, labels: LabelSet) -> LevelOutcome | None:
+    def _apply_query(self, state: LevelState, q: Point, fq: Point, stale: bool = False):
+        """The outcome when q is fixed, upward or downward; otherwise the
+        state, with the bounds q's labels select moved to q. A probe built
+        from the current search space lies in it by construction; a stale one,
+        built before the state last moved, is checked against it."""
+        _, labels = classify(q, fq)
         if labels.is_fixed:
             return LevelOutcome(FIXED, q, fq)
         if labels.is_upward:
             return LevelOutcome(UPWARD, q, fq)
         if labels.is_downward:
             return LevelOutcome(DOWNWARD, q, fq)
-        return None
-
-    def _update_state(self, state: LevelState, q: Point, fq: Point, labels: LabelSet,
-                      view: SearchSpaceView | None = None) -> None:
-        """Move the bounds q's labels select, after checking that q lies in
-        the remaining search space; view, when given, must be the search
-        space of the state as it is."""
-        view = view or search_space(state)
-        if not all(l <= c <= r for l, c, r in zip(view.ell, q, view.r)) or norm1(q) != state.k:
-            raise self._violation(
-                f"probe {q} fell outside the remaining search space",
-                state.pairs() + ((q, fq),),
-                state.box,
-            )
+        if stale:
+            view = search_space(state)
+            if not all(l <= c <= r for l, c, r in zip(view.ell, q, view.r)):
+                raise self._violation(
+                    f"probe {q} fell outside the remaining search space",
+                    state.pairs() + ((q, fq),),
+                    state.box,
+                )
         for i in labels.i_upward:
             state.up[i] = (q, fq)
         for i in labels.i_downward:
             state.down[i] = (q, fq)
-
-    def _apply_query(self, state: LevelState, q: Point, fq: Point,
-                     view: SearchSpaceView | None = None):
-        _, labels = classify(q, fq)
-        out = self._outcome_from_labels(q, fq, labels)
-        if out is not None:
-            return out
-        self._update_state(state, q, fq, labels, view)
         return state
 
     # -- outer loop -------------------------------------------------------
@@ -331,16 +323,14 @@ class LevelsetSolver:
         if len(shape) > 3:
             raise ValueError("the levelset solver handles at most 3 dimensions")
         box = full_box(shape)
-        if len(shape) < 3:
-            return self._delegate(box)
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
-                if 1 in box.sides:
-                    return self._delegate(box)
+                if len(shape) < 3 or 1 in box.sides:
+                    return self._baseline(PHASE_OUTER, dqy_solve, box).fixed_point
                 span = norm1(box.hi) - norm1(box.lo)
                 if span <= 6:
-                    return self._finish_brute(box)
+                    return self._baseline(PHASE_BRUTE, brute_solve, box)
                 if pending is not None:
                     box = self._tighten(box, pending)
                     pending = None
@@ -392,19 +382,15 @@ class LevelsetSolver:
             )
         return point
 
-    def _delegate(self, box: Box) -> Point:
-        """Boxes with a pinched side (and grids below 3D) go to the binary
+    def _baseline(self, phase: str, run, box: Box):
+        """Run a baseline solver on the box, its queries traced under phase.
+        Boxes with a pinched side (and grids below 3D) go to the binary
         search baseline; i-upward/i-downward points cannot exist along a
-        pinched axis, so the level machinery has nothing to grab."""
-        self._phase = PHASE_OUTER
+        pinched axis, so the level machinery has nothing to grab. The
+        constant-size remainder is scanned by brute force."""
+        self._phase = phase
         self._level = -1
-        report = dqy_solve(_TracingOracle(self), box)
-        return report.fixed_point
-
-    def _finish_brute(self, box: Box) -> Point:
-        self._phase = PHASE_BRUTE
-        self._level = -1
-        return brute_solve(_TracingOracle(self), box)
+        return run(_TracingOracle(self), box)
 
     # -- one level --------------------------------------------------------
 
@@ -537,12 +523,20 @@ class LevelsetSolver:
                     box,
                 )
             ends.append((q, fq))
-        pinned = ends[_LOW][0][axis]
+        res = self._bisect(ends, axis, j, k, probe, box)
+        if res is not None:
+            return res
+        return self._certify(_meet_outcome(s, [pt for pt, _ in ends]), tuple(ends))
+
+    def _bisect(self, ends: list, i: int, j: int, k: int, probe, box: Box | None):
+        """Halve the bracket ends along axis j, on the segment of level k that
+        pins axis i to their common value, until they are adjacent; then
+        return None. probe(q, fq) gives a result, which is returned at once,
+        the end q replaces (_LOW or _HIGH), or None for a sign pattern that
+        cannot occur on the segment."""
+        pinned = ends[_LOW][0][i]
         while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
-            mid = (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2
-            q = [0, 0, 0]
-            q[axis], q[j], q[p] = pinned, mid, k - pinned - mid
-            q = tuple(q)
+            q = _segment_point(i, pinned, j, (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2, k)
             fq = self._query(q)
             res = probe(q, fq)
             if isinstance(res, (LevelOutcome, tuple)):
@@ -554,7 +548,7 @@ class LevelsetSolver:
                     box,
                 )
             ends[res] = (q, fq)
-        return self._certify(_meet_outcome(s, [pt for pt, _ in ends]), tuple(ends))
+        return None
 
     # -- shrinking --------------------------------------------------------
 
@@ -578,21 +572,9 @@ class LevelsetSolver:
         upper = tuple(r - s for r, s in zip(view.r, step))
         q = central_level_point(lower, upper, state.k)
         fq = self._query(q)
-        observer = self.observer
-        before = state.snapshot() if observer is not None else None
-        res = self._apply_query(state, q, fq, view)
-        if observer is not None:
-            observer(
-                "shrink",
-                {
-                    "state_before": before,
-                    "view": view,
-                    "q": q,
-                    "fq": fq,
-                    "outcome": res if isinstance(res, LevelOutcome) else None,
-                    "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
-                },
-            )
+        before = state.snapshot() if self.observer is not None else None
+        res = self._apply_query(state, q, fq)
+        self._step_event("shrink", before, view, res, q=q, fq=fq)
         return res
 
     def small_case_step(self, state: LevelState, view: SearchSpaceView | None = None):
@@ -612,11 +594,10 @@ class LevelsetSolver:
                 f"small_case_step needs every diameter in 2..5, got {view.dia}"
             )
         ell, r, k = view.ell, view.r, state.k
-        observer = self.observer
-        before = state.snapshot() if observer is not None else None
+        before = state.snapshot() if self.observer is not None else None
         if sum(ell) + 3 <= k <= sum(r) - 3:
             q = level_point(tuple(c + 1 for c in ell), tuple(c - 1 for c in r), k)
-            res = self._apply_query(state, q, self._query(q), view)
+            res = self._apply_query(state, q, self._query(q))
         else:
             s, corner = (1, ell) if sum(ell) + 3 > k else (-1, r)
             if sum(corner) != k - 2 * s:
@@ -625,35 +606,41 @@ class LevelsetSolver:
                     state.pairs(),
                     state.box,
                 )
+            bounds = state.up if s > 0 else state.down
             probes = []
             for axis in range(3):
                 q = tuple(c + s * (a != axis) for a, c in enumerate(corner))
                 fq = self._query(q)
                 probes.append((q, fq))
-                _, labels = classify(q, fq)
-                res = self._outcome_from_labels(q, fq, labels)
-                if res is not None:
-                    break
                 # Only the first probe sees the state the view was made from.
-                self._update_state(state, q, fq, labels, view if axis == 0 else None)
-                if axis not in (labels.i_upward if s > 0 else labels.i_downward):
-                    res = state
+                res = self._apply_query(state, q, fq, stale=axis > 0)
+                if isinstance(res, LevelOutcome) or bounds[axis] != (q, fq):
                     break
             else:
                 res = self._certify(
                     LevelOutcome(_kind(s), tuple(c + s for c in corner)), tuple(probes)
                 )
-        if observer is not None:
-            observer(
-                "small",
-                {
-                    "state_before": before,
-                    "view": view,
-                    "outcome": res if isinstance(res, LevelOutcome) else None,
-                    "dia_after": None if isinstance(res, LevelOutcome) else search_space(res).dia,
-                },
-            )
+        self._step_event("small", before, view, res)
         return res
+
+    def _step_event(self, event: str, before: dict, view: SearchSpaceView, res,
+                    **probe) -> None:
+        """Report one shrink or small step to the observer, if any: the state
+        before it, its view, the probe (shrink only), and its outcome or the
+        diameters it left."""
+        if self.observer is None:
+            return
+        done = isinstance(res, LevelOutcome)
+        self.observer(
+            event,
+            {
+                "state_before": before,
+                "view": view,
+                **probe,
+                "outcome": res if done else None,
+                "dia_after": None if done else search_space(res).dia,
+            },
+        )
 
     # -- configuration resolution -----------------------------------------
 
@@ -698,13 +685,6 @@ class LevelsetSolver:
         if y[j] == x[j] - 1:
             return self._certify(LevelOutcome(DOWNWARD, glb(x, y)), cfg.points)
 
-        pinned = y[i]
-
-        def segment_point(cj: int) -> Point:
-            q = [0, 0, 0]
-            q[i], q[j], q[p] = pinned, cj, k - pinned - cj
-            return tuple(q)
-
         def settle(q: Point, fq: Point) -> LevelOutcome | int:
             """A certificate, or the bracket end q replaces: _LOW when
             fq_i < q_i and fq_j > q_j, _HIGH when fq_i >= q_i and fq_j < q_j."""
@@ -720,7 +700,7 @@ class LevelsetSolver:
                 )
             return _LOW
 
-        right = segment_point(x[j] - 1)
+        right = _segment_point(i, y[i], j, x[j] - 1, k)
         f_right = self._query(right)
         res = settle(right, f_right)
         if isinstance(res, LevelOutcome):
@@ -732,13 +712,9 @@ class LevelsetSolver:
                 LevelOutcome(DOWNWARD, glb(x, right)), ((x, fx), (right, f_right))
             )
         ends = [(y, fy), (right, f_right)]
-        while ends[_HIGH][0][j] - ends[_LOW][0][j] > 1:
-            q = segment_point((ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2)
-            fq = self._query(q)
-            res = settle(q, fq)
-            if isinstance(res, LevelOutcome):
-                return res
-            ends[res] = (q, fq)
+        res = self._bisect(ends, i, j, k, settle, None)
+        if res is not None:
+            return res
         (low, _), (high, f_high) = ends
         if f_high[p] <= high[p]:
             out = LevelOutcome(DOWNWARD, glb(low, high))
@@ -771,14 +747,3 @@ def solve(oracle, *, verify_certificates: bool = False, trace=None, observer=Non
         trace=trace,
         observer=observer,
     ).solve()
-
-
-def solve_level(oracle, box: Box, k: int, *, verify_certificates: bool = False,
-                trace=None, observer=None) -> LevelOutcome:
-    """Run the level procedure once on a box with certified corners."""
-    return LevelsetSolver(
-        oracle,
-        verify_certificates=verify_certificates,
-        trace=trace,
-        observer=observer,
-    ).solve_level(box, k)

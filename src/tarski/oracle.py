@@ -229,8 +229,14 @@ def load_instance(path) -> Instance:
         target <x1> ... <xd>            (target kind)
         <f1> ... <fd>  x volume lines   (table kind, lexicographic order)
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}"
+        ) from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -60,6 +60,22 @@ def test_solve_malformed_instance_exit_2(tmp_path):
     assert ":3:" in res.output  # line-numbered parse error
 
 
+def test_solve_and_verify_non_utf8_instance_exit_2(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"tarski-instance v1\nd 3\nshape 2 2 2\nkind t\xe4rget\n")
+    for command in ("solve", "verify"):
+        res = run(command, "--instance", str(bad))
+        assert res.exit_code == 2, (command, res.output)
+        assert ":4: not UTF-8" in res.output
+
+
+def test_solve_trace_into_missing_directory_exit_2(tmp_path):
+    trace = tmp_path / "missing" / "trace.tsv"
+    res = run("solve", "--shape", "8,8,8", "--target", "3,5,2", "--trace", str(trace))
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {trace}" in res.output
+
+
 def test_solve_violation_exit_3(tmp_path):
     bad = tmp_path / "cycle.txt"
     bad.write_text("tarski-instance v1\nd 1\nshape 2\nkind table\n2\n1\n")
@@ -126,6 +142,13 @@ def test_gen_capacity_exit_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_gen_into_missing_directory_exit_2(tmp_path):
+    out = tmp_path / "missing" / "r.txt"
+    res = run("gen", "--shape", "3,3,3", "--kind", "random", "-o", str(out))
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {out}" in res.output
+
+
 def test_verify_target_and_violating_table(tmp_path):
     t = tmp_path / "t.txt"
     save_instance(gen_random_monotone((3, 3, 3), 2), t)
@@ -186,6 +209,13 @@ def test_bench_rows_ordered_and_written_to_file(tmp_path):
     rows = out.read_text().splitlines()[1:]
     shapes = [r.split(",")[1] for r in rows]
     assert shapes == ["8x8x8", "8x8x8", "16x16x16", "16x16x16"]
+
+
+def test_bench_into_missing_directory_exit_2(tmp_path):
+    out = tmp_path / "missing" / "out.csv"
+    res = run("bench", "--sides", "8", "--reps", "1", "-o", str(out))
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {out}" in res.output
 
 
 def test_bench_rejects_unknown_algo():

@@ -25,7 +25,6 @@ from tarski.levelset import (
     SearchSpaceView,
     search_space,
     solve,
-    solve_level,
 )
 from tarski.oracle import (
     CountedOracle,
@@ -205,10 +204,10 @@ def test_solve_level_spec_examples():
     box = full_box((8, 8, 8))
     for target in [(4, 4, 4), (1, 1, 1), (8, 8, 8)]:
         inst = gen_target((8, 8, 8), target)
-        out = solve_level(CountedOracle(inst), box, 12)
+        out = LevelsetSolver(CountedOracle(inst)).solve_level(box, 12)
         assert outcome_is_valid(inst, out, 12)
     inst = gen_target((8, 8, 8), (1, 1, 1))
-    out = solve_level(CountedOracle(inst), box, 12)
+    out = LevelsetSolver(CountedOracle(inst)).solve_level(box, 12)
     assert out.kind == DOWNWARD and norm1(out.point) <= 12
 
 
@@ -216,7 +215,7 @@ def test_solve_level_valid_outcome_many_instances():
     box = full_box((5, 5, 5))
     for seed in range(200):
         inst = gen_random_monotone((5, 5, 5), seed)
-        out = solve_level(CountedOracle(inst), box, 8)
+        out = LevelsetSolver(CountedOracle(inst)).solve_level(box, 8)
         assert outcome_is_valid(inst, out, 8), seed
 
 
@@ -234,7 +233,7 @@ def test_solve_level_on_certified_subboxes():
             continue
         k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
         inst = gen_target((n, n, n), t)
-        out = solve_level(CountedOracle(inst), box, k)
+        out = LevelsetSolver(CountedOracle(inst)).solve_level(box, k)
         assert outcome_is_valid(inst, out, k)
         assert box.contains(out.point)
         checked += 1
@@ -243,9 +242,9 @@ def test_solve_level_on_certified_subboxes():
 def test_solve_level_rejects_bad_preconditions():
     o = CountedOracle(gen_target((5, 5, 5), (2, 2, 2)))
     with pytest.raises(ValueError):
-        solve_level(o, full_box((5, 5, 5)), 3)
+        LevelsetSolver(o).solve_level(full_box((5, 5, 5)), 3)
     with pytest.raises(ValueError):
-        solve_level(o, Box((1, 1, 1), (1, 5, 5)), 6)
+        LevelsetSolver(o).solve_level(Box((1, 1, 1), (1, 5, 5)), 6)
 
 
 def test_solve_level_query_budget_small():
@@ -255,7 +254,7 @@ def test_solve_level_query_budget_small():
     for seed in range(100):
         inst = gen_random_monotone((6, 6, 6), seed)
         o = CountedOracle(inst)
-        solve_level(o, box, 9)
+        LevelsetSolver(o).solve_level(box, 9)
         assert o.distinct_queries <= 3 * lg + 14, seed
 
 

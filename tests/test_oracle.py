@@ -190,6 +190,21 @@ def test_load_rejects_out_of_grid_table_value(tmp_path):
     assert err.value.line == 6
 
 
+def test_load_rejects_non_utf8_bytes_with_their_line(tmp_path):
+    cases = [
+        (b"tarski-instance v1\nd 3\nshape 2 2 2\nkind t\xffrget\n", 4),
+        (b"\xfe\xff", 1),
+        (b"tarski-instance v1\nd 1\nshape 2\nkind table\n1\n2\xc3\n", 6),
+    ]
+    for body, line in cases:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(body)
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert err.value.line == line, body
+        assert "not UTF-8" in str(err.value)
+
+
 def test_splitmix64_reference_stream():
     # first outputs for seed 0; pins the generator across refactors
     rng = SplitMix64(0)

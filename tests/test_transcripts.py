@@ -16,6 +16,9 @@ random labelled levelset points.
 
 import hashlib
 import io
+import pathlib
+import subprocess
+import sys
 
 from _families import raw_random_table, rotation_batch
 from tarski.errors import MonotonicityViolation
@@ -74,6 +77,27 @@ def test_transcripts_traces_events_and_results_are_pinned():
         for verify_certificates in (False, True):
             _fold(sha, inst, verify_certificates)
     assert sha.hexdigest() == DIGEST
+
+
+def test_pinned_digest_holds_under_python_O():
+    # The contract also holds under python -O, which strips assert
+    # statements; pytest still checks the test's own assertions there, as it
+    # rewrites them into plain raises.
+    test_id = f"{__file__}::test_transcripts_traces_events_and_results_are_pinned"
+    child = (
+        "import sys, pytest\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", child, test_id],
+        capture_output=True,
+        text=True,
+        cwd=pathlib.Path(__file__).resolve().parent.parent,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.startswith("optimize 1\n"), res.stdout
+    assert "1 passed" in res.stdout, res.stdout
 
 
 def test_hook_free_solves_match_hooked_solves():
