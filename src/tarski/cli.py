@@ -96,6 +96,9 @@ def main():
               help="confirm every implied certificate with a real query")
 def cmd_solve(instance_path, shape, target, algo, trace_path, verify_certificates):
     """Solve one instance and print the fixed point and query count."""
+    if algo != "levelset" and (trace_path or verify_certificates):
+        flag = "--trace" if trace_path else "--verify-certificates"
+        raise click.UsageError(f"{flag} applies to --algo levelset only")
     inst = _load_or_build(instance_path, shape, target)
     if algo == "levelset" and len(inst.shape) > 3:
         raise click.UsageError(
@@ -110,15 +113,18 @@ def cmd_solve(instance_path, shape, target, algo, trace_path, verify_certificate
     try:
         try:
             point = _run_algo(algo, counted, verify_certificates, trace)
-        except MonotonicityViolation as exc:
-            _dump_violation(exc)
-            sys.exit(3)
-        except CapacityError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(2)
-    finally:
-        if trace is not None:
-            trace.close()
+        finally:
+            if trace is not None:
+                trace.close()
+    except MonotonicityViolation as exc:
+        _dump_violation(exc)
+        sys.exit(3)
+    except CapacityError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(2)
+    except OSError as exc:
+        # Only the trace file does I/O during a solve.
+        _cannot_write(trace_path, exc)
     click.echo(f"fixed_point = {_fmt_point(point)}")
     click.echo(f"queries = {counted.distinct_queries}")
 
@@ -197,6 +203,8 @@ def cmd_bench(sides, kind, reps, seed, algos, output):
     if min(side_list) < 1:
         raise click.UsageError(f"--sides must be positive, got {sides!r}")
     algo_list = tuple(a.strip() for a in algos.split(",") if a.strip())
+    if not algo_list:
+        raise click.UsageError(f"--algos names no algo, got {algos!r}")
     for a in algo_list:
         if a not in ALGOS:
             raise click.UsageError(f"unknown algo {a!r}")

@@ -220,6 +220,25 @@ def _label_tokens(labels: LabelSet) -> str:
     return ",".join(toks)
 
 
+def _config_payload(cfg: Config, state: LevelState) -> dict:
+    """Observer payload of a found configuration."""
+    return {"config": cfg, "state": state.snapshot()}
+
+
+def _step_payload(before: LevelState, view: SearchSpaceView, res, **probe) -> dict:
+    """Observer payload of one shrink or small step: the state before it,
+    its view, the probe (shrink only), and its outcome or the diameters it
+    left."""
+    done = isinstance(res, LevelOutcome)
+    return {
+        "state_before": before.snapshot(),
+        "view": view,
+        **probe,
+        "outcome": res if done else None,
+        "dia_after": None if done else search_space(res).dia,
+    }
+
+
 class LevelsetSolver:
     """One solve run over one oracle. Strictly sequential; make a fresh
     solver (and oracle) per run.
@@ -231,49 +250,37 @@ class LevelsetSolver:
     observer: callable(event, payload) fed solver progress; used by tests.
     Payloads are built only when an observer is attached, so a solve
     without one spends nothing on them.
+
+    Every query, the solver's own and its baselines', goes through one
+    oracle picked here: the given one, or with a trace a wrapper writing it.
     """
 
     def __init__(self, oracle, *, verify_certificates: bool = False,
                  trace=None, observer=None):
         self.oracle = oracle
         self.verify_certificates = verify_certificates
-        self.trace = trace
         self.observer = observer
+        self._oracle = oracle if trace is None else _TracingOracle(self, trace)
         self._phase = PHASE_OUTER
         self._level = -1
         self._evidence: tuple[tuple[Point, Point], ...] = ()
 
     # -- plumbing ---------------------------------------------------------
 
-    def _emit(self, event: str, payload: dict) -> None:
-        """Hand a cheap payload to the observer, if any. Call sites whose
-        payload costs work (state snapshots, search-space views) test
-        ``self.observer`` themselves and build it only for an observer."""
+    def _emit(self, event: str, build, *args, **fields) -> None:
+        """Hand the observer, if any, the payload build(*args, **fields);
+        with no observer attached the payload is never built."""
         if self.observer is not None:
-            self.observer(event, payload)
-
-    def _query(self, x: Point) -> Point:
-        fx = self.oracle.query(x)
-        if self.trace is not None:
-            _, labels = classify(x, fx)
-            self.trace.write(
-                f"{self._phase}\t{self._level}\t{_fmt_point(x)}\t"
-                f"{_fmt_point(fx)}\t{_label_tokens(labels)}\n"
-            )
-        return fx
+            self.observer(event, build(*args, **fields))
 
     def _corner_pairs(self, box: Box):
-        return ((box.lo, self._query(box.lo)), (box.hi, self._query(box.hi)))
-
-    def _violation(self, message: str, pairs, box: Box | None = None):
-        extra = self._corner_pairs(box) if box is not None else ()
-        return MonotonicityViolation(message, implicated=tuple(pairs) + extra)
+        return ((box.lo, self._oracle.query(box.lo)), (box.hi, self._oracle.query(box.hi)))
 
     def _certify(self, outcome: LevelOutcome, sources) -> LevelOutcome:
         """Record an implied certificate; in debug mode confirm it by query."""
         verified = False
         if self.verify_certificates:
-            fq = self._query(outcome.point)
+            fq = self._oracle.query(outcome.point)
             _, labels = classify(outcome.point, fq)
             if not (labels.is_upward if outcome.kind == UPWARD else labels.is_downward):
                 raise MonotonicityViolation(
@@ -282,14 +289,12 @@ class LevelsetSolver:
                 )
             outcome = LevelOutcome(outcome.kind, outcome.point, fq)
             verified = True
-        self._emit(
-            "certificate",
-            {"kind": outcome.kind, "point": outcome.point, "verified": verified},
-        )
+        self._emit("certificate", dict, kind=outcome.kind, point=outcome.point,
+                   verified=verified)
         return outcome
 
     def _apply_query(self, state: LevelState, q: Point, fq: Point, stale: bool = False):
-        """The outcome when q is fixed, upward or downward; otherwise the
+        """The outcome when q is fixed, upward or downward; otherwise a new
         state, with the bounds q's labels select moved to q. A probe built
         from the current search space lies in it by construction; a stale one,
         built before the state last moved, is checked against it."""
@@ -303,16 +308,16 @@ class LevelsetSolver:
         if stale:
             view = search_space(state)
             if not all(l <= c <= r for l, c, r in zip(view.ell, q, view.r)):
-                raise self._violation(
+                raise MonotonicityViolation(
                     f"probe {q} fell outside the remaining search space",
-                    state.pairs() + ((q, fq),),
-                    state.box,
+                    implicated=state.pairs() + ((q, fq),),
                 )
+        up, down = list(state.up), list(state.down)
         for i in labels.i_upward:
-            state.up[i] = (q, fq)
+            up[i] = (q, fq)
         for i in labels.i_downward:
-            state.down[i] = (q, fq)
-        return state
+            down[i] = (q, fq)
+        return LevelState(state.box, state.k, up, down)
 
     # -- outer loop -------------------------------------------------------
 
@@ -341,7 +346,7 @@ class LevelsetSolver:
                     return self._verified(out.point)
                 prev = box
                 box = _half(box, out.kind, out.point)
-                self._emit("recurse", {"before": prev, "after": box, "outcome": out})
+                self._emit("recurse", dict, before=prev, after=box, outcome=out)
                 if out.fvalue is not None:
                     pending = out
         except MonotonicityViolation as mv:
@@ -362,11 +367,10 @@ class LevelsetSolver:
         self._level = -1
         u, fu = out.point, out.fvalue
         if not box.contains(fu):
-            raise self._violation(
+            raise MonotonicityViolation(
                 f"image {fu} of the certified corner {u} left the box "
                 f"{box.lo}..{box.hi}",
-                ((u, fu),),
-                box,
+                implicated=((u, fu),) + self._corner_pairs(box),
             )
         self._evidence += ((u, fu),)
         corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
@@ -375,7 +379,7 @@ class LevelsetSolver:
     def _verified(self, point: Point) -> Point:
         self._phase = PHASE_OUTER
         self._level = -1
-        fp = self._query(point)
+        fp = self._oracle.query(point)
         if fp != point:
             raise MonotonicityViolation(
                 f"answer {point} failed its final check", implicated=((point, fp),)
@@ -390,7 +394,7 @@ class LevelsetSolver:
         constant-size remainder is scanned by brute force."""
         self._phase = phase
         self._level = -1
-        return run(_TracingOracle(self), box)
+        return run(self._oracle, box)
 
     # -- one level --------------------------------------------------------
 
@@ -403,7 +407,7 @@ class LevelsetSolver:
             raise ValueError("solve_level needs all box sides >= 2")
         self._level = k
         before = self.oracle.distinct_queries
-        self._emit("level_start", {"box": box, "k": k, "queries": before})
+        self._emit("level_start", dict, box=box, k=k, queries=before)
         try:
             outcome = self._run_level(box, k)
             side = norm1(outcome.point) - k
@@ -416,10 +420,8 @@ class LevelsetSolver:
         except MonotonicityViolation as mv:
             raise mv.extended(self._corner_pairs(box)) from None
         finally:
-            self._emit(
-                "level_done",
-                {"box": box, "k": k, "queries": self.oracle.distinct_queries - before},
-            )
+            self._emit("level_done", dict, box=box, k=k,
+                       queries=self.oracle.distinct_queries - before)
             self._level = -1
 
     def _run_level(self, box: Box, k: int) -> LevelOutcome:
@@ -434,8 +436,7 @@ class LevelsetSolver:
             ups.append(up_pair)
             downs.append(down_pair)
         state = LevelState(box, k, ups, downs)
-        if self.observer is not None:
-            self.observer("init_done", state.snapshot())
+        self._emit("init_done", state.snapshot)
         while True:
             view = search_space(state)
             if min(view.dia) <= 1:
@@ -450,8 +451,7 @@ class LevelsetSolver:
                 return res
             state = res
         cfg = find_configuration(state)
-        if self.observer is not None:
-            self.observer("config", {"config": cfg, "state": state.snapshot()})
+        self._emit("config", _config_payload, cfg, state)
         if cfg.kind != "third":
             return self.resolve_meet_join(cfg)
         self._phase = PHASE_THIRD
@@ -507,28 +507,26 @@ class LevelsetSolver:
         for side, far in ((_LOW, j), (_HIGH, p)):
             q = _oriented_extreme(box, k, axis, far, s)
             if ends and q == ends[_LOW][0]:
-                raise self._violation(
+                raise MonotonicityViolation(
                     f"single-point init segment for axis {axis} did not resolve",
-                    ends,
-                    box,
+                    implicated=ends,
                 )
-            fq = self._query(q)
+            fq = self._oracle.query(q)
             res = probe(q, fq)
             if isinstance(res, (LevelOutcome, tuple)):
                 return res
             if res != side:
-                raise self._violation(
+                raise MonotonicityViolation(
                     f"endpoint {q} of the axis-{axis} init segment has an impossible sign pattern",
-                    (*ends, (q, fq)),
-                    box,
+                    implicated=(*ends, (q, fq)),
                 )
             ends.append((q, fq))
-        res = self._bisect(ends, axis, j, k, probe, box)
+        res = self._bisect(ends, axis, j, k, probe)
         if res is not None:
             return res
         return self._certify(_meet_outcome(s, [pt for pt, _ in ends]), tuple(ends))
 
-    def _bisect(self, ends: list, i: int, j: int, k: int, probe, box: Box | None):
+    def _bisect(self, ends: list, i: int, j: int, k: int, probe):
         """Halve the bracket ends along axis j, on the segment of level k that
         pins axis i to their common value, until they are adjacent; then
         return None. probe(q, fq) gives a result, which is returned at once,
@@ -537,15 +535,14 @@ class LevelsetSolver:
         pinned = ends[_LOW][0][i]
         while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
             q = _segment_point(i, pinned, j, (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2, k)
-            fq = self._query(q)
+            fq = self._oracle.query(q)
             res = probe(q, fq)
             if isinstance(res, (LevelOutcome, tuple)):
                 return res
             if res is None:
-                raise self._violation(
+                raise MonotonicityViolation(
                     f"segment point {q} has an impossible sign pattern",
-                    (*ends, (q, fq)),
-                    box,
+                    implicated=(*ends, (q, fq)),
                 )
             ends[res] = (q, fq)
         return None
@@ -571,10 +568,9 @@ class LevelsetSolver:
         lower = tuple(l + s for l, s in zip(view.ell, step))
         upper = tuple(r - s for r, s in zip(view.r, step))
         q = central_level_point(lower, upper, state.k)
-        fq = self._query(q)
-        before = state.snapshot() if self.observer is not None else None
+        fq = self._oracle.query(q)
         res = self._apply_query(state, q, fq)
-        self._step_event("shrink", before, view, res, q=q, fq=fq)
+        self._emit("shrink", _step_payload, state, view, res, q=q, fq=fq)
         return res
 
     def small_case_step(self, state: LevelState, view: SearchSpaceView | None = None):
@@ -594,53 +590,34 @@ class LevelsetSolver:
                 f"small_case_step needs every diameter in 2..5, got {view.dia}"
             )
         ell, r, k = view.ell, view.r, state.k
-        before = state.snapshot() if self.observer is not None else None
         if sum(ell) + 3 <= k <= sum(r) - 3:
             q = level_point(tuple(c + 1 for c in ell), tuple(c - 1 for c in r), k)
-            res = self._apply_query(state, q, self._query(q))
+            res = self._apply_query(state, q, self._oracle.query(q))
         else:
             s, corner = (1, ell) if sum(ell) + 3 > k else (-1, r)
             if sum(corner) != k - 2 * s:
-                raise self._violation(
+                raise MonotonicityViolation(
                     "search-space bounds inconsistent with the level",
-                    state.pairs(),
-                    state.box,
+                    implicated=state.pairs(),
                 )
-            bounds = state.up if s > 0 else state.down
+            res = state
             probes = []
             for axis in range(3):
                 q = tuple(c + s * (a != axis) for a, c in enumerate(corner))
-                fq = self._query(q)
+                fq = self._oracle.query(q)
                 probes.append((q, fq))
                 # Only the first probe sees the state the view was made from.
-                res = self._apply_query(state, q, fq, stale=axis > 0)
-                if isinstance(res, LevelOutcome) or bounds[axis] != (q, fq):
+                res = self._apply_query(res, q, fq, stale=axis > 0)
+                if isinstance(res, LevelOutcome):
+                    break
+                if (res.up if s > 0 else res.down)[axis] != (q, fq):
                     break
             else:
                 res = self._certify(
                     LevelOutcome(_kind(s), tuple(c + s for c in corner)), tuple(probes)
                 )
-        self._step_event("small", before, view, res)
+        self._emit("small", _step_payload, state, view, res)
         return res
-
-    def _step_event(self, event: str, before: dict, view: SearchSpaceView, res,
-                    **probe) -> None:
-        """Report one shrink or small step to the observer, if any: the state
-        before it, its view, the probe (shrink only), and its outcome or the
-        diameters it left."""
-        if self.observer is None:
-            return
-        done = isinstance(res, LevelOutcome)
-        self.observer(
-            event,
-            {
-                "state_before": before,
-                "view": view,
-                **probe,
-                "outcome": res if done else None,
-                "dia_after": None if done else search_space(res).dia,
-            },
-        )
 
     # -- configuration resolution -----------------------------------------
 
@@ -701,7 +678,7 @@ class LevelsetSolver:
             return _LOW
 
         right = _segment_point(i, y[i], j, x[j] - 1, k)
-        f_right = self._query(right)
+        f_right = self._oracle.query(right)
         res = settle(right, f_right)
         if isinstance(res, LevelOutcome):
             return res
@@ -712,7 +689,7 @@ class LevelsetSolver:
                 LevelOutcome(DOWNWARD, glb(x, right)), ((x, fx), (right, f_right))
             )
         ends = [(y, fy), (right, f_right)]
-        res = self._bisect(ends, i, j, k, settle, None)
+        res = self._bisect(ends, i, j, k, settle)
         if res is not None:
             return res
         (low, _), (high, f_high) = ends
@@ -724,15 +701,23 @@ class LevelsetSolver:
 
 
 class _TracingOracle:
-    """Adapter letting a baseline run its queries through a solver, so
-    delegated boxes and the final scan show up in the trace."""
+    """The oracle of a traced solve: writes one record per query call,
+    tagged with the solver's current phase and level, so delegated boxes
+    and the final scan show up in the trace too. Baselines given a box
+    never read an instance, so it carries none."""
 
-    def __init__(self, solver: LevelsetSolver):
+    def __init__(self, solver: LevelsetSolver, trace):
         self._solver = solver
-        self.instance = solver.oracle.instance
+        self._trace = trace
 
     def query(self, x: Point) -> Point:
-        return self._solver._query(x)
+        fx = self._solver.oracle.query(x)
+        _, labels = classify(x, fx)
+        self._trace.write(
+            f"{self._solver._phase}\t{self._solver._level}\t{_fmt_point(x)}\t"
+            f"{_fmt_point(fx)}\t{_label_tokens(labels)}\n"
+        )
+        return fx
 
     @property
     def distinct_queries(self) -> int:

@@ -1,7 +1,12 @@
+import errno
+import io
+import os
 import re
 
+import pytest
 from click.testing import CliRunner
 
+from tarski import cli
 from tarski.cli import main
 from tarski.oracle import gen_random_monotone, load_instance, save_instance
 
@@ -74,6 +79,41 @@ def test_solve_trace_into_missing_directory_exit_2(tmp_path):
     res = run("solve", "--shape", "8,8,8", "--target", "3,5,2", "--trace", str(trace))
     assert res.exit_code == 2, res.output
     assert f"cannot write {trace}" in res.output
+
+
+class _FullDiskFile(io.StringIO):
+    """A trace file whose writes fail as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_solve_trace_write_failure_exit_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "open", lambda *args, **kw: _FullDiskFile(), raising=False)
+    trace = tmp_path / "trace.tsv"
+    res = run("solve", "--shape", "8,8,8", "--target", "3,5,2", "--trace", str(trace))
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {trace}: {os.strerror(errno.ENOSPC)}" in res.output
+    assert "fixed_point" not in res.output
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_solve_trace_to_full_device_exit_2():
+    # The short trace fits the write buffer, so here the final close fails.
+    res = run("solve", "--shape", "8,8,8", "--target", "3,5,2", "--trace", "/dev/full")
+    assert res.exit_code == 2, res.output
+    assert "cannot write /dev/full: No space left on device" in res.output
+    assert "fixed_point" not in res.output
+
+
+def test_solve_trace_and_verify_flags_need_levelset(tmp_path):
+    trace = tmp_path / "t.tsv"
+    for algo in ("dqy", "brute"):
+        for flags in (("--trace", str(trace)), ("--verify-certificates",)):
+            res = run("solve", "--shape", "6,6,6", "--target", "2,5,3", "--algo", algo, *flags)
+            assert res.exit_code == 2, (algo, flags, res.output)
+            assert "applies to --algo levelset only" in res.output
+            assert not trace.exists()
 
 
 def test_solve_violation_exit_3(tmp_path):
@@ -220,6 +260,7 @@ def test_bench_into_missing_directory_exit_2(tmp_path):
 
 def test_bench_rejects_unknown_algo():
     assert run("bench", "--sides", "8", "--algos", "quantum").exit_code == 2
+    assert run("bench", "--sides", "8", "--algos", ",").exit_code == 2
 
 
 def test_bench_rejects_non_positive_sides():

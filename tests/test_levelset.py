@@ -879,6 +879,54 @@ def test_trace_records_every_query_with_phase():
     assert "init" in phases
 
 
+class _CallLog(CountedOracle):
+    """CountedOracle that logs every query call, cache hits included."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.calls = []
+
+    def query(self, x):
+        fx = super().query(x)
+        self.calls.append((x, fx))
+        return fx
+
+
+def test_trace_has_one_record_per_query_call():
+    # A trace pairs up with the oracle's call log: one record per query call,
+    # cache hits included, in call order. This holds in every phase, for the
+    # baselines the solver delegates to, and on violation paths in both modes.
+    from _families import raw_random_table, rotation_batch
+
+    rng = SplitMix64(17)
+    instances = [
+        gen_target((n, n, n), tuple(1 + rng.below(n) for _ in range(3)))
+        for n in (5, 9, 1 << 8, 1 << 16)
+        for _ in range(5)
+    ]
+    instances += rotation_batch(30, 23)
+    # A 2-D grid, a pinched grid, and a grid whose boxes get pinched.
+    instances += [gen_target((16, 16), (13, 2)), gen_target((1, 9, 9), (1, 4, 2)),
+                  gen_target((7, 3, 9), (2, 3, 8))]
+    instances += [raw_random_table((3 + seed % 4,) * 3, seed) for seed in range(80)]
+    phases = set()
+    violations = {False: 0, True: 0}
+    for inst in instances:
+        for verify_certificates in (False, True):
+            oracle = _CallLog(inst)
+            buf = io.StringIO()
+            try:
+                solve(oracle, verify_certificates=verify_certificates, trace=buf)
+            except MonotonicityViolation:
+                violations[verify_certificates] += 1
+            records = [line.split("\t") for line in buf.getvalue().splitlines()]
+            calls = [(",".join(map(str, x)), ",".join(map(str, fx))) for x, fx in oracle.calls]
+            assert [(rec[2], rec[3]) for rec in records] == calls
+            phases.update(rec[0] for rec in records)
+    assert phases == {"init", "shrink", "small", "third", "outer", "brute"}
+    assert violations[False] > 10 and violations[True] > 10, violations
+
+
 def test_solve_on_non_monotone_terminates():
     rng = SplitMix64(91)
     results = {"fixed": 0, "violation": 0}

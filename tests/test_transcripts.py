@@ -27,7 +27,7 @@ from tarski.levelset import LevelsetSolver, LevelState, find_configuration
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
-DIGEST = "1f7f5782955ffa2c6f216971d83b97c4ea2721eb6bd228d23a58d32a28a62709"
+DIGEST = "deb86bd6750b5e8612933492e1e4a8fa2fcd28c5b5109e24348010a424c024a1"
 CONFIG_DIGEST = "7bfca45c226f25fbc17c0c1d0758f28da29e8c3975ebba0ff84b00be7fc97b47"
 
 
