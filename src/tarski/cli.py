@@ -55,13 +55,18 @@ def _cannot_write(path, exc: OSError):
     sys.exit(2)
 
 
+def _load(instance_path) -> orc.Instance:
+    """The instance file, or exit 2 on a parse error or an oversized table."""
+    try:
+        return orc.load_instance(instance_path)
+    except (InstanceFormatError, CapacityError) as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(2)
+
+
 def _load_or_build(instance_path, shape, target) -> orc.Instance:
     if instance_path is not None:
-        try:
-            return orc.load_instance(instance_path)
-        except InstanceFormatError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(2)
+        return _load(instance_path)
     if shape is None or target is None:
         raise click.UsageError("provide --instance, or both --shape and --target")
     shape_t = _parse_coords(shape, "--shape")
@@ -162,11 +167,7 @@ def cmd_gen(shape, kind, seed, target, output):
               type=click.Path(exists=True, dir_okay=False))
 def cmd_verify(instance_path):
     """Check monotonicity of an instance and list its fixed points."""
-    try:
-        inst = orc.load_instance(instance_path)
-    except InstanceFormatError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
+    inst = _load(instance_path)
     try:
         witness = orc.verify_monotone(inst)
         fixed = sorted(orc.fixed_points_bruteforce(inst))

@@ -333,15 +333,15 @@ class LevelsetSolver:
             while True:
                 if len(shape) < 3 or 1 in box.sides:
                     return self._baseline(PHASE_OUTER, dqy_solve, box).fixed_point
-                span = norm1(box.hi) - norm1(box.lo)
-                if span <= 6:
+                lo_sum, hi_sum = norm1(box.lo), norm1(box.hi)
+                if hi_sum - lo_sum <= 6:
                     return self._baseline(PHASE_BRUTE, brute_solve, box)
                 if pending is not None:
                     box = self._tighten(box, pending)
                     pending = None
                     continue
-                k = (norm1(box.lo) + norm1(box.hi) + 1) // 2
-                out = self.solve_level(box, k)
+                # span >= 7 and no pinched side: k lies strictly inside
+                out = self._solve_level(box, (lo_sum + hi_sum + 1) // 2)
                 if out.kind == FIXED:
                     return self._verified(out.point)
                 prev = box
@@ -405,6 +405,11 @@ class LevelsetSolver:
             raise ValueError(f"level {k} must lie strictly inside {box.lo}..{box.hi}")
         if min(box.sides) < 2:
             raise ValueError("solve_level needs all box sides >= 2")
+        return self._solve_level(box, k)
+
+    def _solve_level(self, box: Box, k: int) -> LevelOutcome:
+        """solve_level without its precondition checks, which the outer loop
+        meets by construction."""
         self._level = k
         before = self.oracle.distinct_queries
         self._emit("level_start", dict, box=box, k=k, queries=before)

@@ -12,6 +12,8 @@ a CountedOracle is single-owner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import gt
 
 from .errors import CapacityError, InstanceFormatError, Violation
 from .lattice import Point, full_box, iter_box
@@ -50,9 +52,9 @@ class Instance:
             if self.table is None or len(self.table) != self.volume:
                 got = None if self.table is None else len(self.table)
                 raise ValueError(f"table needs {self.volume} rows, got {got}")
-            for row in self.table:
-                if not self.contains(row):
-                    raise ValueError(f"table value {row} outside grid {self.shape}")
+            bad = _first_outside(self.shape, self.table)
+            if bad is not None:
+                raise ValueError(f"table value {self.table[bad]} outside grid {self.shape}")
         else:
             raise ValueError(f"unknown instance kind {self.kind!r}")
 
@@ -125,6 +127,53 @@ def _check_dense(volume: int, what: str) -> None:
         )
 
 
+def _strides(shape) -> list[int]:
+    """Flat-index step of each axis in lexicographic point order."""
+    strides = [1] * len(shape)
+    for axis in range(len(shape) - 1, 0, -1):
+        strides[axis - 1] = strides[axis] * shape[axis]
+    return strides
+
+
+def _first_outside(shape, rows) -> int | None:
+    """Index of the first row outside the grid, or None if there is none.
+
+    Each axis's column is checked by its min and max; the rows are scanned
+    one by one only to name a failure.
+    """
+    d = len(shape)
+    if set(map(len, rows)) == {d} and all(
+        1 <= min(col) and max(col) <= n for col, n in zip(zip(*rows), shape)
+    ):
+        return None
+    for i, row in enumerate(rows):
+        if len(row) != d or any(not 1 <= c <= n for c, n in zip(row, shape)):
+            return i
+    return None
+
+
+def _running_max(shape, cols) -> None:
+    """Replace each flat column, in place, by its running maxima along
+    every axis: afterwards col[x] is the max of the old col[y] over y <= x."""
+    volume = 1
+    for n in shape:
+        volume *= n
+    for n, st in zip(shape, _strides(shape)):
+        if n == 1:
+            continue
+        for col in cols:
+            if st == 1:
+                # layer i of the last axis is the extended slice col[i::n]
+                for i in range(1, n):
+                    col[i::n] = [a if a > b else b for a, b in zip(col[i::n], col[i - 1 :: n])]
+                continue
+            for start in range(0, volume, st * n):
+                for i in range(start + st, start + st * n, st):
+                    col[i : i + st] = [
+                        a if a > b else b for a, b in zip(col[i : i + st], col[i - st : i])
+                    ]
+
+
 def gen_random_monotone(shape, seed: int) -> Instance:
     """Seeded random monotone table.
 
@@ -133,13 +182,11 @@ def gen_random_monotone(shape, seed: int) -> Instance:
     running maxima. Same seed, same instance, on any platform.
     """
     shape = tuple(shape)
-    inst_box = full_box(shape)
-    _check_dense(inst_box.volume, "gen_random_monotone")
-    rng = SplitMix64(seed)
-    raw = [
-        tuple(1 + rng.below(n) for n in shape) for _ in range(inst_box.volume)
-    ]
-    return Instance(shape=shape, kind=KIND_TABLE, table=tuple(monotonize_table(shape, raw)))
+    volume = full_box(shape).volume
+    _check_dense(volume, "gen_random_monotone")
+    cols = SplitMix64(seed).grid_columns(shape, volume)
+    _running_max(shape, cols)
+    return Instance(shape=shape, kind=KIND_TABLE, table=tuple(zip(*cols)))
 
 
 def monotonize_table(shape, table) -> list[Point]:
@@ -148,24 +195,9 @@ def monotonize_table(shape, table) -> list[Point]:
     The result at x is the componentwise max of the input over all y <= x,
     so it is always monotone, and monotone inputs pass through unchanged.
     """
-    shape = tuple(shape)
-    vals = list(table)
-    stride = 1
-    strides = []
-    for n in reversed(shape):
-        strides.append(stride)
-        stride *= n
-    strides.reverse()
-    for axis, n in enumerate(shape):
-        if n == 1:
-            continue
-        st = strides[axis]
-        for idx in range(len(vals)):
-            if (idx // st) % n > 0:
-                prev = vals[idx - st]
-                cur = vals[idx]
-                vals[idx] = tuple(max(a, b) for a, b in zip(cur, prev))
-    return vals
+    cols = [list(col) for col in zip(*table)]
+    _running_max(tuple(shape), cols)
+    return list(zip(*cols))
 
 
 def verify_monotone(inst: Instance) -> Violation | None:
@@ -173,19 +205,37 @@ def verify_monotone(inst: Instance) -> Violation | None:
 
     Only immediate-successor pairs (y = x + unit vector) are compared; by
     transitivity of the componentwise order that implies full monotonicity.
+    The pair returned is the first in point order, then axis order.
     """
     _check_dense(inst.volume, "verify_monotone")
-    d = len(inst.shape)
-    for x in iter_box(full_box(inst.shape)):
-        fx = inst.value(x)
-        for axis in range(d):
-            if x[axis] == inst.shape[axis]:
-                continue
-            y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
-            fy = inst.value(y)
-            if any(a > b for a, b in zip(fx, fy)):
-                return Violation(x, y, fx, fy)
-    return None
+    shape = inst.shape
+    table = inst.table
+    if inst.kind == KIND_TARGET:
+        table = [inst.value(x) for x in iter_box(full_box(shape))]
+    strides = _strides(shape)
+    cols = list(zip(*table))
+    first = None  # (flat index of x, axis)
+    for axis, (n, st) in enumerate(zip(shape, strides)):
+        if n == 1:
+            continue
+        for col in cols:
+            # col[i] > col[i + st] is a violation unless x sits on the axis's
+            # last layer, where i + st is the next block's first layer
+            for i in compress(count(), map(gt, col, col[st:])):
+                if i // st % n != n - 1:
+                    if first is None or (i, axis) < first:
+                        first = (i, axis)
+                    break
+    if first is None:
+        return None
+    i, axis = first
+    coords, rest = [], i
+    for n in reversed(shape):
+        rest, c = divmod(rest, n)
+        coords.append(c + 1)
+    x = tuple(reversed(coords))
+    y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
+    return Violation(x, y, table[i], table[i + strides[axis]])
 
 
 def fixed_points_bruteforce(inst: Instance) -> set[Point]:
@@ -199,21 +249,20 @@ def save_instance(inst: Instance, path) -> None:
     lines = [
         FORMAT_MAGIC,
         f"d {len(inst.shape)}",
-        "shape " + " ".join(str(n) for n in inst.shape),
+        "shape " + " ".join(map(str, inst.shape)),
         f"kind {inst.kind}",
     ]
     if inst.kind == KIND_TARGET:
-        lines.append("target " + " ".join(str(c) for c in inst.target))
+        lines.append("target " + " ".join(map(str, inst.target)))
     else:
-        lines.extend(" ".join(str(c) for c in row) for row in inst.table)
+        lines.extend(" ".join(map(str, row)) for row in inst.table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _parse_ints(path, lineno: int, text: str, label: str) -> tuple[int, ...]:
-    parts = text.split(" ")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, text.split(" ")))
     except ValueError:
         raise InstanceFormatError(path, lineno, f"malformed {label}: {text!r}") from None
 
@@ -251,7 +300,10 @@ def load_instance(path) -> Instance:
     dline = need(1, "dimension line")
     if not dline.startswith("d "):
         raise InstanceFormatError(path, 2, f"expected 'd <dimension>', got {dline!r}")
-    (d,) = _parse_ints(path, 2, dline[2:], "dimension")
+    dims = _parse_ints(path, 2, dline[2:], "dimension")
+    if len(dims) != 1:
+        raise InstanceFormatError(path, 2, f"malformed dimension: {dline[2:]!r}")
+    (d,) = dims
     if d < 1:
         raise InstanceFormatError(path, 2, f"dimension must be positive, got {d}")
     sline = need(2, "shape line")
@@ -281,15 +333,29 @@ def load_instance(path) -> Instance:
             volume *= n
         _check_dense(volume, "loading a table instance")
         rows = []
-        for i in range(volume):
-            lineno = 5 + i
-            row = _parse_ints(path, lineno, need(lineno - 1, f"table row {i + 1}"), "table row")
-            if len(row) != d:
-                raise InstanceFormatError(path, lineno, f"expected {d} values per row")
-            if any(not 1 <= c <= n for c, n in zip(row, shape)):
-                raise InstanceFormatError(path, lineno, f"value {row} outside grid")
-            rows.append(row)
-        if len(lines) > 4 + volume:
-            raise InstanceFormatError(path, 5 + volume, "unexpected trailing content")
-        return Instance(shape=shape, kind=KIND_TABLE, table=tuple(rows))
+        try:
+            for lineno, text in enumerate(lines[4 : 4 + volume], 5):
+                try:
+                    row = tuple(map(int, text.split(" ")))
+                except ValueError:
+                    raise InstanceFormatError(
+                        path, lineno, f"malformed table row: {text!r}"
+                    ) from None
+                if len(row) != d:
+                    raise InstanceFormatError(path, lineno, f"expected {d} values per row")
+                rows.append(row)
+            if len(rows) < volume:
+                got = len(rows)
+                raise InstanceFormatError(path, 5 + got, f"missing table row {got + 1}")
+            if len(lines) > 4 + volume:
+                raise InstanceFormatError(path, 5 + volume, "unexpected trailing content")
+            # Instance validation is the one range check of the rows
+            return Instance(shape=shape, kind=KIND_TABLE, table=tuple(rows))
+        except ValueError:
+            # the first error in file order: an out-of-grid row before the
+            # line that failed, or else that line's own error
+            bad = _first_outside(shape, rows)
+            if bad is None:
+                raise
+            raise InstanceFormatError(path, 5 + bad, f"value {rows[bad]} outside grid") from None
     raise InstanceFormatError(path, 4, f"expected 'kind target' or 'kind table', got {kline!r}")

@@ -4,7 +4,8 @@ splitmix64: the state advances by the golden-ratio increment
 0x9E3779B97F4A7C15 per draw; the output is the state mixed by two
 multiply-xorshift rounds (multipliers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB, shifts 30/27/31). Bounded draws reduce next_u64()
-modulo n. The sequence depends only on the seed, never on the platform.
+modulo n; grid_columns makes the same draws in bulk. The sequence depends
+only on the seed, never on the platform.
 """
 
 from __future__ import annotations
@@ -31,3 +32,25 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+    def grid_columns(self, shape, count: int) -> list[list[int]]:
+        """Draw count grid points, one column per axis.
+
+        The stream is the one of count * d calls 1 + below(n) in point order
+        (axis fastest); axis a's draws are every d-th state from the a-th
+        on, so each column is mixed on its own, step by step.
+        """
+        if any(n <= 0 for n in shape):
+            raise ValueError("below() needs a positive bound")
+        d = len(shape)
+        first = self._state + _GAMMA
+        step = d * _GAMMA
+        stop = first + count * step
+        cols = []
+        for axis, n in enumerate(shape):
+            zs = [s & _MASK64 for s in range(first + axis * _GAMMA, stop, step)]
+            zs = [((z ^ (z >> 30)) * _MIX1) & _MASK64 for z in zs]
+            zs = [((z ^ (z >> 27)) * _MIX2) & _MASK64 for z in zs]
+            cols.append([1 + (z ^ (z >> 31)) % n for z in zs])
+        self._state = (self._state + count * step) & _MASK64
+        return cols

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from tarski import cli
 from tarski.cli import main
+from tarski.errors import CapacityError
 from tarski.oracle import gen_random_monotone, load_instance, save_instance
 
 
@@ -72,6 +73,26 @@ def test_solve_and_verify_non_utf8_instance_exit_2(tmp_path):
         res = run(command, "--instance", str(bad))
         assert res.exit_code == 2, (command, res.output)
         assert ":4: not UTF-8" in res.output
+
+
+def test_solve_and_verify_oversized_table_instance_exit_2(tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("tarski-instance v1\nd 3\nshape 1000 1000 1000\nkind table\n1 1 1\n")
+    for command in ("solve", "verify"):
+        res = run(command, "--instance", str(big))
+        assert res.exit_code == 2, (command, res.output)
+        assert "limit is 1000000" in res.output
+        assert "Traceback" not in res.output
+        assert not isinstance(res.exception, CapacityError)
+
+
+def test_solve_and_verify_multi_value_dimension_line_exit_2(tmp_path):
+    bad = tmp_path / "d.txt"
+    bad.write_text("tarski-instance v1\nd 1 2\nshape 3\nkind target\ntarget 1\n")
+    for command in ("solve", "verify"):
+        res = run(command, "--instance", str(bad))
+        assert res.exit_code == 2, (command, res.output)
+        assert ":2: malformed dimension" in res.output
 
 
 def test_solve_trace_into_missing_directory_exit_2(tmp_path):

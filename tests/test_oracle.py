@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from tarski.errors import CapacityError, InstanceFormatError
+from tarski.errors import CapacityError, InstanceFormatError, Violation
 from tarski.lattice import full_box, iter_box, leq
 from tarski.oracle import (
     CountedOracle,
@@ -215,6 +215,124 @@ def test_splitmix64_reference_stream():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+def _verify_monotone_reference(inst):
+    """The point-by-point verify_monotone the column scan replaced: x in
+    lexicographic order, then axis; the first violating pair wins."""
+    d = len(inst.shape)
+    for x in iter_box(full_box(inst.shape)):
+        fx = inst.value(x)
+        for axis in range(d):
+            if x[axis] == inst.shape[axis]:
+                continue
+            y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
+            fy = inst.value(y)
+            if any(a > b for a, b in zip(fx, fy)):
+                return Violation(x, y, fx, fy)
+    return None
+
+
+def _monotonize_reference(shape, table):
+    """The tuple-by-tuple running maxima the column kernel replaced."""
+    vals = list(table)
+    strides = [1] * len(shape)
+    for axis in range(len(shape) - 1, 0, -1):
+        strides[axis - 1] = strides[axis] * shape[axis]
+    for axis, n in enumerate(shape):
+        st = strides[axis]
+        for idx in range(len(vals)):
+            if (idx // st) % n > 0:
+                vals[idx] = tuple(max(a, b) for a, b in zip(vals[idx], vals[idx - st]))
+    return vals
+
+
+REFERENCE_SHAPES = [
+    (1,), (2,), (7,), (1, 1), (1, 5), (5, 1), (3, 4), (1, 1, 1), (2, 1, 3),
+    (3, 3, 3), (4, 2, 5), (1, 3, 1, 2), (2, 2, 2, 2), (3, 1, 2, 3),
+]
+
+
+def test_verify_monotone_matches_reference_on_perturbed_tables():
+    rng = SplitMix64(77)
+    checked = violations = 0
+    for shape in REFERENCE_SHAPES:
+        for rep in range(60):
+            table = list(gen_random_monotone(shape, rep).table)
+            for _ in range(rep % 4):
+                table[rng.below(len(table))] = tuple(1 + rng.below(n) for n in shape)
+            inst = Instance(shape=shape, kind="table", table=tuple(table))
+            want = _verify_monotone_reference(inst)
+            assert verify_monotone(inst) == want, (shape, rep)
+            checked += 1
+            violations += want is not None
+    assert checked == 60 * len(REFERENCE_SHAPES)
+    assert violations > checked // 3
+
+
+def test_verify_monotone_matches_reference_on_target_instances():
+    for shape in [(1, 4, 2), (5,), (3, 3), (2, 3, 2, 2)]:
+        for target in iter_box(full_box(shape)):
+            inst = gen_target(shape, target)
+            assert verify_monotone(inst) is None is _verify_monotone_reference(inst)
+
+
+def test_monotonize_matches_reference_on_raw_tables():
+    rng = SplitMix64(78)
+    for shape in REFERENCE_SHAPES:
+        for _ in range(10):
+            raw = [tuple(1 + rng.below(n) for n in shape) for _ in range(full_box(shape).volume)]
+            assert monotonize_table(shape, raw) == _monotonize_reference(shape, raw), shape
+
+
+def test_grid_columns_match_repeated_below_calls():
+    for seed in (0, 1, 2**64 - 1, 0x5EED):
+        for shape in [(1,), (1, 1, 1), (5, 1, 4), (3, 4, 2, 5), (2**40, 7, 1), (24, 24, 24)]:
+            for count in (0, 1, 9, 500):
+                bulk, single = SplitMix64(seed), SplitMix64(seed)
+                cols = bulk.grid_columns(shape, count)
+                rows = [tuple(1 + single.below(n) for n in shape) for _ in range(count)]
+                assert cols == [[row[axis] for row in rows] for axis in range(len(shape))]
+                assert bulk.next_u64() == single.next_u64()
+    with pytest.raises(ValueError):
+        SplitMix64(0).grid_columns((3, 0), 2)
+
+
+def test_load_names_the_first_of_two_bad_rows(tmp_path):
+    head = "tarski-instance v1\nd 2\nshape 2 2\nkind table\n"
+    cases = [
+        ("1 1\n3 1\n1 1\n1 0\n", 6, "value (3, 1) outside grid"),
+        ("1 1\n1 1\n0 2\n1 1\n9 9\n", 7, "value (0, 2) outside grid"),
+        ("1 1\n1 5\nx y\n", 6, "value (1, 5) outside grid"),
+        ("1 1\nx y\n1 5\n", 6, "malformed table row: 'x y'"),
+        ("1 3\n1\n", 5, "value (1, 3) outside grid"),
+        ("1 1\n1 1 1\n1 3\n", 6, "expected 2 values per row"),
+        ("1 1\n2 3\n", 6, "value (2, 3) outside grid"),
+    ]
+    for body, line, reason in cases:
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(_write(tmp_path, head + body))
+        assert (err.value.line, err.value.reason) == (line, reason), body
+
+
+def test_load_rejects_multi_value_dimension_line(tmp_path):
+    body = "tarski-instance v1\nd 1 2\nshape 3\nkind target\ntarget 1\n"
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance(_write(tmp_path, body))
+    assert err.value.line == 2
+
+
+def test_table_instance_names_the_first_of_two_out_of_grid_rows():
+    cases = [
+        (((1, 1), (3, 1), (1, 1), (1, 0)), "table value (3, 1) outside grid (2, 2)"),
+        (((1, 1), (1, 1), (0, 2), (9, 9)), "table value (0, 2) outside grid (2, 2)"),
+        (((1, 1), (1,), (1, 1), (1, 3)), "table value (1,) outside grid (2, 2)"),
+        (((1, 1), (1, 1), (1, 2, 1), (2, 2)), "table value (1, 2, 1) outside grid (2, 2)"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValueError) as err:
+            Instance(shape=(2, 2), kind="table", table=table)
+        assert str(err.value) == message
 
 
 # SHA-256 of repr(table) of gen_random_monotone(shape, seed), and of the
