@@ -200,6 +200,14 @@ def monotonize_table(shape, table) -> list[Point]:
     return list(zip(*cols))
 
 
+def _values(inst: Instance):
+    """F's values in point order: the table, or a target instance's values
+    evaluated point by point."""
+    if inst.kind == KIND_TABLE:
+        return inst.table
+    return [inst.value(x) for x in iter_box(full_box(inst.shape))]
+
+
 def verify_monotone(inst: Instance) -> Violation | None:
     """None if F is monotone, else a concrete violating pair.
 
@@ -209,9 +217,7 @@ def verify_monotone(inst: Instance) -> Violation | None:
     """
     _check_dense(inst.volume, "verify_monotone")
     shape = inst.shape
-    table = inst.table
-    if inst.kind == KIND_TARGET:
-        table = [inst.value(x) for x in iter_box(full_box(shape))]
+    table = _values(inst)
     strides = _strides(shape)
     cols = list(zip(*table))
     first = None  # (flat index of x, axis)
@@ -241,7 +247,7 @@ def verify_monotone(inst: Instance) -> Violation | None:
 def fixed_points_bruteforce(inst: Instance) -> set[Point]:
     """Exactly the set of points with F(x) = x, by exhaustive scan."""
     _check_dense(inst.volume, "fixed_points_bruteforce")
-    return {x for x in iter_box(full_box(inst.shape)) if inst.value(x) == x}
+    return {x for x, fx in zip(iter_box(full_box(inst.shape)), _values(inst)) if x == fx}
 
 
 def save_instance(inst: Instance, path) -> None:
