@@ -12,8 +12,8 @@ a CountedOracle is single-owner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import gt
+from itertools import compress, count, islice
+from operator import gt, itemgetter
 
 from .errors import CapacityError, InstanceFormatError, Violation
 from .lattice import Point, full_box, iter_box
@@ -143,7 +143,8 @@ def _first_outside(shape, rows) -> int | None:
     """
     d = len(shape)
     if set(map(len, rows)) == {d} and all(
-        1 <= min(col) and max(col) <= n for col, n in zip(zip(*rows), shape)
+        1 <= min(map(itemgetter(axis), rows)) and max(map(itemgetter(axis), rows)) <= n
+        for axis, n in enumerate(shape)
     ):
         return None
     for i, row in enumerate(rows):
@@ -219,7 +220,7 @@ def verify_monotone(inst: Instance) -> Violation | None:
     shape = inst.shape
     table = _values(inst)
     strides = _strides(shape)
-    cols = list(zip(*table))
+    cols = [list(map(itemgetter(axis), table)) for axis in range(len(shape))]
     first = None  # (flat index of x, axis)
     for axis, (n, st) in enumerate(zip(shape, strides)):
         if n == 1:
@@ -227,7 +228,7 @@ def verify_monotone(inst: Instance) -> Violation | None:
         for col in cols:
             # col[i] > col[i + st] is a violation unless x sits on the axis's
             # last layer, where i + st is the next block's first layer
-            for i in compress(count(), map(gt, col, col[st:])):
+            for i in compress(count(), map(gt, col, islice(col, st, None))):
                 if i // st % n != n - 1:
                     if first is None or (i, axis) < first:
                         first = (i, axis)
@@ -340,7 +341,7 @@ def load_instance(path) -> Instance:
         _check_dense(volume, "loading a table instance")
         rows = []
         try:
-            for lineno, text in enumerate(lines[4 : 4 + volume], 5):
+            for lineno, text in enumerate(islice(lines, 4, 4 + volume), 5):
                 try:
                     row = tuple(map(int, text.split(" ")))
                 except ValueError:

@@ -38,7 +38,7 @@ class SplitMix64:
 
         The stream is the one of count * d calls 1 + below(n) in point order
         (axis fastest); axis a's draws are every d-th state from the a-th
-        on, so each column is mixed on its own, step by step.
+        on, so each column is drawn on its own.
         """
         if any(n <= 0 for n in shape):
             raise ValueError("below() needs a positive bound")
@@ -48,9 +48,12 @@ class SplitMix64:
         stop = first + count * step
         cols = []
         for axis, n in enumerate(shape):
-            zs = [s & _MASK64 for s in range(first + axis * _GAMMA, stop, step)]
-            zs = [((z ^ (z >> 30)) * _MIX1) & _MASK64 for z in zs]
-            zs = [((z ^ (z >> 27)) * _MIX2) & _MASK64 for z in zs]
-            cols.append([1 + (z ^ (z >> 31)) % n for z in zs])
+            col = []
+            for s in range(first + axis * _GAMMA, stop, step):
+                z = s & _MASK64
+                z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                col.append(1 + (z ^ (z >> 31)) % n)
+            cols.append(col)
         self._state = (self._state + count * step) & _MASK64
         return cols
