@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from tarski.errors import CapacityError, InstanceFormatError, Violation
-from tarski.lattice import full_box, iter_box, leq
+from tarski.lattice import full_box, iter_box, leq, sign
 from tarski.oracle import (
     CountedOracle,
     Instance,
@@ -55,6 +55,52 @@ def test_query_outside_grid_rejected():
         o.query((6, 1, 1))
     with pytest.raises(ValueError):
         o.query((1, 1))
+
+
+def _contract_instances():
+    """Target and table instances in d = 1..4 with unequal sides, and target
+    instances whose sides outgrow every machine word."""
+    rng = SplitMix64(21)
+    for shape in ((6,), (4, 7), (3, 5, 4), (3, 2, 4, 3)):
+        huge = tuple(n << 40 for n in shape)
+        for grid in (shape, huge):
+            yield gen_target(grid, tuple(1 + rng.below(n) for n in grid))
+        yield gen_random_monotone(shape, rng.next_u64())
+
+
+def test_query_rejects_each_bound_and_wrong_length_without_a_trace():
+    # 0 and n+1 are refused on every axis on its own, and so is a point
+    # with one coordinate too few or too many; a refused query changes
+    # neither the count, nor the cache, nor the transcript
+    for inst in _contract_instances():
+        o = CountedOracle(inst, record_transcript=True)
+        inside = tuple((n + 1) // 2 for n in inst.shape)
+        o.query(inside)
+        before = (o.distinct_queries, dict(o.cache), list(o.transcript))
+        bad = [inside[:-1], inside + (1,)]
+        for axis, n in enumerate(inst.shape):
+            bad += [inside[:axis] + (c,) + inside[axis + 1 :] for c in (0, n + 1)]
+        for x in bad:
+            with pytest.raises(ValueError, match="outside grid"):
+                o.query(x)
+            assert (o.distinct_queries, o.cache, o.transcript) == before, x
+
+
+def test_query_values_follow_the_instance():
+    # target values step each coordinate one unit toward the target; table
+    # values are the rows in point order
+    rng = SplitMix64(22)
+    for inst in _contract_instances():
+        o = CountedOracle(inst)
+        if inst.kind == "table":
+            rows = dict(zip(iter_box(full_box(inst.shape)), inst.table))
+        for _ in range(60):
+            x = tuple(1 + rng.below(n) for n in inst.shape)
+            if inst.kind == "target":
+                want = tuple(c + sign(t - c) for c, t in zip(x, inst.target))
+            else:
+                want = rows[x]
+            assert o.query(x) == want, (inst.shape, x)
 
 
 def test_gen_target_examples():

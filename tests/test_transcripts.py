@@ -12,6 +12,11 @@ hooked ones query for query, and must not build observer payloads at all.
 Configurations of the first and second kind almost never arise in whole
 solves, so find_configuration is also pinned directly, on states built from
 random labelled levelset points.
+
+The hook-free solves and the dqy baseline are pinned on their own at the
+sides the benchmark runs (2^8, 2^20 and 2^40), where coordinates outgrow
+every machine word, and on 2-D and pinched grids, which the solver hands
+to dqy; dqy is pinned on 1-D and 4-D grids and rotation tables as well.
 """
 
 import hashlib
@@ -21,14 +26,17 @@ import subprocess
 import sys
 
 from _families import raw_random_table, rotation_batch
+from tarski.baseline import dqy_solve
 from tarski.errors import MonotonicityViolation
 from tarski.lattice import classify, full_box, iter_box, norm1
-from tarski.levelset import LevelsetSolver, LevelState, find_configuration
+from tarski.levelset import LevelsetSolver, LevelState, find_configuration, solve
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
 DIGEST = "deb86bd6750b5e8612933492e1e4a8fa2fcd28c5b5109e24348010a424c024a1"
 CONFIG_DIGEST = "7bfca45c226f25fbc17c0c1d0758f28da29e8c3975ebba0ff84b00be7fc97b47"
+SOLVE_DIGEST = "f86cbe92891a865c5b6071d2049e7e7fb039a96023113b354950e58c37701504"
+DQY_DIGEST = "9c5dabd106c7e1b3095684fcb53d0286454a7bc31ea2fa6b39726c51f14f650d"
 
 
 def _instances():
@@ -164,3 +172,54 @@ def test_configuration_scan_is_pinned():
             found = f"violation {mv}|{mv.implicated}"
         sha.update(f"{found}\n".encode())
     assert sha.hexdigest() == CONFIG_DIGEST
+
+
+def _target(rng, shape):
+    return gen_target(shape, tuple(1 + rng.below(n) for n in shape))
+
+
+def _large_targets():
+    """Seeded target instances on the benchmark's cube sides, on 2-D grids
+    and on grids with one pinched side."""
+    rng = SplitMix64(8)
+    for log_side in (8, 20, 40):
+        n = 1 << log_side
+        for _ in range(40):
+            yield _target(rng, (n, n, n))
+        for shape in ((n, n), (1, n, n), (n, 1, n), (n, n, 1), (n, 2, n)):
+            for _ in range(3):
+                yield _target(rng, shape)
+
+
+def _fold_run(sha, inst, run) -> None:
+    """Fold the transcript and the result of run(oracle), on a fresh oracle
+    of inst, into sha."""
+    oracle = CountedOracle(inst, record_transcript=True)
+    try:
+        result = f"fixed {run(oracle)}"
+    except MonotonicityViolation as mv:
+        result = f"violation {mv}|{mv.implicated}"
+    for point, value in oracle.transcript:
+        sha.update(f"{point}\t{value}\n".encode())
+    sha.update(f"{result}\n--\n".encode())
+
+
+def test_hook_free_solves_at_benchmark_sides_are_pinned():
+    sha = hashlib.sha256()
+    for inst in _large_targets():
+        for verify_certificates in (False, True):
+            _fold_run(sha, inst, lambda o: solve(o, verify_certificates=verify_certificates))
+    assert sha.hexdigest() == SOLVE_DIGEST
+
+
+def test_dqy_transcripts_are_pinned():
+    rng = SplitMix64(9)
+    others = [
+        _target(rng, shape)
+        for shape in ((1 << 40,), (7,), (1 << 20,) * 4, (5, 3, 6, 4))
+        for _ in range(3)
+    ]
+    sha = hashlib.sha256()
+    for inst in [*_large_targets(), *others, *rotation_batch(30, 13)]:
+        _fold_run(sha, inst, lambda o: dqy_solve(o).fixed_point)
+    assert sha.hexdigest() == DQY_DIGEST
