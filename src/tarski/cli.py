@@ -238,6 +238,9 @@ def cmd_bench(sides, kind, reps, seed, algos, output):
                 except MonotonicityViolation as exc:
                     _dump_violation(exc)
                     sys.exit(3)
+                except CapacityError as exc:
+                    click.echo(str(exc), err=True)
+                    sys.exit(2)
                 wall_ms = int(round((time.perf_counter() - t0) * 1000))
                 # Every column but wall_time_ms is reproducible.
                 rows.append(

@@ -63,9 +63,11 @@ class Box:
     hi: Point
 
     def __post_init__(self):
-        _same_dim(self.lo, self.hi)
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"empty box {self.lo}..{self.hi}")
+        lo, hi = self.lo, self.hi
+        _same_dim(lo, hi)
+        for a, b in zip(lo, hi):
+            if a > b:
+                raise ValueError(f"empty box {lo}..{hi}")
 
     @property
     def sides(self) -> tuple[int, ...]:
@@ -144,8 +146,8 @@ def level_point(lower: Point, upper: Point, k: int) -> Point:
     Deterministic greedy construction: start at lower and raise coordinates to
     their upper bounds in axis order until the deficit is consumed.
     """
-    _check_level(lower, upper, k)
-    return _raise_in_axis_order(list(lower), upper, k)
+    lo_sum, _ = _check_level(lower, upper, k)
+    return _raise_in_axis_order(list(lower), upper, k - lo_sum)
 
 
 def central_level_point(lower: Point, upper: Point, k: int) -> Point:
@@ -155,27 +157,30 @@ def central_level_point(lower: Point, upper: Point, k: int) -> Point:
     (norm1(upper) - norm1(lower)) of its range, rounded down; the rounding
     remainder is handed out greedily in axis order, as in level_point.
     """
-    _check_level(lower, upper, k)
-    width = norm1(upper) - norm1(lower)
-    deficit = k - norm1(lower)
+    lo_sum, hi_sum = _check_level(lower, upper, k)
+    width = hi_sum - lo_sum
+    deficit = k - lo_sum
     if width == 0:
         return tuple(lower)
     q = [a + deficit * (b - a) // width for a, b in zip(lower, upper)]
-    return _raise_in_axis_order(q, upper, k)
+    return _raise_in_axis_order(q, upper, k - sum(q))
 
 
-def _check_level(lower: Point, upper: Point, k: int) -> None:
+def _check_level(lower: Point, upper: Point, k: int) -> tuple[int, int]:
+    """The coordinate sums of lower and upper, once lower <= upper and k
+    lies between them is checked."""
     _same_dim(lower, upper)
-    if not leq(lower, upper) or not norm1(lower) <= k <= norm1(upper):
+    lo_sum, hi_sum = sum(lower), sum(upper)
+    if not lo_sum <= k <= hi_sum or not all(a <= b for a, b in zip(lower, upper)):
         raise InfeasibleLevelError(
             f"no point with sum {k} inside {lower}..{upper}"
         )
+    return lo_sum, hi_sum
 
 
-def _raise_in_axis_order(q: list[int], upper: Point, k: int) -> Point:
+def _raise_in_axis_order(q: list[int], upper: Point, deficit: int) -> Point:
     """Raise coordinates of q <= upper to their upper bounds in axis order
-    until q sums to k."""
-    deficit = k - norm1(q)
+    until the deficit, what q lacks of the target sum, is used up."""
     for i in range(len(q)):
         if deficit == 0:
             break
@@ -196,23 +201,13 @@ def extreme_level_point(box: Box, k: int, max_coord: int, min_coord: int) -> Poi
         raise ValueError("extreme_level_point is defined for 3D boxes")
     if max_coord == min_coord or not {max_coord, min_coord} <= {0, 1, 2}:
         raise ValueError(f"invalid axes ({max_coord}, {min_coord})")
-    return _oriented_extreme(box, k, max_coord, min_coord, +1)
-
-
-def _oriented_extreme(box: Box, k: int, i: int, j: int, orient: int) -> Point:
-    """Extreme point of box-level-k: coordinate i pushed to its orient-extreme
-    (real max if orient > 0, real min otherwise), then coordinate j pushed the
-    opposite way."""
     lo, hi = box.lo, box.hi
     if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
         raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
+    i, j = max_coord, min_coord
     p = 3 - i - j
-    if orient > 0:
-        vi = min(hi[i], k - lo[j] - lo[p])
-        vj = max(lo[j], k - vi - hi[p])
-    else:
-        vi = max(lo[i], k - hi[j] - hi[p])
-        vj = min(hi[j], k - vi - lo[p])
+    vi = min(hi[i], k - lo[j] - lo[p])
+    vj = max(lo[j], k - vi - hi[p])
     out = [0, 0, 0]
     out[i], out[j], out[p] = vi, vj, k - vi - vj
     return tuple(out)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baseline import brute_solve, dqy_solve
-from .errors import MonotonicityViolation
+from .errors import InfeasibleLevelError, MonotonicityViolation
 from .lattice import (
     Box,
     LabelSet,
@@ -49,7 +49,6 @@ from .lattice import (
     level_point,
     lub,
     norm1,
-    _oriented_extreme,
 )
 
 FIXED = "fixed"
@@ -190,12 +189,6 @@ def _meet_outcome(s: int, points) -> LevelOutcome:
     return LevelOutcome(_kind(-s), glb(*points) if s > 0 else lub(*points))
 
 
-def _half(box: Box, kind: str, corner: Point) -> Box:
-    """The part of the box at-or-above an upward corner, or at-or-below a
-    downward one."""
-    return Box(corner, box.hi) if kind == UPWARD else Box(box.lo, corner)
-
-
 def _segment_point(i: int, ci: int, j: int, cj: int, k: int) -> Point:
     """The point of level k with coordinates ci on axis i and cj on axis j."""
     q = [k - ci - cj] * 3
@@ -218,11 +211,6 @@ def _label_tokens(labels: LabelSet) -> str:
     toks.extend(f"up{i + 1}" for i in labels.i_upward)
     toks.extend(f"dn{i + 1}" for i in labels.i_downward)
     return ",".join(toks)
-
-
-def _config_payload(cfg: Config, state: LevelState) -> dict:
-    """Observer payload of a found configuration."""
-    return {"config": cfg, "state": state.snapshot()}
 
 
 def _step_payload(before: LevelState, view: SearchSpaceView, res, **probe) -> dict:
@@ -267,14 +255,8 @@ class LevelsetSolver:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _emit(self, event: str, build, *args, **fields) -> None:
-        """Hand the observer, if any, the payload build(*args, **fields);
-        with no observer attached the payload is never built."""
-        if self.observer is not None:
-            self.observer(event, build(*args, **fields))
-
-    def _corner_pairs(self, box: Box):
-        return ((box.lo, self._oracle.query(box.lo)), (box.hi, self._oracle.query(box.hi)))
+    def _corner_pairs(self, lo: Point, hi: Point):
+        return ((lo, self._oracle.query(lo)), (hi, self._oracle.query(hi)))
 
     def _certify(self, outcome: LevelOutcome, sources) -> LevelOutcome:
         """Record an implied certificate; in debug mode confirm it by query."""
@@ -289,21 +271,25 @@ class LevelsetSolver:
                 )
             outcome = LevelOutcome(outcome.kind, outcome.point, fq)
             verified = True
-        self._emit("certificate", dict, kind=outcome.kind, point=outcome.point,
-                   verified=verified)
+        if self.observer is not None:
+            self.observer(
+                "certificate", {"kind": outcome.kind, "point": outcome.point, "verified": verified}
+            )
         return outcome
 
     def _apply_query(self, state: LevelState, q: Point, fq: Point, stale: bool = False):
         """The outcome when q is fixed, upward or downward; otherwise a new
         state, with the bounds q's labels select moved to q. A probe built
         from the current search space lies in it by construction; a stale one,
-        built before the state last moved, is checked against it."""
-        _, labels = classify(q, fq)
-        if labels.is_fixed:
-            return LevelOutcome(FIXED, q, fq)
-        if labels.is_upward:
-            return LevelOutcome(UPWARD, q, fq)
-        if labels.is_downward:
+        built before the state last moved, is checked against it.
+
+        The labels are those of classify, read off the signs directly: q is
+        i-upward when i is the only axis F raises, i-downward when i is the
+        only axis F lowers."""
+        d0, d1, d2 = fq[0] - q[0], fq[1] - q[1], fq[2] - q[2]
+        if d0 >= 0 and d1 >= 0 and d2 >= 0:
+            return LevelOutcome(FIXED if d0 == d1 == d2 == 0 else UPWARD, q, fq)
+        if d0 <= 0 and d1 <= 0 and d2 <= 0:
             return LevelOutcome(DOWNWARD, q, fq)
         if stale:
             view = search_space(state)
@@ -313,10 +299,10 @@ class LevelsetSolver:
                     implicated=state.pairs() + ((q, fq),),
                 )
         up, down = list(state.up), list(state.down)
-        for i in labels.i_upward:
-            up[i] = (q, fq)
-        for i in labels.i_downward:
-            down[i] = (q, fq)
+        if (d0 > 0) + (d1 > 0) + (d2 > 0) == 1:
+            up[0 if d0 > 0 else 1 if d1 > 0 else 2] = (q, fq)
+        if (d0 < 0) + (d1 < 0) + (d2 < 0) == 1:
+            down[0 if d0 < 0 else 1 if d1 < 0 else 2] = (q, fq)
         return LevelState(state.box, state.k, up, down)
 
     # -- outer loop -------------------------------------------------------
@@ -327,54 +313,70 @@ class LevelsetSolver:
         shape = self.oracle.instance.shape
         if len(shape) > 3:
             raise ValueError("the levelset solver handles at most 3 dimensions")
+        # The current box is [lo, hi], with corner sums lo_sum and hi_sum;
+        # box is its Box once one is built, else None.
         box = full_box(shape)
+        lo, hi = box.lo, box.hi
+        lo_sum, hi_sum = sum(lo), sum(hi)
         pending = None  # the last level's queried outcome, not yet tightened
+        level_box = None  # the box of that level
         try:
             while True:
-                if len(shape) < 3 or 1 in box.sides:
-                    return self._baseline(PHASE_OUTER, dqy_solve, box).fixed_point
-                lo_sum, hi_sum = norm1(box.lo), norm1(box.hi)
+                if len(shape) < 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
+                    return self._baseline(PHASE_OUTER, dqy_solve, box or Box(lo, hi)).fixed_point
                 if hi_sum - lo_sum <= 6:
-                    return self._baseline(PHASE_BRUTE, brute_solve, box)
+                    return self._baseline(PHASE_BRUTE, brute_solve, box or Box(lo, hi))
                 if pending is not None:
-                    box = self._tighten(box, pending)
+                    box = self._tighten(level_box, pending)
                     pending = None
+                    lo, hi = box.lo, box.hi
+                    lo_sum, hi_sum = sum(lo), sum(hi)
                     continue
                 # span >= 7 and no pinched side: k lies strictly inside
+                box = box or Box(lo, hi)
                 out = self._solve_level(box, (lo_sum + hi_sum + 1) // 2)
                 if out.kind == FIXED:
                     return self._verified(out.point)
-                prev = box
-                box = _half(box, out.kind, out.point)
-                self._emit("recurse", dict, before=prev, after=box, outcome=out)
+                if out.kind == UPWARD:
+                    lo = out.point
+                    lo_sum = sum(lo)
+                else:
+                    hi = out.point
+                    hi_sum = sum(hi)
+                if self.observer is not None:
+                    self.observer("recurse", {"before": box, "after": Box(lo, hi), "outcome": out})
                 if out.fvalue is not None:
-                    pending = out
+                    pending, level_box = out, box
+                box = None
         except MonotonicityViolation as mv:
             if not self._evidence:
                 raise
             raise mv.extended(self._evidence) from None
 
     def _tighten(self, box: Box, out: LevelOutcome) -> Box:
-        """Move the corner a level just certified by a query to its image.
+        """The half of a level's box that the level's queried certificate
+        selects, with that corner moved on to its image.
 
         F(u) >= u for a queried upward point u, so F(F(u)) >= F(u) by
         monotonicity: F(u) is upward as well, and u <= F(u) <= F(box.hi) <=
-        box.hi keeps it in the box. Dually for a downward point. The new
+        box.hi keeps it in the half. Dually for a downward point. The new
         corner is an implied certificate; the pair (u, F(u)) backing it joins
         every later violation.
         """
         self._phase = PHASE_OUTER
         self._level = -1
         u, fu = out.point, out.fvalue
-        if not box.contains(fu):
+        lo, hi = (u, box.hi) if out.kind == UPWARD else (box.lo, u)
+        if len(fu) != 3 or not (
+            lo[0] <= fu[0] <= hi[0] and lo[1] <= fu[1] <= hi[1] and lo[2] <= fu[2] <= hi[2]
+        ):
             raise MonotonicityViolation(
-                f"image {fu} of the certified corner {u} left the box "
-                f"{box.lo}..{box.hi}",
-                implicated=((u, fu),) + self._corner_pairs(box),
+                f"image {fu} of the certified corner {u} left the box {lo}..{hi}",
+                implicated=((u, fu),) + self._corner_pairs(lo, hi),
             )
         self._evidence += ((u, fu),)
         corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
-        return _half(box, out.kind, corner)
+        return Box(corner, hi) if out.kind == UPWARD else Box(lo, corner)
 
     def _verified(self, point: Point) -> Point:
         self._phase = PHASE_OUTER
@@ -411,11 +413,13 @@ class LevelsetSolver:
         """solve_level without its precondition checks, which the outer loop
         meets by construction."""
         self._level = k
-        before = self.oracle.distinct_queries
-        self._emit("level_start", dict, box=box, k=k, queries=before)
+        observer = self.observer
+        if observer is not None:
+            before = self.oracle.distinct_queries
+            observer("level_start", {"box": box, "k": k, "queries": before})
         try:
             outcome = self._run_level(box, k)
-            side = norm1(outcome.point) - k
+            side = sum(outcome.point) - k
             if (side < 0 and outcome.kind == UPWARD) or (side > 0 and outcome.kind == DOWNWARD):
                 raise MonotonicityViolation(
                     f"{outcome.kind} outcome {outcome.point} lies on the wrong side of level {k}",
@@ -423,10 +427,12 @@ class LevelsetSolver:
                 )
             return outcome
         except MonotonicityViolation as mv:
-            raise mv.extended(self._corner_pairs(box)) from None
+            raise mv.extended(self._corner_pairs(box.lo, box.hi)) from None
         finally:
-            self._emit("level_done", dict, box=box, k=k,
-                       queries=self.oracle.distinct_queries - before)
+            if observer is not None:
+                observer("level_done", {
+                    "box": box, "k": k, "queries": self.oracle.distinct_queries - before
+                })
             self._level = -1
 
     def _run_level(self, box: Box, k: int) -> LevelOutcome:
@@ -441,7 +447,8 @@ class LevelsetSolver:
             ups.append(up_pair)
             downs.append(down_pair)
         state = LevelState(box, k, ups, downs)
-        self._emit("init_done", state.snapshot)
+        if self.observer is not None:
+            self.observer("init_done", state.snapshot())
         while True:
             view = search_space(state)
             if min(view.dia) <= 1:
@@ -456,7 +463,8 @@ class LevelsetSolver:
                 return res
             state = res
         cfg = find_configuration(state)
-        self._emit("config", _config_payload, cfg, state)
+        if self.observer is not None:
+            self.observer("config", {"config": cfg, "state": state.snapshot()})
         if cfg.kind != "third":
             return self.resolve_meet_join(cfg)
         self._phase = PHASE_THIRD
@@ -469,88 +477,93 @@ class LevelsetSolver:
         largest possible i-coordinate on the level and an i-upward point with
         the smallest, or an early LevelOutcome if a search hits one. The
         coordinate extremes make up(i)_i <= down(i)_i automatic."""
-        down_pair = self._extreme_search(box, k, axis, 1)
+        lo, hi = box.lo, box.hi
+        if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
+            raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
+        down_pair = self._extreme_search(lo, hi, k, axis, 1)
         if isinstance(down_pair, LevelOutcome):
             return down_pair
-        up_pair = self._extreme_search(box, k, axis, -1)
+        up_pair = self._extreme_search(lo, hi, k, axis, -1)
         if isinstance(up_pair, LevelOutcome):
             return up_pair
         return up_pair, down_pair
 
-    def _extreme_search(self, box: Box, k: int, axis: int, s: int):
+    def _extreme_search(self, lo: Point, hi: Point, k: int, axis: int, s: int):
         """Find the extreme i-downward point (s = +1) or i-upward point
-        (s = -1) of the level as a (point, value) pair, or an early outcome.
+        (s = -1) of level k in the box [lo, hi] as a (point, value) pair, or
+        an early outcome.
 
         The candidates form the one-dimensional segment of the level where
-        coordinate ``axis`` is as large (oriented) as the box allows. Its two
-        endpoints either resolve directly or bracket the segment: the low end
-        strictly descends (oriented) in the third axis, the high end in the
-        middle axis; binary search keeps that bracket until the endpoints are
+        coordinate ``axis`` is as large (oriented) as the box allows: it is
+        pinned to ci, the middle axis j runs over [jmin, jmax], and the third
+        axis p takes the rest. Its two endpoints, the low one with j at its
+        oriented minimum and the high one with j at its oriented maximum,
+        either resolve directly or bracket the segment: the low end strictly
+        descends (oriented) in the third axis, the high end in the middle
+        axis; binary search keeps that bracket until the endpoints are
         adjacent, where their meet is a certified downward (oriented) point.
         """
+        query = self._oracle.query
         j, p = _OTHERS[axis]
-
-        def probe(q: Point, fq: Point):
-            """An outcome, the sought pair when q is axis-downward (oriented),
-            the bracket end q can replace (_LOW or _HIGH), or None when its
-            sign pattern is impossible on the segment. Only the signs of the
-            oriented moves si, sj, sp are ever tested."""
-            si = s * (fq[axis] - q[axis])
-            sj = s * (fq[j] - q[j])
-            sp = s * (fq[p] - q[p])
+        # min and max written out: this runs six times a level
+        if s > 0:
+            ci = k - lo[j] - lo[p]
+            if ci > hi[axis]:
+                ci = hi[axis]
+        else:
+            ci = k - hi[j] - hi[p]
+            if ci < lo[axis]:
+                ci = lo[axis]
+        m = k - ci
+        jmin, jmax = m - hi[p], m - lo[p]
+        if jmin < lo[j]:
+            jmin = lo[j]
+        if jmax > hi[j]:
+            jmax = hi[j]
+        low_j, high_j = (jmin, jmax) if s > 0 else (jmax, jmin)
+        ends: list[tuple[Point, Point]] = []
+        cj = low_j
+        while True:
+            cp = m - cj
+            q = (ci, cj, cp) if axis == 0 else (cj, ci, cp) if axis == 1 else (cj, cp, ci)
+            fq = query(q)
+            # Only the signs of the oriented moves si, sj, sp are tested.
+            si, sj, sp = s * (fq[axis] - ci), s * (fq[j] - cj), s * (fq[p] - cp)
             if sj >= 0 and sp >= 0:
                 if si < 0:
                     return q, fq
                 return LevelOutcome(FIXED if si == sj == sp == 0 else _kind(s), q, fq)
-            if si > 0:
-                return None
-            if sj <= 0 and sp <= 0:
+            if si <= 0 and sj <= 0 and sp <= 0:
                 return LevelOutcome(_kind(-s), q, fq)
-            return _LOW if sj >= 0 else _HIGH
-
-        ends: list[tuple[Point, Point]] = []
-        for side, far in ((_LOW, j), (_HIGH, p)):
-            q = _oriented_extreme(box, k, axis, far, s)
-            if ends and q == ends[_LOW][0]:
-                raise MonotonicityViolation(
-                    f"single-point init segment for axis {axis} did not resolve",
-                    implicated=ends,
-                )
-            fq = self._oracle.query(q)
-            res = probe(q, fq)
-            if isinstance(res, (LevelOutcome, tuple)):
-                return res
-            if res != side:
-                raise MonotonicityViolation(
-                    f"endpoint {q} of the axis-{axis} init segment has an impossible sign pattern",
-                    implicated=(*ends, (q, fq)),
-                )
-            ends.append((q, fq))
-        res = self._bisect(ends, axis, j, k, probe)
-        if res is not None:
-            return res
-        return self._certify(_meet_outcome(s, [pt for pt, _ in ends]), tuple(ends))
-
-    def _bisect(self, ends: list, i: int, j: int, k: int, probe):
-        """Halve the bracket ends along axis j, on the segment of level k that
-        pins axis i to their common value, until they are adjacent; then
-        return None. probe(q, fq) gives a result, which is returned at once,
-        the end q replaces (_LOW or _HIGH), or None for a sign pattern that
-        cannot occur on the segment."""
-        pinned = ends[_LOW][0][i]
-        while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
-            q = _segment_point(i, pinned, j, (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2, k)
-            fq = self._oracle.query(q)
-            res = probe(q, fq)
-            if isinstance(res, (LevelOutcome, tuple)):
-                return res
-            if res is None:
+            # The bracket end q can replace, or None when its sign pattern
+            # is impossible on the segment.
+            side = None if si > 0 else _LOW if sj >= 0 else _HIGH
+            if len(ends) < 2:
+                if side != len(ends):
+                    raise MonotonicityViolation(
+                        f"endpoint {q} of the axis-{axis} init segment has an impossible sign pattern",
+                        implicated=(*ends, (q, fq)),
+                    )
+                ends.append((q, fq))
+                if len(ends) == 1:
+                    cj = high_j
+                    if cj == low_j:
+                        raise MonotonicityViolation(
+                            f"single-point init segment for axis {axis} did not resolve",
+                            implicated=ends,
+                        )
+                    continue
+            elif side is None:
                 raise MonotonicityViolation(
                     f"segment point {q} has an impossible sign pattern",
                     implicated=(*ends, (q, fq)),
                 )
-            ends[res] = (q, fq)
-        return None
+            else:
+                ends[side] = (q, fq)
+            a, b = ends[_LOW][0][j], ends[_HIGH][0][j]
+            if abs(b - a) <= 1:
+                return self._certify(_meet_outcome(s, [ends[_LOW][0], ends[_HIGH][0]]), tuple(ends))
+            cj = (a + b) // 2
 
     # -- shrinking --------------------------------------------------------
 
@@ -565,17 +578,20 @@ class LevelsetSolver:
         pushing the first axes to one bound and the last to the other.
         """
         view = view or search_space(state)
-        if min(view.dia) <= 1 or max(view.dia) < 6:
+        d0, d1, d2 = view.dia
+        if min(d0, d1, d2) <= 1 or max(d0, d1, d2) < 6:
             raise ValueError(
                 f"shrink_once needs every diameter >= 2 and one >= 6, got {view.dia}"
             )
-        step = tuple(-(-d // 6) for d in view.dia)
-        lower = tuple(l + s for l, s in zip(view.ell, step))
-        upper = tuple(r - s for r, s in zip(view.r, step))
-        q = central_level_point(lower, upper, state.k)
+        s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
+        (l0, l1, l2), (r0, r1, r2) = view.ell, view.r
+        q = central_level_point(
+            (l0 + s0, l1 + s1, l2 + s2), (r0 - s0, r1 - s1, r2 - s2), state.k
+        )
         fq = self._oracle.query(q)
         res = self._apply_query(state, q, fq)
-        self._emit("shrink", _step_payload, state, view, res, q=q, fq=fq)
+        if self.observer is not None:
+            self.observer("shrink", _step_payload(state, view, res, q=q, fq=fq))
         return res
 
     def small_case_step(self, state: LevelState, view: SearchSpaceView | None = None):
@@ -621,7 +637,8 @@ class LevelsetSolver:
                 res = self._certify(
                     LevelOutcome(_kind(s), tuple(c + s for c in corner)), tuple(probes)
                 )
-        self._emit("small", _step_payload, state, view, res)
+        if self.observer is not None:
+            self.observer("small", _step_payload(state, view, res))
         return res
 
     # -- configuration resolution -----------------------------------------
@@ -694,9 +711,13 @@ class LevelsetSolver:
                 LevelOutcome(DOWNWARD, glb(x, right)), ((x, fx), (right, f_right))
             )
         ends = [(y, fy), (right, f_right)]
-        res = self._bisect(ends, i, j, k, settle)
-        if res is not None:
-            return res
+        while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
+            q = _segment_point(i, y[i], j, (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2, k)
+            fq = self._oracle.query(q)
+            res = settle(q, fq)
+            if isinstance(res, LevelOutcome):
+                return res
+            ends[res] = (q, fq)
         (low, _), (high, f_high) = ends
         if f_high[p] <= high[p]:
             out = LevelOutcome(DOWNWARD, glb(low, high))

@@ -99,20 +99,60 @@ class CountedOracle:
         self.transcript: list[tuple[Point, Point]] | None = (
             [] if record_transcript else None
         )
+        self._evaluate = _evaluator(instance)
 
     def query(self, x: Point) -> Point:
         fx = self.cache.get(x)
         if fx is not None:
             return fx
-        inst = self.instance
-        if not inst.contains(x):
-            raise ValueError(f"query {x} outside grid {inst.shape}")
-        fx = inst.value(x)
+        fx = self._evaluate(x)
+        if fx is None:
+            raise ValueError(f"query {x} outside grid {self.instance.shape}")
         self.cache[x] = fx
         self.distinct_queries += 1
         if self.transcript is not None:
             self.transcript.append((x, fx))
         return fx
+
+
+def _evaluator(inst: Instance):
+    """F as one function of a point, returning None for a point outside the
+    grid, bounds check included.
+
+    3D grids, where nearly all queries go, get the check and the evaluation
+    written out on unpacked coordinates; other dimensions use the
+    instance's own contains and value.
+    """
+    if len(inst.shape) != 3:
+        contains, value = inst.contains, inst.value
+        return lambda x: value(x) if contains(x) else None
+    n0, n1, n2 = inst.shape
+    if inst.kind == KIND_TARGET:
+        t0, t1, t2 = inst.target
+
+        def evaluate(x):
+            if len(x) == 3:
+                a, b, c = x
+                if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:
+                    # c + sign(t - c) per coordinate, as in Instance.value
+                    return (
+                        a + (t0 > a) - (t0 < a),
+                        b + (t1 > b) - (t1 < b),
+                        c + (t2 > c) - (t2 < c),
+                    )
+            return None
+
+        return evaluate
+    table = inst.table
+
+    def evaluate(x):
+        if len(x) == 3:
+            a, b, c = x
+            if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:
+                return table[((a - 1) * n1 + b - 1) * n2 + c - 1]
+        return None
+
+    return evaluate
 
 
 def gen_target(shape, target: Point) -> Instance:

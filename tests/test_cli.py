@@ -279,6 +279,14 @@ def test_bench_into_missing_directory_exit_2(tmp_path):
     assert f"cannot write {out}" in res.output
 
 
+def test_bench_brute_on_oversized_cube_exit_2():
+    res = run("bench", "--sides", "200", "--reps", "1", "--algos", "brute")
+    assert res.exit_code == 2, res.output
+    assert "brute_solve over 8000000 points" in res.output
+    assert "Traceback" not in res.output
+    assert not isinstance(res.exception, CapacityError)
+
+
 def test_bench_rejects_unknown_algo():
     assert run("bench", "--sides", "8", "--algos", "quantum").exit_code == 2
     assert run("bench", "--sides", "8", "--algos", ",").exit_code == 2

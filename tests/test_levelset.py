@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tarski.errors import MonotonicityViolation
+from tarski.errors import InfeasibleLevelError, MonotonicityViolation
 from tarski.lattice import (
     Box,
     classify,
@@ -136,6 +136,35 @@ def test_init_direction_endpoint_example():
 
     box = full_box((8, 8, 8))
     assert extreme_level_point(box, 12, 0, 1) == (8, 1, 3)
+
+
+def test_init_search_starts_at_the_extreme_level_point():
+    # the i-downward search of an axis first probes the level point with
+    # the largest coordinate on that axis, then the smallest middle one
+    from tarski.lattice import extreme_level_point
+
+    rng = SplitMix64(23)
+    for _ in range(300):
+        lo = tuple(1 + rng.below(1 << 20) for _ in range(3))
+        hi = tuple(a + 2 + rng.below(1 << 20) for a in lo)
+        box = Box(lo, hi)
+        k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
+        inst = gen_target(hi, tuple(a + rng.below(b - a + 1) for a, b in zip(lo, hi)))
+        for axis in range(3):
+            o = CountedOracle(inst, record_transcript=True)
+            LevelsetSolver(o).init_direction(box, k, axis)
+            middle = 1 if axis == 0 else 0
+            assert o.transcript[0][0] == extreme_level_point(box, k, axis, middle)
+
+
+def test_init_direction_refuses_a_level_outside_the_box_before_any_query():
+    box = Box((2, 2, 2), (6, 6, 6))
+    o = CountedOracle(gen_target((8, 8, 8), (4, 4, 4)))
+    for k in (5, 19):
+        for axis in range(3):
+            with pytest.raises(InfeasibleLevelError, match=f"level {k} misses box"):
+                LevelsetSolver(o).init_direction(box, k, axis)
+    assert o.distinct_queries == 0
 
 
 def test_init_direction_postconditions():
