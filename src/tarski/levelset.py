@@ -318,8 +318,7 @@ class LevelsetSolver:
         box = full_box(shape)
         lo, hi = box.lo, box.hi
         lo_sum, hi_sum = sum(lo), sum(hi)
-        pending = None  # the last level's queried outcome, not yet tightened
-        level_box = None  # the box of that level
+        pending = None  # the last level's box and queried outcome, not yet tightened
         try:
             while True:
                 if len(shape) < 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
@@ -327,7 +326,7 @@ class LevelsetSolver:
                 if hi_sum - lo_sum <= 6:
                     return self._baseline(PHASE_BRUTE, brute_solve, box or Box(lo, hi))
                 if pending is not None:
-                    box = self._tighten(level_box, pending)
+                    box = self._tighten(*pending)
                     pending = None
                     lo, hi = box.lo, box.hi
                     lo_sum, hi_sum = sum(lo), sum(hi)
@@ -346,7 +345,7 @@ class LevelsetSolver:
                 if self.observer is not None:
                     self.observer("recurse", {"before": box, "after": Box(lo, hi), "outcome": out})
                 if out.fvalue is not None:
-                    pending, level_box = out, box
+                    pending = box, out
                 box = None
         except MonotonicityViolation as mv:
             if not self._evidence:
