@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, MonotonicityViolation
 from .lattice import Box, Point, full_box, iter_box, sign
+from .oracle import MAX_DENSE_POINTS
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def brute_solve(oracle, box: Box | None = None) -> Point:
     """First fixed point of the box in lexicographic order."""
     if box is None:
         box = full_box(oracle.instance.shape)
-    if box.volume > 10**6:
+    if box.volume > MAX_DENSE_POINTS:
         raise CapacityError(f"brute_solve over {box.volume} points")
     scanned = []
     for x in iter_box(box):

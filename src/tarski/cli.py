@@ -1,6 +1,7 @@
 """Command-line front door: solve, gen, bench, verify.
 
-Exit codes: 0 success, 2 usage or parse error, 3 monotonicity violation.
+Exit codes: 0 success, 2 usage, parse or capacity error, 3 monotonicity
+violation.
 Each solver confirms its answer with one final oracle query, so every
 printed fixed point has been checked.
 """
@@ -55,18 +56,9 @@ def _cannot_write(path, exc: OSError):
     sys.exit(2)
 
 
-def _load(instance_path) -> orc.Instance:
-    """The instance file, or exit 2 on a parse error or an oversized table."""
-    try:
-        return orc.load_instance(instance_path)
-    except (InstanceFormatError, CapacityError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
-
-
 def _load_or_build(instance_path, shape, target) -> orc.Instance:
     if instance_path is not None:
-        return _load(instance_path)
+        return orc.load_instance(instance_path)
     if shape is None or target is None:
         raise click.UsageError("provide --instance, or both --shape and --target")
     shape_t = _parse_coords(shape, "--shape")
@@ -85,7 +77,23 @@ def _run_algo(algo: str, counted, verify_certificates: bool, trace):
     return baseline.brute_solve(counted)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; it turns the library's typed errors into exit
+    codes for every command: a monotonicity violation into its dump and 3,
+    an oversized grid or a malformed instance file into its message and 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MonotonicityViolation as exc:
+            _dump_violation(exc)
+            sys.exit(3)
+        except (CapacityError, InstanceFormatError) as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Tarski fixed point tools: solvers, generators, benchmarks."""
 
@@ -121,12 +129,6 @@ def cmd_solve(instance_path, shape, target, algo, trace_path, verify_certificate
         finally:
             if trace is not None:
                 trace.close()
-    except MonotonicityViolation as exc:
-        _dump_violation(exc)
-        sys.exit(3)
-    except CapacityError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
     except OSError as exc:
         # Only the trace file does I/O during a solve.
         _cannot_write(trace_path, exc)
@@ -150,9 +152,8 @@ def cmd_gen(shape, kind, seed, target, output):
             inst = orc.gen_target(shape_t, _parse_coords(target, "--target"))
         else:
             inst = orc.gen_random_monotone(shape_t, seed)
-    except CapacityError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
+    except CapacityError:
+        raise  # not a usage error: main reports it and exits 2
     except ValueError as exc:
         raise click.UsageError(str(exc))
     try:
@@ -167,13 +168,9 @@ def cmd_gen(shape, kind, seed, target, output):
               type=click.Path(exists=True, dir_okay=False))
 def cmd_verify(instance_path):
     """Check monotonicity of an instance and list its fixed points."""
-    inst = _load(instance_path)
-    try:
-        witness = orc.verify_monotone(inst)
-        fixed = sorted(orc.fixed_points_bruteforce(inst))
-    except CapacityError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
+    inst = orc.load_instance(instance_path)
+    witness = orc.verify_monotone(inst)
+    fixed = sorted(orc.fixed_points_bruteforce(inst))
     click.echo(f"monotone: {'no' if witness else 'yes'}")
     if witness is not None:
         click.echo(
@@ -213,19 +210,13 @@ def cmd_bench(sides, kind, reps, seed, algos, output):
         raise click.UsageError("--reps must be >= 1")
     rng = SplitMix64(seed)
     instances: dict[tuple[int, int], orc.Instance] = {}
-    try:
-        for side in side_list:
-            for rep in range(reps):
-                if kind == "target":
-                    target = tuple(1 + rng.below(side) for _ in range(3))
-                    instances[(side, rep)] = orc.gen_target((side,) * 3, target)
-                else:
-                    instances[(side, rep)] = orc.gen_random_monotone(
-                        (side,) * 3, rng.next_u64()
-                    )
-    except CapacityError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
+    for side in side_list:
+        for rep in range(reps):
+            if kind == "target":
+                target = tuple(1 + rng.below(side) for _ in range(3))
+                instances[(side, rep)] = orc.gen_target((side,) * 3, target)
+            else:
+                instances[(side, rep)] = orc.gen_random_monotone((side,) * 3, rng.next_u64())
     rows = [BENCH_HEADER]
     for algo in algo_list:
         for side in side_list:
@@ -233,14 +224,7 @@ def cmd_bench(sides, kind, reps, seed, algos, output):
                 inst = instances[(side, rep)]
                 counted = orc.CountedOracle(inst)
                 t0 = time.perf_counter()
-                try:
-                    _run_algo(algo, counted, False, None)
-                except MonotonicityViolation as exc:
-                    _dump_violation(exc)
-                    sys.exit(3)
-                except CapacityError as exc:
-                    click.echo(str(exc), err=True)
-                    sys.exit(2)
+                _run_algo(algo, counted, False, None)
                 wall_ms = int(round((time.perf_counter() - t0) * 1000))
                 # Every column but wall_time_ms is reproducible.
                 rows.append(

@@ -277,11 +277,9 @@ class LevelsetSolver:
             )
         return outcome
 
-    def _apply_query(self, state: LevelState, q: Point, fq: Point, stale: bool = False):
+    def _apply_query(self, state: LevelState, q: Point, fq: Point):
         """The outcome when q is fixed, upward or downward; otherwise a new
-        state, with the bounds q's labels select moved to q. A probe built
-        from the current search space lies in it by construction; a stale one,
-        built before the state last moved, is checked against it.
+        state, with the bounds q's labels select moved to q.
 
         The labels are those of classify, read off the signs directly: q is
         i-upward when i is the only axis F raises, i-downward when i is the
@@ -291,13 +289,6 @@ class LevelsetSolver:
             return LevelOutcome(FIXED if d0 == d1 == d2 == 0 else UPWARD, q, fq)
         if d0 <= 0 and d1 <= 0 and d2 <= 0:
             return LevelOutcome(DOWNWARD, q, fq)
-        if stale:
-            view = search_space(state)
-            if not all(l <= c <= r for l, c, r in zip(view.ell, q, view.r)):
-                raise MonotonicityViolation(
-                    f"probe {q} fell outside the remaining search space",
-                    implicated=state.pairs() + ((q, fq),),
-                )
         up, down = list(state.up), list(state.down)
         if (d0 > 0) + (d1 > 0) + (d2 > 0) == 1:
             up[0 if d0 > 0 else 1 if d1 > 0 else 2] = (q, fq)
@@ -366,9 +357,7 @@ class LevelsetSolver:
         self._level = -1
         u, fu = out.point, out.fvalue
         lo, hi = (u, box.hi) if out.kind == UPWARD else (box.lo, u)
-        if len(fu) != 3 or not (
-            lo[0] <= fu[0] <= hi[0] and lo[1] <= fu[1] <= hi[1] and lo[2] <= fu[2] <= hi[2]
-        ):
+        if not (lo[0] <= fu[0] <= hi[0] and lo[1] <= fu[1] <= hi[1] and lo[2] <= fu[2] <= hi[2]):
             raise MonotonicityViolation(
                 f"image {fu} of the certified corner {u} left the box {lo}..{hi}",
                 implicated=((u, fu),) + self._corner_pairs(lo, hi),
@@ -417,14 +406,7 @@ class LevelsetSolver:
             before = self.oracle.distinct_queries
             observer("level_start", {"box": box, "k": k, "queries": before})
         try:
-            outcome = self._run_level(box, k)
-            side = sum(outcome.point) - k
-            if (side < 0 and outcome.kind == UPWARD) or (side > 0 and outcome.kind == DOWNWARD):
-                raise MonotonicityViolation(
-                    f"{outcome.kind} outcome {outcome.point} lies on the wrong side of level {k}",
-                    implicated=((outcome.point, outcome.fvalue),),
-                )
-            return outcome
+            return self._run_level(box, k)
         except MonotonicityViolation as mv:
             raise mv.extended(self._corner_pairs(box.lo, box.hi)) from None
         finally:
@@ -615,19 +597,15 @@ class LevelsetSolver:
             res = self._apply_query(state, q, self._oracle.query(q))
         else:
             s, corner = (1, ell) if sum(ell) + 3 > k else (-1, r)
-            if sum(corner) != k - 2 * s:
-                raise MonotonicityViolation(
-                    "search-space bounds inconsistent with the level",
-                    implicated=state.pairs(),
-                )
+            # ell and r are attained in S and every diameter is >= 2, so sum(corner) == k - 2s.
             res = state
             probes = []
             for axis in range(3):
                 q = tuple(c + s * (a != axis) for a, c in enumerate(corner))
                 fq = self._oracle.query(q)
                 probes.append((q, fq))
-                # Only the first probe sees the state the view was made from.
-                res = self._apply_query(res, q, fq, stale=axis > 0)
+                # A probe taking its bound moves one other at most, to corner + s: the next stays in S.
+                res = self._apply_query(res, q, fq)
                 if isinstance(res, LevelOutcome):
                     break
                 if (res.up if s > 0 else res.down)[axis] != (q, fq):
@@ -666,14 +644,10 @@ class LevelsetSolver:
         """
         (x, fx), (y, fy) = cfg.points
         i = cfg.axis
-        others = _OTHERS[i]
-        low_axes = [a for a in others if y[a] < x[a]]
-        if len(low_axes) != 1 or not x[i] <= y[i] <= x[i] + 1:
-            raise MonotonicityViolation(
-                "malformed third configuration", implicated=cfg.points
-            )
-        j = low_axes[0]
-        p = others[0] if others[1] == j else others[1]
+        # x != y share level k and x_i <= y_i <= x_i + 1, so exactly one other axis has y < x.
+        j, p = _OTHERS[i]
+        if y[j] >= x[j]:
+            j, p = p, j
 
         if fx[j] == x[j]:
             return self._certify(LevelOutcome(UPWARD, lub(x, y)), cfg.points)

@@ -84,6 +84,14 @@ def test_solve_and_verify_oversized_table_instance_exit_2(tmp_path):
         assert "limit is 1000000" in res.output
         assert "Traceback" not in res.output
         assert not isinstance(res.exception, CapacityError)
+    # a lazy target file loads at any size, but verify scans the whole grid
+    target = tmp_path / "target.txt"
+    target.write_text("tarski-instance v1\nd 3\nshape 200 200 200\nkind target\ntarget 5 5 5\n")
+    res = run("verify", "--instance", str(target))
+    assert res.exit_code == 2, res.output
+    assert "verify_monotone needs 8000000 grid points, limit is 1000000" in res.output
+    assert "Traceback" not in res.output
+    assert not isinstance(res.exception, CapacityError)
 
 
 def test_solve_and_verify_multi_value_dimension_line_exit_2(tmp_path):
@@ -280,11 +288,15 @@ def test_bench_into_missing_directory_exit_2(tmp_path):
 
 
 def test_bench_brute_on_oversized_cube_exit_2():
-    res = run("bench", "--sides", "200", "--reps", "1", "--algos", "brute")
-    assert res.exit_code == 2, res.output
-    assert "brute_solve over 8000000 points" in res.output
-    assert "Traceback" not in res.output
-    assert not isinstance(res.exception, CapacityError)
+    for args in (
+        ("bench", "--sides", "200", "--reps", "1", "--algos", "brute"),
+        ("solve", "--algo", "brute", "--shape", "200,200,200", "--target", "5,5,5"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "brute_solve over 8000000 points" in res.output
+        assert "Traceback" not in res.output
+        assert not isinstance(res.exception, CapacityError)
 
 
 def test_bench_rejects_unknown_algo():

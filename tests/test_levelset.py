@@ -412,24 +412,32 @@ def test_small_case_interior_probe_spec_example():
 
 def test_small_case_probe_branch_all_upward_spec_example():
     # bounds (2,2,2)..(4,4,4) at level 8: no interior point; the three corner
-    # probes are all i-upward, certifying (3,3,3) as an upward point
+    # probes are all i-upward, certifying (3,3,3) as an upward point. Its
+    # order dual at level 10 probes one step below the upper corner; all
+    # three i-downward certify (3,3,3) as a downward point.
     box = full_box((5, 5, 5))
-    st = state_from_coords(box, 8, (2, 2, 2), (4, 4, 4))
-    oracle = _ScriptedOracle(
-        {
+    cases = (
+        (8, UPWARD, {
             (2, 3, 3): (3, 3, 2),  # 1-upward (and 3-downward)
             (3, 2, 3): (2, 3, 3),  # 2-upward (and 1-downward)
             (3, 3, 2): (2, 3, 3),  # 3-upward (and 1-downward)
-        },
-        fallback=lambda q: q,
+        }),
+        (10, DOWNWARD, {
+            (4, 3, 3): (3, 3, 4),  # 1-downward (and 3-upward)
+            (3, 4, 3): (4, 3, 3),  # 2-downward (and 1-upward)
+            (3, 3, 4): (4, 3, 3),  # 3-downward (and 1-upward)
+        }),
     )
-    solver = LevelsetSolver(oracle)
-    solver._level = 8
-    out = solver.small_case_step(st)
-    assert oracle.order == [(2, 3, 3), (3, 2, 3), (3, 3, 2)]
-    assert out.kind == UPWARD
-    assert out.point == (3, 3, 3)
-    assert norm1(out.point) >= 8
+    for k, kind, script in cases:
+        st = state_from_coords(box, k, (2, 2, 2), (4, 4, 4))
+        oracle = _ScriptedOracle(script, fallback=lambda q: q)
+        solver = LevelsetSolver(oracle)
+        solver._level = k
+        out = solver.small_case_step(st)
+        assert oracle.order == list(script), kind
+        assert out.kind == kind
+        assert out.point == (3, 3, 3)
+        assert norm1(out.point) >= k if kind == UPWARD else norm1(out.point) <= k
 
 
 def test_step_preconditions_raise_value_error():
@@ -449,20 +457,6 @@ def test_step_preconditions_raise_value_error():
         with pytest.raises(ValueError, match="small_case_step needs"):
             solver.small_case_step(st, view)
     assert oracle.distinct_queries == 0
-
-
-def test_solve_level_rejects_outcome_on_wrong_side_of_level(monkeypatch):
-    # an upward outcome must sit at-or-above the level and a downward one
-    # at-or-below it; otherwise the level raises a typed violation that
-    # carries the outcome, also under python -O
-    box = full_box((8, 8, 8))
-    for kind, point in ((UPWARD, (2, 3, 4)), (DOWNWARD, (5, 6, 7))):
-        bad = LevelOutcome(kind, point, (4, 4, 4))
-        solver = LevelsetSolver(CountedOracle(gen_target(box.hi, (4, 4, 4))))
-        monkeypatch.setattr(solver, "_run_level", lambda box, k, bad=bad: bad)
-        with pytest.raises(MonotonicityViolation, match="wrong side of level 12") as exc:
-            solver.solve_level(box, 12)
-        assert (point, (4, 4, 4)) in exc.value.implicated
 
 
 # -- configurations ----------------------------------------------------------
