@@ -40,10 +40,9 @@ def _fmt_point(p) -> str:
 def _dump_violation(exc: MonotonicityViolation) -> None:
     click.echo(f"monotonicity violation: {exc}", err=True)
     for pt, val in exc.implicated:
-        shown = _fmt_point(val) if val is not None else "?"
-        click.echo(f"  queried {_fmt_point(pt)} -> {shown}", err=True)
-    if exc.witness is not None:
-        w = exc.witness
+        click.echo(f"  queried {_fmt_point(pt)} -> {_fmt_point(val)}", err=True)
+    w = exc.witness
+    if w is not None:
         click.echo(
             f"  witness: {_fmt_point(w.x)} <= {_fmt_point(w.y)} but "
             f"F{_fmt_point(w.x)} = {_fmt_point(w.fx)} !<= F{_fmt_point(w.y)} = {_fmt_point(w.fy)}",

@@ -34,13 +34,9 @@ class Violation:
 
 
 def find_violation_pair(pairs) -> Violation | None:
-    """Scan (point, value) pairs for an explicit violating pair.
-
-    Pairs with unknown value (None) are skipped.
-    """
-    known = [(p, v) for p, v in pairs if v is not None]
-    for xp, xv in known:
-        for yp, yv in known:
+    """Scan a sequence of (point, value) pairs for an explicit violating pair."""
+    for xp, xv in pairs:
+        for yp, yv in pairs:
             if xp == yp:
                 continue
             if all(a <= b for a, b in zip(xp, yp)) and not all(
@@ -53,21 +49,25 @@ def find_violation_pair(pairs) -> Violation | None:
 class MonotonicityViolation(Exception):
     """The observed F-values cannot belong to any monotone function.
 
-    ``implicated`` is the constant-size set of (point, F(point)) pairs the
-    failing step examined (value None when never queried). ``witness`` is an
-    explicit violating pair when one exists among them; extracting it is best
-    effort, the implicated set itself is the reliable diagnostic.
+    ``implicated`` is the constant-size set of queried (point, F(point))
+    pairs the failing step examined, the one record a violation keeps.
+    ``witness`` is worked out from it each time it is read: an explicit
+    violating pair among those pairs, or None. Extracting it is best effort;
+    the implicated set itself is the reliable diagnostic.
     """
 
-    def __init__(self, message: str, implicated=(), witness: Violation | None = None):
+    def __init__(self, message: str, implicated=()):
         self.implicated = tuple(implicated)
-        self.witness = witness if witness is not None else find_violation_pair(self.implicated)
         super().__init__(message)
 
-    def extended(self, extra_pairs) -> "MonotonicityViolation":
-        """Same failure with more context points attached (dedup by point)."""
+    @property
+    def witness(self) -> Violation | None:
+        return find_violation_pair(self.implicated)
+
+    def extend(self, extra_pairs) -> None:
+        """Attach more context pairs, in place; a point keeps the value of
+        its first occurrence."""
         merged: dict = {}
-        for p, v in tuple(self.implicated) + tuple(extra_pairs):
-            if p not in merged or merged[p] is None:
-                merged[p] = v
-        return MonotonicityViolation(str(self), tuple(merged.items()))
+        for p, v in self.implicated + tuple(extra_pairs):
+            merged.setdefault(p, v)
+        self.implicated = tuple(merged.items())

@@ -8,7 +8,7 @@ Everything here is a pure function, safe to call from any thread.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleLevelError
@@ -80,15 +80,7 @@ class Box:
 
     @property
     def volume(self) -> int:
-        v = 1
-        for s in self.sides:
-            v *= s
-        return v
-
-    def contains(self, x: Point) -> bool:
-        return len(x) == len(self.lo) and all(
-            a <= c <= b for a, c, b in zip(self.lo, x, self.hi)
-        )
+        return math.prod(self.sides)
 
 
 def full_box(shape) -> Box:
@@ -100,8 +92,22 @@ def full_box(shape) -> Box:
 
 
 def iter_box(box: Box):
-    """Yield the points of a box in lexicographic order (first axis slowest)."""
-    return itertools.product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi)))
+    """Yield the points of a box in lexicographic order (first axis slowest).
+
+    Lazy on every axis: no side's range is materialized, so a box with huge
+    sides yields its first points at once.
+    """
+    points = iter(((),))
+    for a, b in zip(box.lo, box.hi):
+        points = _extend(points, range(a, b + 1))
+    return points
+
+
+def _extend(prefixes, coords):
+    """Each prefix followed by each coordinate, in order."""
+    for p in prefixes:
+        for c in coords:
+            yield p + (c,)
 
 
 @dataclass(frozen=True)

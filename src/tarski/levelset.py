@@ -44,7 +44,6 @@ from .lattice import (
     Point,
     central_level_point,
     classify,
-    full_box,
     glb,
     level_point,
     lub,
@@ -304,26 +303,23 @@ class LevelsetSolver:
         shape = self.oracle.instance.shape
         if len(shape) > 3:
             raise ValueError("the levelset solver handles at most 3 dimensions")
-        # The current box is [lo, hi], with corner sums lo_sum and hi_sum;
-        # box is its Box once one is built, else None.
-        box = full_box(shape)
-        lo, hi = box.lo, box.hi
-        lo_sum, hi_sum = sum(lo), sum(hi)
-        pending = None  # the last level's box and queried outcome, not yet tightened
+        # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
+        lo, hi = (1,) * len(shape), shape
+        lo_sum, hi_sum = len(shape), sum(shape)
+        pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
                 if len(shape) < 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
-                    return self._baseline(PHASE_OUTER, dqy_solve, box or Box(lo, hi)).fixed_point
+                    return self._baseline(PHASE_OUTER, dqy_solve, Box(lo, hi)).fixed_point
                 if hi_sum - lo_sum <= 6:
-                    return self._baseline(PHASE_BRUTE, brute_solve, box or Box(lo, hi))
+                    return self._baseline(PHASE_BRUTE, brute_solve, Box(lo, hi))
                 if pending is not None:
-                    box = self._tighten(*pending)
+                    lo, hi = self._tighten(lo, hi, pending)
                     pending = None
-                    lo, hi = box.lo, box.hi
                     lo_sum, hi_sum = sum(lo), sum(hi)
                     continue
                 # span >= 7 and no pinched side: k lies strictly inside
-                box = box or Box(lo, hi)
+                box = Box(lo, hi)
                 out = self._solve_level(box, (lo_sum + hi_sum + 1) // 2)
                 if out.kind == FIXED:
                     return self._verified(out.point)
@@ -336,27 +332,25 @@ class LevelsetSolver:
                 if self.observer is not None:
                     self.observer("recurse", {"before": box, "after": Box(lo, hi), "outcome": out})
                 if out.fvalue is not None:
-                    pending = box, out
-                box = None
+                    pending = out
         except MonotonicityViolation as mv:
-            if not self._evidence:
-                raise
-            raise mv.extended(self._evidence) from None
+            if self._evidence:
+                mv.extend(self._evidence)
+            raise
 
-    def _tighten(self, box: Box, out: LevelOutcome) -> Box:
-        """The half of a level's box that the level's queried certificate
-        selects, with that corner moved on to its image.
+    def _tighten(self, lo: Point, hi: Point, out: LevelOutcome) -> tuple[Point, Point]:
+        """The corners of the half [lo, hi] that a level's queried
+        certificate selected, with that corner moved on to its image.
 
-        F(u) >= u for a queried upward point u, so F(F(u)) >= F(u) by
-        monotonicity: F(u) is upward as well, and u <= F(u) <= F(box.hi) <=
-        box.hi keeps it in the half. Dually for a downward point. The new
+        F(u) >= u for a queried upward point u = lo, so F(F(u)) >= F(u) by
+        monotonicity: F(u) is upward as well, and u <= F(u) <= F(hi) <= hi
+        keeps it in the half. Dually for a downward point u = hi. The new
         corner is an implied certificate; the pair (u, F(u)) backing it joins
         every later violation.
         """
         self._phase = PHASE_OUTER
         self._level = -1
         u, fu = out.point, out.fvalue
-        lo, hi = (u, box.hi) if out.kind == UPWARD else (box.lo, u)
         if not (lo[0] <= fu[0] <= hi[0] and lo[1] <= fu[1] <= hi[1] and lo[2] <= fu[2] <= hi[2]):
             raise MonotonicityViolation(
                 f"image {fu} of the certified corner {u} left the box {lo}..{hi}",
@@ -364,7 +358,7 @@ class LevelsetSolver:
             )
         self._evidence += ((u, fu),)
         corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
-        return Box(corner, hi) if out.kind == UPWARD else Box(lo, corner)
+        return (corner, hi) if out.kind == UPWARD else (lo, corner)
 
     def _verified(self, point: Point) -> Point:
         self._phase = PHASE_OUTER
@@ -408,7 +402,8 @@ class LevelsetSolver:
         try:
             return self._run_level(box, k)
         except MonotonicityViolation as mv:
-            raise mv.extended(self._corner_pairs(box.lo, box.hi)) from None
+            mv.extend(self._corner_pairs(box.lo, box.hi))
+            raise
         finally:
             if observer is not None:
                 observer("level_done", {

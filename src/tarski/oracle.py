@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count, islice
+from math import prod
 from operator import gt, itemgetter
 
 from .errors import CapacityError, InstanceFormatError, Violation
@@ -60,10 +61,7 @@ class Instance:
 
     @property
     def volume(self) -> int:
-        v = 1
-        for n in self.shape:
-            v *= n
-        return v
+        return prod(self.shape)
 
     def contains(self, x: Point) -> bool:
         if len(x) != len(self.shape):
@@ -88,18 +86,25 @@ class CountedOracle:
     """Query gateway to an instance.
 
     Repeated queries of the same point are served from the cache and are not
-    counted: distinct_queries equals the number of cache entries. An optional
-    transcript records (point, value) pairs in first-query order.
+    counted. The cache, in insertion order, is the one record of the queries:
+    distinct_queries is its size, and transcript, the (point, value) pairs in
+    first-query order, is its items, worked out when read (None unless
+    record_transcript is set).
     """
 
     def __init__(self, instance: Instance, record_transcript: bool = False):
         self.instance = instance
         self.cache: dict[Point, Point] = {}
-        self.distinct_queries = 0
-        self.transcript: list[tuple[Point, Point]] | None = (
-            [] if record_transcript else None
-        )
+        self._record_transcript = record_transcript
         self._evaluate = _evaluator(instance)
+
+    @property
+    def distinct_queries(self) -> int:
+        return len(self.cache)
+
+    @property
+    def transcript(self) -> list[tuple[Point, Point]] | None:
+        return list(self.cache.items()) if self._record_transcript else None
 
     def query(self, x: Point) -> Point:
         fx = self.cache.get(x)
@@ -109,9 +114,6 @@ class CountedOracle:
         if fx is None:
             raise ValueError(f"query {x} outside grid {self.instance.shape}")
         self.cache[x] = fx
-        self.distinct_queries += 1
-        if self.transcript is not None:
-            self.transcript.append((x, fx))
         return fx
 
 
@@ -196,9 +198,7 @@ def _first_outside(shape, rows) -> int | None:
 def _running_max(shape, cols) -> None:
     """Replace each flat column, in place, by its running maxima along
     every axis: afterwards col[x] is the max of the old col[y] over y <= x."""
-    volume = 1
-    for n in shape:
-        volume *= n
+    volume = prod(shape)
     for n, st in zip(shape, _strides(shape)):
         if n == 1:
             continue
@@ -375,9 +375,7 @@ def load_instance(path) -> Instance:
             raise InstanceFormatError(path, 5, f"target {target} outside grid")
         return Instance(shape=shape, kind=KIND_TARGET, target=target)
     if kline == "kind table":
-        volume = 1
-        for n in shape:
-            volume *= n
+        volume = prod(shape)
         _check_dense(volume, "loading a table instance")
         rows = []
         try:

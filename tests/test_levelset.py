@@ -167,6 +167,35 @@ def test_init_direction_refuses_a_level_outside_the_box_before_any_query():
     assert o.distinct_queries == 0
 
 
+def test_init_direction_single_point_segment_that_does_not_resolve():
+    # at level 10 in (3,3,3)..(6,6,6) the axis-0 segment is the one point
+    # (4,3,3); F = (4,4,2) neither certifies it nor lets it bracket anything
+    oracle = _ScriptedOracle({(4, 3, 3): (4, 4, 2)}, fallback=lambda q: q)
+    with pytest.raises(
+        MonotonicityViolation, match="single-point init segment for axis 0 did not resolve"
+    ) as info:
+        LevelsetSolver(oracle).init_direction(Box((3, 3, 3), (6, 6, 6)), 10, 0)
+    assert oracle.order == [(4, 3, 3)]
+    assert info.value.implicated == (((4, 3, 3), (4, 4, 2)),)
+
+
+def test_init_direction_segment_point_with_impossible_sign_pattern():
+    # the axis-0 segment of level 12 runs from (7,1,4) to (7,4,1); both ends
+    # bracket it, and the bisection probe (7,2,3) rises on the pinned axis
+    script = {
+        (7, 1, 4): (7, 2, 3),  # low end
+        (7, 4, 1): (7, 3, 2),  # high end
+        (7, 2, 3): (8, 1, 3),
+    }
+    oracle = _ScriptedOracle(script, fallback=lambda q: q)
+    with pytest.raises(
+        MonotonicityViolation, match=r"segment point \(7, 2, 3\) has an impossible sign pattern"
+    ) as info:
+        LevelsetSolver(oracle).init_direction(Box((1, 1, 1), (7, 7, 7)), 12, 0)
+    assert oracle.order == list(script)
+    assert info.value.implicated == tuple(script.items())
+
+
 def test_init_direction_postconditions():
     box = full_box((8, 8, 8))
     k = 12
@@ -264,7 +293,7 @@ def test_solve_level_on_certified_subboxes():
         inst = gen_target((n, n, n), t)
         out = LevelsetSolver(CountedOracle(inst)).solve_level(box, k)
         assert outcome_is_valid(inst, out, k)
-        assert box.contains(out.point)
+        assert leq(box.lo, out.point) and leq(out.point, box.hi)
         checked += 1
 
 
@@ -641,6 +670,23 @@ def test_resolve_third_early_exit_branch():
     assert o.distinct_queries == 0
 
 
+def test_resolve_third_certifies_inside_the_bracket_loop():
+    # the spec example's inputs with (5,3,4) fixed: the first probe (5,5,2)
+    # keeps the high end, the bisection probe (5,3,4) is upward, and its
+    # join with y certifies the upward point (5,3,6)
+    x, y = (4, 6, 2), (5, 1, 6)
+    fx, fy = (5, 5, 1), (4, 2, 6)
+    oracle = _ScriptedOracle(
+        {(5, 5, 2): (5, 4, 2), (5, 3, 4): (5, 3, 4)},
+        fallback=lambda q: (5, q[1] - 1, q[2]),
+    )
+    solver = LevelsetSolver(oracle)
+    solver._level = 12
+    out = solver.resolve_third(Config("third", None, ((x, fx), (y, fy)), axis=0), 12)
+    assert oracle.order == [(5, 5, 2), (5, 3, 4)]
+    assert out == LevelOutcome(UPWARD, lub((5, 3, 4), y)) == LevelOutcome(UPWARD, (5, 3, 6))
+
+
 # -- whole solve --------------------------------------------------------------
 
 
@@ -735,11 +781,11 @@ def test_tighten_moves_corner_to_image_without_a_query():
     oracle = _ScriptedOracle({}, fallback=lambda q: q)
     events = []
     solver = LevelsetSolver(oracle, observer=lambda ev, p: events.append((ev, p)))
-    box = Box((3, 3, 3), (7, 7, 7))
+    lo, hi = (3, 3, 3), (7, 7, 7)
     up = LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3))
-    assert solver._tighten(box, up) == Box((4, 5, 3), (7, 7, 7))
+    assert solver._tighten(lo, hi, up) == ((4, 5, 3), (7, 7, 7))
     down = LevelOutcome(DOWNWARD, (7, 7, 7), (7, 6, 5))
-    assert solver._tighten(box, down) == Box((3, 3, 3), (7, 6, 5))
+    assert solver._tighten(lo, hi, down) == ((3, 3, 3), (7, 6, 5))
     assert oracle.order == []
     assert events == [
         ("certificate", {"kind": UPWARD, "point": (4, 5, 3), "verified": False}),
@@ -758,9 +804,8 @@ def test_tighten_confirms_image_as_outer_query_in_verify_mode():
         observer=lambda ev, p: events.append((ev, p)),
     )
     solver._phase, solver._level = "third", 12  # left over from the level
-    box = Box((3, 3, 3), (7, 7, 7))
     up = LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3))
-    assert solver._tighten(box, up) == Box((4, 5, 3), (7, 7, 7))
+    assert solver._tighten((3, 3, 3), (7, 7, 7), up) == ((4, 5, 3), (7, 7, 7))
     assert oracle.order == [(4, 5, 3)]
     assert buf.getvalue().split("\t")[:4] == ["outer", "-1", "4,5,3", "4,6,4"]
     assert events == [
@@ -769,12 +814,12 @@ def test_tighten_confirms_image_as_outer_query_in_verify_mode():
 
 
 def test_tighten_failures_raise_witnessed_violations():
-    box = Box((3, 3, 3), (7, 7, 7))
+    lo, hi = (3, 3, 3), (7, 7, 7)
     # the image of the upward corner leaves the box: with F(hi) <= hi the
     # pair (u, hi) violates monotonicity
     oracle = _ScriptedOracle({(3, 3, 3): (4, 8, 3)}, fallback=lambda q: q)
     with pytest.raises(MonotonicityViolation) as info:
-        LevelsetSolver(oracle)._tighten(box, LevelOutcome(UPWARD, (3, 3, 3), (4, 8, 3)))
+        LevelsetSolver(oracle)._tighten(lo, hi, LevelOutcome(UPWARD, (3, 3, 3), (4, 8, 3)))
     assert ((3, 3, 3), (4, 8, 3)) in info.value.implicated
     w = info.value.witness
     assert w is not None and (w.x, w.y) == ((3, 3, 3), (7, 7, 7))
@@ -782,7 +827,7 @@ def test_tighten_failures_raise_witnessed_violations():
     oracle = _ScriptedOracle({(4, 5, 3): (4, 4, 3)}, fallback=lambda q: q)
     solver = LevelsetSolver(oracle, verify_certificates=True)
     with pytest.raises(MonotonicityViolation) as info:
-        solver._tighten(box, LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3)))
+        solver._tighten(lo, hi, LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3)))
     w = info.value.witness
     assert w is not None and (w.x, w.y) == ((3, 3, 3), (4, 5, 3))
 
@@ -821,6 +866,48 @@ def test_violations_after_tightening_carry_its_evidence():
                     for y in pts
                 )
     assert carried > 10
+
+
+def test_violations_escape_solve_unchained():
+    # raised inside a level, inside a level after a tightening, by the
+    # final scan after one and by the dqy delegation after one: each
+    # violation leaves solve as the exception first raised, with the
+    # tightening evidence merged in and no other exception chained to it
+    from _families import raw_random_table
+
+    cases = (
+        (34, "endpoint", False),
+        (79, "endpoint", True),
+        (1, "no fixed point", True),
+        (19, "binary search", True),
+    )
+    for seed, message, tightened in cases:
+        solver = LevelsetSolver(CountedOracle(raw_random_table((6, 6, 6), seed)))
+        with pytest.raises(MonotonicityViolation, match=message) as info:
+            solver.solve()
+        mv = info.value
+        assert mv.__context__ is None and mv.__cause__ is None, seed
+        assert bool(solver._evidence) == tightened
+        assert set(solver._evidence) <= set(mv.implicated)
+
+
+def test_witness_is_scanned_only_when_read(monkeypatch):
+    import tarski.errors
+    from _families import raw_random_table
+
+    scans = []
+    scan = tarski.errors.find_violation_pair
+
+    def counted(pairs):
+        scans.append(pairs)
+        return scan(pairs)
+
+    monkeypatch.setattr(tarski.errors, "find_violation_pair", counted)
+    with pytest.raises(MonotonicityViolation) as info:
+        solve(CountedOracle(raw_random_table((6, 6, 6), 19)))
+    assert scans == []
+    assert info.value.witness == scan(info.value.implicated) is not None
+    assert scans == [info.value.implicated]
 
 
 def test_certificates_confirmed_in_debug_mode_5_cube():
@@ -881,6 +968,32 @@ def test_resolve_first_and_second_planted_on_real_instances():
                 assert outcome_is_valid(inst, out, k), (pts, flavor)
                 seconds += 1
     assert firsts > 2 and seconds > 50, (firsts, seconds)
+
+
+def test_whole_solves_resolve_first_and_second_configurations():
+    # each solve's first level ends in the named configuration, which the
+    # level resolves by meet or join with no query: the next event is the
+    # certificate, and the level's outcome
+    from _families import raw_random_table
+
+    for shape, seed, kind in (((6, 6, 6), 115, "first"), ((8, 8, 8), 253, "second")):
+        events = []
+        solver = LevelsetSolver(
+            CountedOracle(raw_random_table(shape, seed)),
+            observer=lambda ev, p: events.append((ev, p)),
+        )
+        with pytest.raises(MonotonicityViolation):
+            solver.solve()
+        at = next(i for i, (ev, _) in enumerate(events) if ev == "config")
+        cfg = events[at][1]["config"]
+        assert cfg.kind == kind and cfg.flavor == UPWARD
+        meet = glb(*(pt for pt, _ in cfg.points))
+        assert events[at + 1] == (
+            "certificate", {"kind": DOWNWARD, "point": meet, "verified": False}
+        )
+        assert events[at + 2][0] == "level_done"
+        assert events[at + 3][0] == "recurse"
+        assert events[at + 3][1]["outcome"] == LevelOutcome(DOWNWARD, meet)
 
 
 def test_trace_records_every_query_with_phase():

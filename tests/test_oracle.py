@@ -35,6 +35,7 @@ def test_query_counting_and_cache():
     assert o.distinct_queries == 1
     o.query((1, 1, 1))
     assert o.distinct_queries == 2 == len(o.cache) == len(o.transcript)
+    assert o.transcript == list(o.cache.items())
 
 
 def test_query_replay_is_identical():
