@@ -11,8 +11,9 @@ a CountedOracle is single-owner.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from math import prod
 from operator import gt, itemgetter
 
@@ -26,6 +27,12 @@ KIND_TARGET = "target"
 KIND_TABLE = "table"
 
 FORMAT_MAGIC = "tarski-instance v1"
+# The numbers of a line in an instance file: decimals without sign or
+# leading zero, separated by single spaces.
+_NUMBERS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
+# Table rows split at once by load_instance; one token list for a whole
+# file would add its size to peak memory.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -301,17 +308,48 @@ def save_instance(inst: Instance, path) -> None:
     ]
     if inst.kind == KIND_TARGET:
         lines.append("target " + " ".join(map(str, inst.target)))
-    else:
-        lines.extend(" ".join(map(str, row)) for row in inst.table)
+    text = "\n".join(lines) + "\n"
+    if inst.kind == KIND_TABLE:
+        row = " ".join(["%d"] * len(inst.shape)) + "\n"
+        text += row * inst.volume % tuple(chain.from_iterable(inst.table))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _parse_ints(path, lineno: int, text: str, label: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, text.split(" ")))
-    except ValueError:
-        raise InstanceFormatError(path, lineno, f"malformed {label}: {text!r}") from None
+    """The numbers of a line: canonical decimals separated by single spaces."""
+    if _NUMBERS.fullmatch(text):
+        try:
+            return tuple(map(int, text.split(" ")))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InstanceFormatError(path, lineno, f"malformed {label}: {text!r}")
+
+
+def _table_rows(shape, lines: list[str], start: int) -> tuple[Point, ...] | None:
+    """lines[start:] as table rows, or None unless each line holds len(shape)
+    canonical decimals, each inside its axis's range.
+
+    Lines are read _CHUNK_ROWS at a time, joined by " \\n " and split once.
+    Each axis's tokens are looked up in a map from the decimals of 1..n to
+    their values, so any other token, "\\n" included, is a KeyError. With
+    d + 1 tokens per line but the last, that leaves every "\\n" after the
+    d-th token of a line, so each line holds d tokens.
+    """
+    d = len(shape)
+    values = {n: {str(c): c for c in range(1, n + 1)} for n in set(shape)}
+    lookups = [values[n].__getitem__ for n in shape]
+    rows: list[Point] = []
+    for i in range(start, len(lines), _CHUNK_ROWS):
+        chunk = lines[i : i + _CHUNK_ROWS]
+        tokens = " \n ".join(chunk).split(" ")
+        if len(tokens) != (d + 1) * len(chunk) - 1:
+            return None
+        try:
+            rows += zip(*[map(get, tokens[axis :: d + 1]) for axis, get in enumerate(lookups)])
+        except KeyError:
+            return None
+    return tuple(rows)
 
 
 def load_instance(path) -> Instance:
@@ -324,6 +362,11 @@ def load_instance(path) -> Instance:
         kind target | kind table
         target <x1> ... <xd>            (target kind)
         <f1> ... <fd>  x volume lines   (table kind, lexicographic order)
+
+    Every number is a canonical decimal (0 or a digit 1-9 followed by
+    digits: no sign, leading zero, underscore or non-ASCII digit), and the
+    numbers of a line are separated by single spaces. A file that breaks
+    the format raises InstanceFormatError naming its first offending line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -377,15 +420,15 @@ def load_instance(path) -> Instance:
     if kline == "kind table":
         volume = prod(shape)
         _check_dense(volume, "loading a table instance")
+        if len(lines) == 4 + volume:
+            table = _table_rows(shape, lines, 4)
+            if table is not None:
+                return Instance(shape=shape, kind=KIND_TABLE, table=table)
+        # some line breaks the format: read line by line to name the first
         rows = []
         try:
             for lineno, text in enumerate(islice(lines, 4, 4 + volume), 5):
-                try:
-                    row = tuple(map(int, text.split(" ")))
-                except ValueError:
-                    raise InstanceFormatError(
-                        path, lineno, f"malformed table row: {text!r}"
-                    ) from None
+                row = _parse_ints(path, lineno, text, "table row")
                 if len(row) != d:
                     raise InstanceFormatError(path, lineno, f"expected {d} values per row")
                 rows.append(row)

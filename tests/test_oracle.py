@@ -16,7 +16,7 @@ from tarski.oracle import (
     save_instance,
     verify_monotone,
 )
-from tarski.rng import SplitMix64
+from tarski.rng import _CHUNK, SplitMix64
 
 
 def test_target_sign_values():
@@ -212,7 +212,7 @@ def test_saved_format_exact(tmp_path):
 
 def _write(tmp_path, body):
     path = tmp_path / "bad.txt"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     return path
 
 
@@ -224,6 +224,16 @@ def test_load_errors_carry_line_numbers(tmp_path):
         ("tarski-instance v1\nd 1\nshape 2\nkind table\n2\n", 6),
         ("tarski-instance v1\nd 1\nshape 2\nkind table\n2\n1\n9\n", 7),
         ("tarski-instance v1\nd 1\nshape 2\nkind target\ntarget 5\n", 5),
+        # numbers are canonical decimals separated by single spaces
+        ("tarski-instance v1\nd +1\nshape 2\nkind target\ntarget 1\n", 2),
+        ("tarski-instance v1\nd 1\nshape 02\nkind target\ntarget 1\n", 3),
+        ("tarski-instance v1\nd 2\nshape 2\t2\nkind target\ntarget 1 1\n", 3),
+        ("tarski-instance v1\nd 1\nshape 2\nkind target\ntarget \u0661\n", 5),
+        ("tarski-instance v1\nd 1\nshape 2\nkind target\ntarget 1\r\n", 5),
+        ("tarski-instance v1\nd 1\nshape 20\nkind target\ntarget 1_0\n", 5),
+        ("tarski-instance v1\nd 1\nshape 2\nkind table\n1\n+2\n", 6),
+        # canonical, but more digits than int() converts
+        ("tarski-instance v1\nd 1\nshape " + "9" * 5000 + "\nkind target\ntarget 1\n", 3),
     ]
     for body, line in cases:
         with pytest.raises(InstanceFormatError) as err:
@@ -333,9 +343,13 @@ def test_monotonize_matches_reference_on_raw_tables():
 
 
 def test_grid_columns_match_repeated_below_calls():
-    for seed in (0, 1, 2**64 - 1, 0x5EED):
-        for shape in [(1,), (1, 1, 1), (5, 1, 4), (3, 4, 2, 5), (2**40, 7, 1), (24, 24, 24)]:
-            for count in (0, 1, 9, 500):
+    # counts at and around one and two packed chunks of draws, and a seed
+    # whose state wraps to exactly 0 within the first chunk
+    edges = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+    wrap = -(_CHUNK // 2) * 0x9E3779B97F4A7C15 % 2**64
+    for seed in (0, 1, 2**64 - 1, 0x5EED, wrap):
+        for shape in [(1,), (97,), (1, 1, 1), (5, 1, 4), (3, 4, 2, 5), (2**40, 7, 1), (24, 24, 24)]:
+            for count in (0, 1, 9, 500) + edges:
                 bulk, single = SplitMix64(seed), SplitMix64(seed)
                 cols = bulk.grid_columns(shape, count)
                 rows = [tuple(1 + single.below(n) for n in shape) for _ in range(count)]
@@ -355,6 +369,16 @@ def test_load_names_the_first_of_two_bad_rows(tmp_path):
         ("1 3\n1\n", 5, "value (1, 3) outside grid"),
         ("1 1\n1 1 1\n1 3\n", 6, "expected 2 values per row"),
         ("1 1\n2 3\n", 6, "value (2, 3) outside grid"),
+        ("1 1\n+1 1\n1 1\n1 1\n", 6, "malformed table row: '+1 1'"),
+        ("1 02\n1 1\n1 1\n1 1\n", 5, "malformed table row: '1 02'"),
+        ("1 1\n1 1\n\u0661 1\n1 1\n", 7, "malformed table row: '\u0661 1'"),
+        ("1 1_0\n1 1\n1 1\n1 1\n", 5, "malformed table row: '1 1_0'"),
+        ("1 1\r\n1 1\n1 1\n1 1\n", 5, "malformed table row: '1 1\\r'"),
+        ("1 1\n1\t1\n1 1\n1 1\n", 6, "malformed table row: '1\\t1'"),
+        ("1 1\n-1 1\n1 3\n", 6, "malformed table row: '-1 1'"),
+        ("1 3\n+1 1\n", 5, "value (1, 3) outside grid"),
+        ("1 1\n1 1\n1 1\n1\n", 8, "expected 2 values per row"),
+        ("1 1 1\n1\n1 1\n1 1\n", 5, "expected 2 values per row"),
     ]
     for body, line, reason in cases:
         with pytest.raises(InstanceFormatError) as err:
