@@ -12,10 +12,12 @@ a CountedOracle is single-owner.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import chain, islice
 from math import prod
-from operator import gt, itemgetter
+from operator import itemgetter
 
 from .errors import CapacityError, InstanceFormatError, Violation
 from .lattice import Point, full_box, iter_box
@@ -57,12 +59,7 @@ class Instance:
             if self.target is None or not self.contains(self.target):
                 raise ValueError(f"target {self.target} outside grid {self.shape}")
         elif self.kind == KIND_TABLE:
-            if self.table is None or len(self.table) != self.volume:
-                got = None if self.table is None else len(self.table)
-                raise ValueError(f"table needs {self.volume} rows, got {got}")
-            bad = _first_outside(self.shape, self.table)
-            if bad is not None:
-                raise ValueError(f"table value {self.table[bad]} outside grid {self.shape}")
+            _check_table(self.shape, self.table)
         else:
             raise ValueError(f"unknown instance kind {self.kind!r}")
 
@@ -202,24 +199,104 @@ def _first_outside(shape, rows) -> int | None:
     return None
 
 
-def _running_max(shape, cols) -> None:
-    """Replace each flat column, in place, by its running maxima along
-    every axis: afterwards col[x] is the max of the old col[y] over y <= x."""
+class _Lanes:
+    """Columns of a grid's points packed into one int each, one lane per
+    point, lowest lane first.
+
+    A lane is w = 8, 16 or 32 bits: the smallest width whose top bit, the
+    guard, lies above every value of the grid. Values run up to the largest
+    side, so that side sets the width for every axis. With the guards free,
+    ((x | H) - y) & H, for H the guard bits, holds a lane's guard iff its x
+    is at least its y: x_i + 2^(w-1) - y_i stays within 0 and 2^w, so no
+    lane borrows from the one above. Columns are read in and out as
+    little-endian words, so the lanes do not depend on the host's byte
+    order.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.volume = prod(shape)
+        self.strides = _strides(shape)
+        self.size = next(s for s in (1, 2, 4) if max(shape) < 1 << (8 * s - 1))
+        self.bits = 8 * self.size
+        self.code = next(c for c in "BHIL" if array(c).itemsize == self.size)
+        self.guard = bytes(self.size - 1) + b"\x80"
+        self.guards = int.from_bytes(self.guard * self.volume, "little")
+
+    def layers(self, stride: int, n: int, lo: int, hi: int, lane: bytes) -> int:
+        """The packed int that holds the bytes lane in each lane whose
+        coordinate on the axis of this stride and side n lies in [lo, hi),
+        and 0 in the others."""
+        block = bytes(lo * stride * self.size) + lane * ((hi - lo) * stride)
+        block += bytes((n - hi) * stride * self.size)
+        return int.from_bytes(block * (self.volume // (stride * n)), "little")
+
+    def _words(self, values):
+        """values as little-endian lanes: bytes for one-byte lanes, which
+        bytes() builds several times faster than array does, else an array
+        of words."""
+        if self.size == 1:
+            return bytes(values)
+        return _little(array(self.code, values))
+
+    def pack(self, values) -> int:
+        return int.from_bytes(self._words(values), "little")
+
+    def columns(self, rows) -> list[int]:
+        """The packed columns of rows of len(shape) values each."""
+        d = len(self.shape)
+        flat = self._words(chain.from_iterable(rows))
+        return [int.from_bytes(flat[axis::d], "little") for axis in range(d)]
+
+    def rows(self, cols: list[int]):
+        """The rows of packed columns, as an iterator of tuples."""
+        nbytes = self.volume * self.size
+        return zip(*[_little(array(self.code, x.to_bytes(nbytes, "little"))) for x in cols])
+
+
+def _little(words: array) -> array:
+    """words, in place, from the host's byte order to little-endian or back."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _check_table(shape: tuple[int, ...], table) -> None:
+    """ValueError unless table holds one row per point of the grid, each
+    inside the grid."""
     volume = prod(shape)
-    for n, st in zip(shape, _strides(shape)):
-        if n == 1:
-            continue
-        for col in cols:
-            if st == 1:
-                # layer i of the last axis is the extended slice col[i::n]
-                for i in range(1, n):
-                    col[i::n] = [a if a > b else b for a, b in zip(col[i::n], col[i - 1 :: n])]
-                continue
-            for start in range(0, volume, st * n):
-                for i in range(start + st, start + st * n, st):
-                    col[i : i + st] = [
-                        a if a > b else b for a, b in zip(col[i : i + st], col[i - st : i])
-                    ]
+    if table is None or len(table) != volume:
+        got = None if table is None else len(table)
+        raise ValueError(f"table needs {volume} rows, got {got}")
+    bad = _first_outside(shape, table)
+    if bad is not None:
+        raise ValueError(f"table value {table[bad]} outside grid {shape}")
+
+
+def _running_max(lanes: _Lanes, cols: list[int]) -> None:
+    """Replace each packed column, in place, by its running maxima along
+    every axis: afterwards lane x holds the max of the old lanes y <= x.
+
+    A column is one int with a w-bit lane per point (see _Lanes). The top
+    bit of a lane is its guard: the width comes from the largest side, so
+    no value reaches it. Per axis a log-step prefix max: step k moves each
+    column up by k layers (k * stride lanes) and clears the lanes whose
+    coordinate on the axis is below k, which leaves 0, below every value.
+    Then t = ((x | H) - y) & H keeps the guard of the lanes where x >= y,
+    t - (t >> (w - 1)) widens it to a mask of the lane's value bits, and
+    the lane-wise max picks x under the mask and y elsewhere.
+    """
+    h, w = lanes.guards, lanes.bits
+    full = b"\xff" * lanes.size
+    for n, st in zip(lanes.shape, lanes.strides):
+        k = 1
+        while k < n:
+            keep, shift = lanes.layers(st, n, k, n, full), k * st * w
+            for i, x in enumerate(cols):
+                y = (x << shift) & keep
+                t = ((x | h) - y) & h
+                cols[i] = y ^ ((x ^ y) & (t - (t >> (w - 1))))
+            k *= 2
 
 
 def gen_random_monotone(shape, seed: int) -> Instance:
@@ -232,9 +309,10 @@ def gen_random_monotone(shape, seed: int) -> Instance:
     shape = tuple(shape)
     volume = full_box(shape).volume
     _check_dense(volume, "gen_random_monotone")
-    cols = SplitMix64(seed).grid_columns(shape, volume)
-    _running_max(shape, cols)
-    return Instance(shape=shape, kind=KIND_TABLE, table=tuple(zip(*cols)))
+    lanes = _Lanes(shape)
+    cols = list(map(lanes.pack, SplitMix64(seed).grid_columns(shape, volume)))
+    _running_max(lanes, cols)
+    return Instance(shape=shape, kind=KIND_TABLE, table=tuple(lanes.rows(cols)))
 
 
 def monotonize_table(shape, table) -> list[Point]:
@@ -242,10 +320,18 @@ def monotonize_table(shape, table) -> list[Point]:
 
     The result at x is the componentwise max of the input over all y <= x,
     so it is always monotone, and monotone inputs pass through unchanged.
+    The table must hold one in-grid row per point, as for an Instance,
+    else ValueError. The kernel packs each column into one int, a lane per
+    point, whose width comes from the largest side so that the lane's top
+    bit, its guard, stays clear; a value beyond the grid would spill into
+    the guard or the next lane.
     """
-    cols = [list(col) for col in zip(*table)]
-    _running_max(tuple(shape), cols)
-    return list(zip(*cols))
+    shape = tuple(shape)
+    _check_table(shape, table)
+    lanes = _Lanes(shape)
+    cols = lanes.columns(table)
+    _running_max(lanes, cols)
+    return list(lanes.rows(cols))
 
 
 def _values(inst: Instance):
@@ -262,24 +348,35 @@ def verify_monotone(inst: Instance) -> Violation | None:
     Only immediate-successor pairs (y = x + unit vector) are compared; by
     transitivity of the componentwise order that implies full monotonicity.
     The pair returned is the first in point order, then axis order.
+
+    Each column is packed into one int, a lane per point, whose width
+    comes from the largest side so that the top bit of every lane, its
+    guard, stays clear (see _Lanes). The column is compared with itself
+    moved down by one stride, which puts F(y)'s coordinate in x's lane:
+    ((y | H) - x) & H keeps the guard where F(y) >= F(x), and no lane
+    borrows from the next. Only after the subtract are the guards masked
+    to the lanes not on the axis's last layer, whose neighbour lane is the
+    next block's first layer or past the end. A guard left clear marks a
+    violation, and the lowest one is the axis's first.
     """
     _check_dense(inst.volume, "verify_monotone")
     shape = inst.shape
     table = _values(inst)
-    strides = _strides(shape)
-    cols = [list(map(itemgetter(axis), table)) for axis in range(len(shape))]
+    lanes = _Lanes(shape)
+    h, w = lanes.guards, lanes.bits
+    cols = lanes.columns(table)
     first = None  # (flat index of x, axis)
-    for axis, (n, st) in enumerate(zip(shape, strides)):
+    for axis, (n, st) in enumerate(zip(shape, lanes.strides)):
         if n == 1:
             continue
-        for col in cols:
-            # col[i] > col[i + st] is a violation unless x sits on the axis's
-            # last layer, where i + st is the next block's first layer
-            for i in compress(count(), map(gt, col, islice(col, st, None))):
-                if i // st % n != n - 1:
-                    if first is None or (i, axis) < first:
-                        first = (i, axis)
-                    break
+        inner = lanes.layers(st, n, 0, n - 1, lanes.guard)
+        bad = 0
+        for x in cols:
+            bad |= ~(((x >> st * w) | h) - x) & inner
+        if bad:
+            i = ((bad & -bad).bit_length() - 1) // w
+            if first is None or i < first[0]:
+                first = (i, axis)
     if first is None:
         return None
     i, axis = first
@@ -289,7 +386,7 @@ def verify_monotone(inst: Instance) -> Violation | None:
         coords.append(c + 1)
     x = tuple(reversed(coords))
     y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
-    return Violation(x, y, table[i], table[i + strides[axis]])
+    return Violation(x, y, table[i], table[i + lanes.strides[axis]])
 
 
 def fixed_points_bruteforce(inst: Instance) -> set[Point]:

@@ -135,6 +135,19 @@ def test_monotonize_running_max_1d():
     assert monotonize_table((3,), [(3,), (1,), (2,)]) == [(3,), (3,), (3,)]
 
 
+def test_monotonize_rejects_tables_that_do_not_fit_the_shape():
+    cases = [
+        ((3,), [(1,), (2,)], "table needs 3 rows, got 2"),
+        ((2, 2), [(1, 1)] * 5, "table needs 4 rows, got 5"),
+        ((2, 2), [(1,), (1,), (2,), (2,)], "table value (1,) outside grid (2, 2)"),
+        ((2, 2), [(3, 1), (1, 1), (2, 2), (2, 2)], "table value (3, 1) outside grid (2, 2)"),
+    ]
+    for shape, table, message in cases:
+        with pytest.raises(ValueError) as err:
+            monotonize_table(shape, table)
+        assert str(err.value) == message
+
+
 def test_monotonize_idempotent():
     for seed in range(20):
         inst = gen_random_monotone((3, 4, 3), seed)
@@ -304,9 +317,13 @@ def _monotonize_reference(shape, table):
     return vals
 
 
+# The last six sit at the packed kernel's lane widths: sides up to 127 fit
+# one-byte lanes with their guard bit, 128 to 32767 two-byte lanes, and
+# 32768 needs four-byte lanes.
 REFERENCE_SHAPES = [
     (1,), (2,), (7,), (1, 1), (1, 5), (5, 1), (3, 4), (1, 1, 1), (2, 1, 3),
     (3, 3, 3), (4, 2, 5), (1, 3, 1, 2), (2, 2, 2, 2), (3, 1, 2, 3),
+    (127,), (128,), (1, 129, 1), (3, 200), (2, 300, 3), (32768,),
 ]
 
 
