@@ -30,6 +30,15 @@ outer loop moved to an image.
 Each mirrored pair of cases is written once, for a direction sign s: s = +1
 reads its comparisons as written, s = -1 reads them in the order dual, which
 swaps upward with downward, i-upward with i-downward, and meet with join.
+
+The public steps solve_level, init_direction, shrink_once and
+small_case_step check their arguments and raise before any query. The outer
+loop meets those preconditions by construction, so its level path carries
+bare corners and ints and runs the same code with fewer checks: it checks
+each level against its box once, not once per axis, computes the shrink
+probe with central_level_point's arithmetic behind plain integer compares,
+and builds a Box only for a level that gets past init, for observer
+payloads and for the baselines.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .lattice import (
     Box,
     LabelSet,
     Point,
-    central_level_point,
+    central_level_point_unchecked,
     classify,
     glb,
     level_point,
@@ -70,7 +79,7 @@ _HIGH = 1
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LevelOutcome:
     """Result of one level: a fixed point, or an upward point with coordinate
     sum >= the level, or a downward point with sum <= the level. fvalue is
@@ -188,6 +197,12 @@ def _meet_outcome(s: int, points) -> LevelOutcome:
     return LevelOutcome(_kind(-s), glb(*points) if s > 0 else lub(*points))
 
 
+def _check_level_in_box(lo: Point, hi: Point, k: int) -> None:
+    """Raise InfeasibleLevelError unless level k meets the 3D box [lo, hi]."""
+    if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
+        raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
+
+
 def _segment_point(i: int, ci: int, j: int, cj: int, k: int) -> Point:
     """The point of level k with coordinates ci on axis i and cj on axis j."""
     q = [k - ci - cj] * 3
@@ -298,8 +313,8 @@ class LevelsetSolver:
     # -- outer loop -------------------------------------------------------
 
     def solve(self) -> Point:
-        """Run the full algorithm on the oracle's grid and return a verified
-        fixed point."""
+        """Run the full algorithm on the oracle's grid and return a fixed
+        point, one the oracle has answered with itself."""
         shape = self.oracle.instance.shape
         if len(shape) > 3:
             raise ValueError("the levelset solver handles at most 3 dimensions")
@@ -319,10 +334,11 @@ class LevelsetSolver:
                     lo_sum, hi_sum = sum(lo), sum(hi)
                     continue
                 # span >= 7 and no pinched side: k lies strictly inside
-                box = Box(lo, hi)
-                out = self._solve_level(box, (lo_sum + hi_sum + 1) // 2)
+                out = self._solve_level(lo, hi, (lo_sum + hi_sum + 1) // 2)
                 if out.kind == FIXED:
-                    return self._verified(out.point)
+                    # Only a query makes a FIXED outcome, and F of its point is the point.
+                    return out.point
+                before = lo, hi
                 if out.kind == UPWARD:
                     lo = out.point
                     lo_sum = sum(lo)
@@ -330,7 +346,9 @@ class LevelsetSolver:
                     hi = out.point
                     hi_sum = sum(hi)
                 if self.observer is not None:
-                    self.observer("recurse", {"before": box, "after": Box(lo, hi), "outcome": out})
+                    self.observer(
+                        "recurse", {"before": Box(*before), "after": Box(lo, hi), "outcome": out}
+                    )
                 if out.fvalue is not None:
                     pending = out
         except MonotonicityViolation as mv:
@@ -360,16 +378,6 @@ class LevelsetSolver:
         corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
         return (corner, hi) if out.kind == UPWARD else (lo, corner)
 
-    def _verified(self, point: Point) -> Point:
-        self._phase = PHASE_OUTER
-        self._level = -1
-        fp = self._oracle.query(point)
-        if fp != point:
-            raise MonotonicityViolation(
-                f"answer {point} failed its final check", implicated=((point, fp),)
-            )
-        return point
-
     def _baseline(self, phase: str, run, box: Box):
         """Run a baseline solver on the box, its queries traced under phase.
         Boxes with a pinched side (and grids below 3D) go to the binary
@@ -389,20 +397,23 @@ class LevelsetSolver:
             raise ValueError(f"level {k} must lie strictly inside {box.lo}..{box.hi}")
         if min(box.sides) < 2:
             raise ValueError("solve_level needs all box sides >= 2")
-        return self._solve_level(box, k)
+        return self._solve_level(box.lo, box.hi, k)
 
-    def _solve_level(self, box: Box, k: int) -> LevelOutcome:
-        """solve_level without its precondition checks, which the outer loop
-        meets by construction."""
+    def _solve_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
+        """solve_level on the box [lo, hi], without its checks on k and the
+        box sides, which the outer loop meets by construction; the level is
+        still checked against the box, once. No Box is built unless an
+        observer is attached or the level gets past init."""
         self._level = k
         observer = self.observer
         if observer is not None:
+            box = Box(lo, hi)
             before = self.oracle.distinct_queries
             observer("level_start", {"box": box, "k": k, "queries": before})
         try:
-            return self._run_level(box, k)
+            return self._run_level(lo, hi, k)
         except MonotonicityViolation as mv:
-            mv.extend(self._corner_pairs(box.lo, box.hi))
+            mv.extend(self._corner_pairs(lo, hi))
             raise
         finally:
             if observer is not None:
@@ -411,18 +422,23 @@ class LevelsetSolver:
                 })
             self._level = -1
 
-    def _run_level(self, box: Box, k: int) -> LevelOutcome:
+    def _run_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
+        _check_level_in_box(lo, hi, k)
+        extreme_search = self._extreme_search
         ups: list[tuple[Point, Point]] = []
         downs: list[tuple[Point, Point]] = []
         self._phase = PHASE_INIT
+        # The pairs of init_direction, axis by axis, with the level checked once.
         for axis in range(3):
-            res = self.init_direction(box, k, axis)
-            if isinstance(res, LevelOutcome):
-                return res
-            up_pair, down_pair = res
+            down_pair = extreme_search(lo, hi, k, axis, 1)
+            if isinstance(down_pair, LevelOutcome):
+                return down_pair
+            up_pair = extreme_search(lo, hi, k, axis, -1)
+            if isinstance(up_pair, LevelOutcome):
+                return up_pair
             ups.append(up_pair)
             downs.append(down_pair)
-        state = LevelState(box, k, ups, downs)
+        state = LevelState(Box(lo, hi), k, ups, downs)
         if self.observer is not None:
             self.observer("init_done", state.snapshot())
         while True:
@@ -452,10 +468,13 @@ class LevelsetSolver:
         """Both bounding points for one axis: an i-downward point with the
         largest possible i-coordinate on the level and an i-upward point with
         the smallest, or an early LevelOutcome if a search hits one. The
-        coordinate extremes make up(i)_i <= down(i)_i automatic."""
+        coordinate extremes make up(i)_i <= down(i)_i automatic.
+
+        Raises InfeasibleLevelError before any query when level k misses
+        the box. A level run makes the same two searches per axis and checks
+        its level once, not once per axis."""
         lo, hi = box.lo, box.hi
-        if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
-            raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
+        _check_level_in_box(lo, hi, k)
         down_pair = self._extreme_search(lo, hi, k, axis, 1)
         if isinstance(down_pair, LevelOutcome):
             return down_pair
@@ -561,9 +580,15 @@ class LevelsetSolver:
             )
         s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
         (l0, l1, l2), (r0, r1, r2) = view.ell, view.r
-        q = central_level_point(
-            (l0 + s0, l1 + s1, l2 + s2), (r0 - s0, r1 - s1, r2 - s2), state.k
-        )
+        a0, a1, a2 = l0 + s0, l1 + s1, l2 + s2
+        b0, b1, b2 = r0 - s0, r1 - s1, r2 - s2
+        lo_sum, hi_sum, k = a0 + a1 + a2, b0 + b1 + b2, state.k
+        # central_level_point's checks, as plain compares on the sums it needs.
+        if not (lo_sum <= k <= hi_sum and a0 <= b0 and a1 <= b1 and a2 <= b2):
+            raise InfeasibleLevelError(
+                f"no point with sum {k} inside {(a0, a1, a2)}..{(b0, b1, b2)}"
+            )
+        q = central_level_point_unchecked((a0, a1, a2), (b0, b1, b2), k, lo_sum, hi_sum)
         fq = self._oracle.query(q)
         res = self._apply_query(state, q, fq)
         if self.observer is not None:

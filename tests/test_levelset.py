@@ -2,10 +2,12 @@ import io
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from tarski.errors import InfeasibleLevelError, MonotonicityViolation
 from tarski.lattice import (
     Box,
+    central_level_point,
     classify,
     full_box,
     glb,
@@ -391,6 +393,33 @@ def test_shrink_strictly_decreases_phi():
     assert seen > 50
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(strategies.data())
+def test_shrink_probe_is_central_inside_the_sixth_step_bounds(data):
+    # On a random bounding state that search_space lets shrink_once probe,
+    # the probe lies on level k a sixth of each diameter inside both bounds
+    # of S, and it is central_level_point of those pulled-in bounds.
+    def above(point):
+        return tuple(c + data.draw(strategies.integers(0, 80)) for c in point)
+
+    lo = tuple(data.draw(strategies.integers(1, 1 << 20)) for _ in range(3))
+    a = above(lo)
+    b = above(a)
+    hi = above(b)
+    k = data.draw(strategies.integers(sum(a), sum(b)))
+    state = state_from_coords(Box(lo, hi), k, a, b)
+    view = search_space(state)
+    assume(min(view.dia) >= 2 and max(view.dia) >= 6)
+    oracle = _ScriptedOracle({}, fallback=lambda q: q)
+    LevelsetSolver(oracle).shrink_once(state, view)
+    (q,) = oracle.order
+    step = tuple(-(-d // 6) for d in view.dia)
+    lower = tuple(c + s for c, s in zip(view.ell, step))
+    upper = tuple(c - s for c, s in zip(view.r, step))
+    assert norm1(q) == k and leq(lower, q) and leq(q, upper)
+    assert q == central_level_point(lower, upper, k)
+
+
 def test_small_case_progress():
     seen = 0
     for inst in shrink_exercisers():
@@ -409,7 +438,7 @@ def test_shrink_probe_spec_example():
     # bounds (1,1,1)..(7,7,7) with dia (6,6,6) at level 12: the probe is the
     # central level point (4,4,4) of the shrunken bounds [2..6]^3; their
     # greedy level point (6,4,2) would sit on the bounds of axes 0 and 2
-    from tarski.lattice import central_level_point, level_point
+    from tarski.lattice import level_point
 
     assert level_point((2, 2, 2), (6, 6, 6), 12) == (6, 4, 2)
     assert central_level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 
 import pytest
 
@@ -287,18 +288,35 @@ def test_splitmix64_reference_stream():
     ]
 
 
+def _strides(shape):
+    """Flat-index step of one unit along each axis, first axis slowest."""
+    strides = [1] * len(shape)
+    for axis in range(len(shape) - 1, 0, -1):
+        strides[axis - 1] = strides[axis] * shape[axis]
+    return strides
+
+
 def _verify_monotone_reference(inst):
     """The point-by-point verify_monotone the column scan replaced: x in
-    lexicographic order, then axis; the first violating pair wins."""
-    d = len(inst.shape)
-    for x in iter_box(full_box(inst.shape)):
-        fx = inst.value(x)
-        for axis in range(d):
-            if x[axis] == inst.shape[axis]:
+    lexicographic order, then axis; the first violating pair wins.
+
+    Walks flat indices, so the successor of x along an axis sits one stride
+    further on; the rows of a table are read directly, a target instance
+    is evaluated at every point first."""
+    shape = inst.shape
+    if inst.kind == "table":
+        rows = inst.table
+    else:
+        rows = [inst.value(x) for x in iter_box(full_box(shape))]
+    axes = list(zip(shape, _strides(shape)))
+    for idx, fx in enumerate(rows):
+        for n, stride in axes:
+            if idx // stride % n == n - 1:
                 continue
-            y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
-            fy = inst.value(y)
-            if any(a > b for a, b in zip(fx, fy)):
+            fy = rows[idx + stride]
+            if not all(map(operator.le, fx, fy)):
+                x = tuple(idx // st % m + 1 for m, st in axes)
+                y = tuple((idx + stride) // st % m + 1 for m, st in axes)
                 return Violation(x, y, fx, fy)
     return None
 
@@ -306,9 +324,7 @@ def _verify_monotone_reference(inst):
 def _monotonize_reference(shape, table):
     """The tuple-by-tuple running maxima the column kernel replaced."""
     vals = list(table)
-    strides = [1] * len(shape)
-    for axis in range(len(shape) - 1, 0, -1):
-        strides[axis - 1] = strides[axis] * shape[axis]
+    strides = _strides(shape)
     for axis, n in enumerate(shape):
         st = strides[axis]
         for idx in range(len(vals)):

@@ -33,7 +33,7 @@ from tarski.levelset import LevelsetSolver, LevelState, find_configuration, solv
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
-DIGEST = "deb86bd6750b5e8612933492e1e4a8fa2fcd28c5b5109e24348010a424c024a1"
+DIGEST = "7565fab1e5d9039cb06e9b37823a454a8959fad9c25313a14901929dc270b2e7"
 CONFIG_DIGEST = "7bfca45c226f25fbc17c0c1d0758f28da29e8c3975ebba0ff84b00be7fc97b47"
 SOLVE_DIGEST = "f86cbe92891a865c5b6071d2049e7e7fb039a96023113b354950e58c37701504"
 DQY_DIGEST = "9c5dabd106c7e1b3095684fcb53d0286454a7bc31ea2fa6b39726c51f14f650d"
