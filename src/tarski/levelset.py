@@ -34,11 +34,11 @@ swaps upward with downward, i-upward with i-downward, and meet with join.
 The public steps solve_level, init_direction, shrink_once and
 small_case_step check their arguments and raise before any query. The outer
 loop meets those preconditions by construction, so its level path carries
-bare corners and ints and runs the same code with fewer checks: it checks
-each level against its box once, not once per axis, computes the shrink
-probe with central_level_point's arithmetic behind plain integer compares,
-and builds a Box only for a level that gets past init, for observer
-payloads and for the baselines.
+bare corners and ints and runs the same code with fewer checks: it does not
+check its level against its box, which holds it strictly inside, computes
+the shrink probe with central_level_point's arithmetic behind plain integer
+compares, and builds a Box only for a level that gets past init, for
+observer payloads and for the baselines.
 """
 
 from __future__ import annotations
@@ -195,12 +195,6 @@ def _meet_outcome(s: int, points) -> LevelOutcome:
     """The meet of the points as a downward certificate for s = +1, their
     join as an upward one for s = -1."""
     return LevelOutcome(_kind(-s), glb(*points) if s > 0 else lub(*points))
-
-
-def _check_level_in_box(lo: Point, hi: Point, k: int) -> None:
-    """Raise InfeasibleLevelError unless level k meets the 3D box [lo, hi]."""
-    if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
-        raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
 
 
 def _segment_point(i: int, ci: int, j: int, cj: int, k: int) -> Point:
@@ -401,9 +395,10 @@ class LevelsetSolver:
 
     def _solve_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
         """solve_level on the box [lo, hi], without its checks on k and the
-        box sides, which the outer loop meets by construction; the level is
-        still checked against the box, once. No Box is built unless an
-        observer is attached or the level gets past init."""
+        box sides, which the outer loop meets by construction: level k lies
+        strictly inside the box, so it is not checked against it either. No
+        Box is built unless an observer is attached or the level gets past
+        init."""
         self._level = k
         observer = self.observer
         if observer is not None:
@@ -423,12 +418,11 @@ class LevelsetSolver:
             self._level = -1
 
     def _run_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
-        _check_level_in_box(lo, hi, k)
         extreme_search = self._extreme_search
         ups: list[tuple[Point, Point]] = []
         downs: list[tuple[Point, Point]] = []
         self._phase = PHASE_INIT
-        # The pairs of init_direction, axis by axis, with the level checked once.
+        # The pairs of init_direction, axis by axis, without its level check.
         for axis in range(3):
             down_pair = extreme_search(lo, hi, k, axis, 1)
             if isinstance(down_pair, LevelOutcome):
@@ -471,10 +465,11 @@ class LevelsetSolver:
         coordinate extremes make up(i)_i <= down(i)_i automatic.
 
         Raises InfeasibleLevelError before any query when level k misses
-        the box. A level run makes the same two searches per axis and checks
-        its level once, not once per axis."""
+        the box. A level run makes the same two searches per axis, on a
+        level that lies strictly inside its box, so it skips this check."""
         lo, hi = box.lo, box.hi
-        _check_level_in_box(lo, hi, k)
+        if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
+            raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
         down_pair = self._extreme_search(lo, hi, k, axis, 1)
         if isinstance(down_pair, LevelOutcome):
             return down_pair

@@ -15,7 +15,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import prod
 from operator import itemgetter
 
@@ -53,8 +53,7 @@ class Instance:
     table: tuple[Point, ...] | None = None
 
     def __post_init__(self):
-        if not self.shape or any(n < 1 for n in self.shape):
-            raise ValueError(f"invalid shape {self.shape}")
+        _check_shape(self.shape)
         if self.kind == KIND_TARGET:
             if self.target is None or not self.contains(self.target):
                 raise ValueError(f"target {self.target} outside grid {self.shape}")
@@ -181,24 +180,6 @@ def _strides(shape) -> list[int]:
     return strides
 
 
-def _first_outside(shape, rows) -> int | None:
-    """Index of the first row outside the grid, or None if there is none.
-
-    Each axis's column is checked by its min and max; the rows are scanned
-    one by one only to name a failure.
-    """
-    d = len(shape)
-    if set(map(len, rows)) == {d} and all(
-        1 <= min(map(itemgetter(axis), rows)) and max(map(itemgetter(axis), rows)) <= n
-        for axis, n in enumerate(shape)
-    ):
-        return None
-    for i, row in enumerate(rows):
-        if len(row) != d or any(not 1 <= c <= n for c, n in zip(row, shape)):
-            return i
-    return None
-
-
 class _Lanes:
     """Columns of a grid's points packed into one int each, one lane per
     point, lowest lane first.
@@ -261,16 +242,33 @@ def _little(words: array) -> array:
     return words
 
 
+def _check_shape(shape) -> None:
+    """ValueError unless shape has at least one side and every side is
+    positive."""
+    if not shape or any(n < 1 for n in shape):
+        raise ValueError(f"invalid shape {shape}")
+
+
 def _check_table(shape: tuple[int, ...], table) -> None:
     """ValueError unless table holds one row per point of the grid, each
-    inside the grid."""
+    inside the grid.
+
+    Each axis's column is checked by its min and max; the rows are scanned
+    one by one only to name the first that fails.
+    """
     volume = prod(shape)
     if table is None or len(table) != volume:
         got = None if table is None else len(table)
         raise ValueError(f"table needs {volume} rows, got {got}")
-    bad = _first_outside(shape, table)
-    if bad is not None:
-        raise ValueError(f"table value {table[bad]} outside grid {shape}")
+    d = len(shape)
+    if set(map(len, table)) == {d} and all(
+        1 <= min(map(itemgetter(axis), table)) and max(map(itemgetter(axis), table)) <= n
+        for axis, n in enumerate(shape)
+    ):
+        return
+    for row in table:
+        if len(row) != d or any(not 1 <= c <= n for c, n in zip(row, shape)):
+            raise ValueError(f"table value {row} outside grid {shape}")
 
 
 def _running_max(lanes: _Lanes, cols: list[int]) -> None:
@@ -320,13 +318,14 @@ def monotonize_table(shape, table) -> list[Point]:
 
     The result at x is the componentwise max of the input over all y <= x,
     so it is always monotone, and monotone inputs pass through unchanged.
-    The table must hold one in-grid row per point, as for an Instance,
-    else ValueError. The kernel packs each column into one int, a lane per
-    point, whose width comes from the largest side so that the lane's top
-    bit, its guard, stays clear; a value beyond the grid would spill into
-    the guard or the next lane.
+    The shape and the table must be valid for an Instance, one in-grid row
+    per point, else ValueError. The kernel packs each column into one int,
+    a lane per point, whose width comes from the largest side so that the
+    lane's top bit, its guard, stays clear; a value beyond the grid would
+    spill into the guard or the next lane.
     """
     shape = tuple(shape)
+    _check_shape(shape)
     _check_table(shape, table)
     lanes = _Lanes(shape)
     cols = lanes.columns(table)
@@ -423,29 +422,40 @@ def _parse_ints(path, lineno: int, text: str, label: str) -> tuple[int, ...]:
     raise InstanceFormatError(path, lineno, f"malformed {label}: {text!r}")
 
 
-def _table_rows(shape, lines: list[str], start: int) -> tuple[Point, ...] | None:
-    """lines[start:] as table rows, or None unless each line holds len(shape)
+def _table_rows(path, shape, lines: list[str], start: int) -> tuple[Point, ...]:
+    """The table rows in lines[start : start + volume], as many of them as
+    there are lines; InstanceFormatError at the first that is not len(shape)
     canonical decimals, each inside its axis's range.
 
     Lines are read _CHUNK_ROWS at a time, joined by " \\n " and split once.
     Each axis's tokens are looked up in a map from the decimals of 1..n to
     their values, so any other token, "\\n" included, is a KeyError. With
     d + 1 tokens per line but the last, that leaves every "\\n" after the
-    d-th token of a line, so each line holds d tokens.
+    d-th token of a line, so each line holds d tokens. A chunk thus passes
+    exactly when every line of it is a valid row: all chunks before the
+    first that fails are clean, and reading just that chunk again line by
+    line names the first bad line of the file.
     """
     d = len(shape)
     values = {n: {str(c): c for c in range(1, n + 1)} for n in set(shape)}
     lookups = [values[n].__getitem__ for n in shape]
     rows: list[Point] = []
-    for i in range(start, len(lines), _CHUNK_ROWS):
-        chunk = lines[i : i + _CHUNK_ROWS]
+    stop = min(len(lines), start + prod(shape))
+    for i in range(start, stop, _CHUNK_ROWS):
+        chunk = lines[i : min(i + _CHUNK_ROWS, stop)]
         tokens = " \n ".join(chunk).split(" ")
-        if len(tokens) != (d + 1) * len(chunk) - 1:
-            return None
-        try:
-            rows += zip(*[map(get, tokens[axis :: d + 1]) for axis, get in enumerate(lookups)])
-        except KeyError:
-            return None
+        if len(tokens) == (d + 1) * len(chunk) - 1:
+            try:
+                rows += zip(*[map(get, tokens[axis :: d + 1]) for axis, get in enumerate(lookups)])
+                continue
+            except KeyError:
+                pass
+        for lineno, text in enumerate(chunk, i + 1):
+            row = _parse_ints(path, lineno, text, "table row")
+            if len(row) != d:
+                raise InstanceFormatError(path, lineno, f"expected {d} values per row")
+            if any(not 1 <= c <= n for c, n in zip(row, shape)):
+                raise InstanceFormatError(path, lineno, f"value {row} outside grid")
     return tuple(rows)
 
 
@@ -464,6 +474,9 @@ def load_instance(path) -> Instance:
     digits: no sign, leading zero, underscore or non-ASCII digit), and the
     numbers of a line are separated by single spaces. A file that breaks
     the format raises InstanceFormatError naming its first offending line.
+    _table_rows reads the table rows and names the first bad one; a missing
+    row and content past the last row are checked after it, as they come
+    later in the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -482,31 +495,29 @@ def load_instance(path) -> Instance:
             raise InstanceFormatError(path, idx + 1, f"missing {what}")
         return lines[idx]
 
+    def numbers(idx: int, word: str, label: str, form: str = "...") -> tuple[int, ...]:
+        """The numbers of line idx + 1, which starts with word and a space."""
+        text = need(idx, f"{label} line")
+        if not text.startswith(word + " "):
+            raise InstanceFormatError(path, idx + 1, f"expected '{word} {form}', got {text!r}")
+        return _parse_ints(path, idx + 1, text[len(word) + 1 :], label)
+
     if need(0, "header") != FORMAT_MAGIC:
         raise InstanceFormatError(path, 1, f"expected {FORMAT_MAGIC!r}")
-    dline = need(1, "dimension line")
-    if not dline.startswith("d "):
-        raise InstanceFormatError(path, 2, f"expected 'd <dimension>', got {dline!r}")
-    dims = _parse_ints(path, 2, dline[2:], "dimension")
+    dims = numbers(1, "d", "dimension", "<dimension>")
     if len(dims) != 1:
-        raise InstanceFormatError(path, 2, f"malformed dimension: {dline[2:]!r}")
+        raise InstanceFormatError(path, 2, f"malformed dimension: {lines[1][2:]!r}")
     (d,) = dims
     if d < 1:
         raise InstanceFormatError(path, 2, f"dimension must be positive, got {d}")
-    sline = need(2, "shape line")
-    if not sline.startswith("shape "):
-        raise InstanceFormatError(path, 3, f"expected 'shape ...', got {sline!r}")
-    shape = _parse_ints(path, 3, sline[6:], "shape")
+    shape = numbers(2, "shape", "shape")
     if len(shape) != d:
         raise InstanceFormatError(path, 3, f"expected {d} shape entries, got {len(shape)}")
     if any(n < 1 for n in shape):
         raise InstanceFormatError(path, 3, f"shape sides must be positive: {shape}")
     kline = need(3, "kind line")
     if kline == "kind target":
-        tline = need(4, "target line")
-        if not tline.startswith("target "):
-            raise InstanceFormatError(path, 5, f"expected 'target ...', got {tline!r}")
-        target = _parse_ints(path, 5, tline[7:], "target")
+        target = numbers(4, "target", "target")
         if len(target) != d:
             raise InstanceFormatError(path, 5, f"expected {d} target entries")
         if len(lines) > 5:
@@ -517,30 +528,11 @@ def load_instance(path) -> Instance:
     if kline == "kind table":
         volume = prod(shape)
         _check_dense(volume, "loading a table instance")
-        if len(lines) == 4 + volume:
-            table = _table_rows(shape, lines, 4)
-            if table is not None:
-                return Instance(shape=shape, kind=KIND_TABLE, table=table)
-        # some line breaks the format: read line by line to name the first
-        rows = []
-        try:
-            for lineno, text in enumerate(islice(lines, 4, 4 + volume), 5):
-                row = _parse_ints(path, lineno, text, "table row")
-                if len(row) != d:
-                    raise InstanceFormatError(path, lineno, f"expected {d} values per row")
-                rows.append(row)
-            if len(rows) < volume:
-                got = len(rows)
-                raise InstanceFormatError(path, 5 + got, f"missing table row {got + 1}")
-            if len(lines) > 4 + volume:
-                raise InstanceFormatError(path, 5 + volume, "unexpected trailing content")
-            # Instance validation is the one range check of the rows
-            return Instance(shape=shape, kind=KIND_TABLE, table=tuple(rows))
-        except ValueError:
-            # the first error in file order: an out-of-grid row before the
-            # line that failed, or else that line's own error
-            bad = _first_outside(shape, rows)
-            if bad is None:
-                raise
-            raise InstanceFormatError(path, 5 + bad, f"value {rows[bad]} outside grid") from None
+        table = _table_rows(path, shape, lines, 4)
+        if len(table) < volume:
+            got = len(table)
+            raise InstanceFormatError(path, 5 + got, f"missing table row {got + 1}")
+        if len(lines) > 4 + volume:
+            raise InstanceFormatError(path, 5 + volume, "unexpected trailing content")
+        return Instance(shape=shape, kind=KIND_TABLE, table=table)
     raise InstanceFormatError(path, 4, f"expected 'kind target' or 'kind table', got {kline!r}")

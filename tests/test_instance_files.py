@@ -143,3 +143,34 @@ def test_load_matches_the_reference_loader(data):
             save_instance(got, path)
             with open(path, encoding="utf-8", newline="") as fh:
                 assert fh.read() == (text if text.endswith("\n") else text + "\n")
+
+
+def test_load_names_bad_rows_across_chunk_boundaries(tmp_path):
+    # a 33 x 33 table has 1,089 rows, more than one chunk of load_instance's
+    # reader (1,024 rows); row r is on line 4 + r. Each case replaces some
+    # rows and keeps the first `keep` of them.
+    path = tmp_path / "inst.txt"
+    save_instance(gen_random_monotone((33, 33), 7), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    head, rows = lines[:4], lines[4:-1]
+    cases = [
+        # the last row of the first chunk and the first of the second
+        ({1024: "1 02"}, 1089, 1028, "malformed table row: '1 02'"),
+        ({1024: "34 1"}, 1089, 1028, "value (34, 1) outside grid"),
+        ({1025: "1 02"}, 1089, 1029, "malformed table row: '1 02'"),
+        ({1025: "1"}, 1089, 1029, "expected 2 values per row"),
+        # an out-of-grid row in the first chunk before a malformed one in
+        # the second
+        ({500: "0 1", 1030: "x"}, 1089, 504, "value (0, 1) outside grid"),
+        # the file ends inside the second chunk
+        ({}, 1050, 1055, "missing table row 1051"),
+        # a long row and then a short one: the second chunk has as many
+        # tokens as its lines should hold
+        ({1040: "1 1 1", 1041: "1"}, 1089, 1044, "expected 2 values per row"),
+    ]
+    for edits, keep, line, reason in cases:
+        body = [edits.get(r, text) for r, text in enumerate(rows, 1)][:keep]
+        text = "\n".join(head + body) + "\n"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_instance, path) == (line, reason), (edits, keep)
+        assert _outcome(_load_reference, text) == (line, reason), (edits, keep)

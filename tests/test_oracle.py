@@ -142,6 +142,11 @@ def test_monotonize_rejects_tables_that_do_not_fit_the_shape():
         ((2, 2), [(1, 1)] * 5, "table needs 4 rows, got 5"),
         ((2, 2), [(1,), (1,), (2,), (2,)], "table value (1,) outside grid (2, 2)"),
         ((2, 2), [(3, 1), (1, 1), (2, 2), (2, 2)], "table value (3, 1) outside grid (2, 2)"),
+        ((2, 0), [], "invalid shape (2, 0)"),
+        ((0,), [], "invalid shape (0,)"),
+        ((0, 3), [], "invalid shape (0, 3)"),
+        ((-1,), [], "invalid shape (-1,)"),
+        ((), [()], "invalid shape ()"),
     ]
     for shape, table, message in cases:
         with pytest.raises(ValueError) as err:
