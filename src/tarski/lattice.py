@@ -83,11 +83,17 @@ class Box:
         return math.prod(self.sides)
 
 
+def _check_shape(shape: tuple[int, ...]) -> None:
+    """ValueError unless shape has at least one side and every side is
+    positive: the one shape check of full_box and of the instances."""
+    if not shape or any(n < 1 for n in shape):
+        raise ValueError(f"invalid shape {shape}")
+
+
 def full_box(shape) -> Box:
     """The whole grid [1, n_1] x ... x [1, n_d] as a box."""
     shape = tuple(shape)
-    if not shape or any(n < 1 for n in shape):
-        raise ValueError(f"invalid grid shape {shape}")
+    _check_shape(shape)
     return Box((1,) * len(shape), shape)
 
 

@@ -20,7 +20,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import CapacityError, InstanceFormatError, Violation
-from .lattice import Point, full_box, iter_box
+from .lattice import Point, _check_shape, full_box, iter_box
 from .rng import SplitMix64
 
 MAX_DENSE_POINTS = 10**6
@@ -45,6 +45,11 @@ class Instance:
     single fixed point ``target``; evaluated lazily so sides can be huge.
     table kind: explicit F-values in lexicographic point order (first
     coordinate slowest); not necessarily monotone.
+
+    A table is checked once, one row per point and each row inside the
+    grid: by this constructor, for tables from outside the library, or by
+    gen_random_monotone and load_instance, which check their own shape and
+    rows as they build them and then call _checked_table.
     """
 
     shape: tuple[int, ...]
@@ -242,13 +247,6 @@ def _little(words: array) -> array:
     return words
 
 
-def _check_shape(shape) -> None:
-    """ValueError unless shape has at least one side and every side is
-    positive."""
-    if not shape or any(n < 1 for n in shape):
-        raise ValueError(f"invalid shape {shape}")
-
-
 def _check_table(shape: tuple[int, ...], table) -> None:
     """ValueError unless table holds one row per point of the grid, each
     inside the grid.
@@ -269,6 +267,17 @@ def _check_table(shape: tuple[int, ...], table) -> None:
     for row in table:
         if len(row) != d or any(not 1 <= c <= n for c, n in zip(row, shape)):
             raise ValueError(f"table value {row} outside grid {shape}")
+
+
+def _checked_table(shape: tuple[int, ...], table: tuple[Point, ...]) -> Instance:
+    """The table Instance of a shape and rows the caller has checked as
+    Instance would, built without running that check again."""
+    inst = object.__new__(Instance)
+    object.__setattr__(inst, "shape", shape)
+    object.__setattr__(inst, "kind", KIND_TABLE)
+    object.__setattr__(inst, "target", None)
+    object.__setattr__(inst, "table", table)
+    return inst
 
 
 def _running_max(lanes: _Lanes, cols: list[int]) -> None:
@@ -302,15 +311,18 @@ def gen_random_monotone(shape, seed: int) -> Instance:
 
     Draws a uniform random raw table from a splitmix64 stream (one draw per
     coordinate, points in lexicographic order), then monotonizes it with
-    running maxima. Same seed, same instance, on any platform.
+    running maxima. Same seed, same instance, on any platform. Every draw
+    lies in 1..n for its axis and a running max keeps it there, so the
+    table is in the grid without a check.
     """
     shape = tuple(shape)
-    volume = full_box(shape).volume
+    _check_shape(shape)
+    volume = prod(shape)
     _check_dense(volume, "gen_random_monotone")
     lanes = _Lanes(shape)
     cols = list(map(lanes.pack, SplitMix64(seed).grid_columns(shape, volume)))
     _running_max(lanes, cols)
-    return Instance(shape=shape, kind=KIND_TABLE, table=tuple(lanes.rows(cols)))
+    return _checked_table(shape, tuple(lanes.rows(cols)))
 
 
 def monotonize_table(shape, table) -> list[Point]:
@@ -435,6 +447,9 @@ def _table_rows(path, shape, lines: list[str], start: int) -> tuple[Point, ...]:
     exactly when every line of it is a valid row: all chunks before the
     first that fails are clean, and reading just that chunk again line by
     line names the first bad line of the file.
+
+    This is the only check on a loaded table's rows: load_instance hands
+    them to _checked_table, which does not check them again.
     """
     d = len(shape)
     values = {n: {str(c): c for c in range(1, n + 1)} for n in set(shape)}
@@ -534,5 +549,5 @@ def load_instance(path) -> Instance:
             raise InstanceFormatError(path, 5 + got, f"missing table row {got + 1}")
         if len(lines) > 4 + volume:
             raise InstanceFormatError(path, 5 + volume, "unexpected trailing content")
-        return Instance(shape=shape, kind=KIND_TABLE, table=table)
+        return _checked_table(shape, table)
     raise InstanceFormatError(path, 4, f"expected 'kind target' or 'kind table', got {kline!r}")

@@ -154,6 +154,22 @@ def test_monotonize_rejects_tables_that_do_not_fit_the_shape():
         assert str(err.value) == message
 
 
+def test_every_caller_gives_the_one_shape_message():
+    # monotonize_table, Instance, gen_random_monotone and full_box run the
+    # same shape check
+    for shape in [(2, 0), (0,), (0, 3), (-1,), ()]:
+        callers = [
+            lambda: monotonize_table(shape, []),
+            lambda: Instance(shape=shape, kind="table", table=()),
+            lambda: gen_random_monotone(shape, 1),
+            lambda: full_box(shape),
+        ]
+        for call in callers:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"invalid shape {shape}"
+
+
 def test_monotonize_idempotent():
     for seed in range(20):
         inst = gen_random_monotone((3, 4, 3), seed)
@@ -171,6 +187,20 @@ def test_gen_random_monotone_deterministic():
     assert a.table == b.table
     c = gen_random_monotone((3, 3, 3), 12346)
     assert c.table != a.table
+
+
+def test_gen_tables_pass_the_public_constructor():
+    # gen builds its Instance without the table check; the public
+    # constructor accepts the same table and gives an equal instance with
+    # the same fields set (a field left unset would read its class default).
+    # The shapes take 1-, 2- and 4-byte lanes.
+    for shape in [(1,), (1, 1, 1), (130, 3), (3, 300, 2), (40000,), (24, 24, 24)]:
+        for seed in range(3):
+            g = gen_random_monotone(shape, seed)
+            checked = Instance(shape=shape, kind="table", table=g.table)
+            assert checked == g, (shape, seed)
+            assert hash(checked) == hash(g), (shape, seed)
+            assert vars(checked) == vars(g), (shape, seed)
 
 
 def test_gen_random_monotone_capacity():
@@ -265,6 +295,31 @@ def test_load_rejects_out_of_grid_table_value(tmp_path):
     with pytest.raises(InstanceFormatError) as err:
         load_instance(_write(tmp_path, body))
     assert err.value.line == 6
+
+
+def test_load_checks_each_axis_range_on_unequal_sides(tmp_path):
+    # on a 2 x 5 x 3 grid each axis has its own range: 3 is in range on
+    # axis 1 but not on axis 0, 4 is out of range on the last axis. Row r
+    # of the table is on line 4 + r.
+    shape = (2, 5, 3)
+    points = tuple(iter_box(full_box(shape)))
+    head = "tarski-instance v1\nd 3\nshape 2 5 3\nkind table\n"
+    rows = [" ".join(map(str, x)) for x in points]
+    assert rows[-1] == "2 5 3"
+    inst = load_instance(_write(tmp_path, head + "\n".join(rows) + "\n"))
+    assert inst == Instance(shape=shape, kind="table", table=points)
+    cases = [
+        ({1: "3 1 1"}, 5, "value (3, 1, 1) outside grid"),
+        ({7: "3 1 1"}, 11, "value (3, 1, 1) outside grid"),
+        ({12: "1 1 4"}, 16, "value (1, 1, 4) outside grid"),
+        ({30: "1 1 4"}, 34, "value (1, 1, 4) outside grid"),
+        ({9: "1 1 4", 20: "3 1 1"}, 13, "value (1, 1, 4) outside grid"),
+    ]
+    for edits, line, reason in cases:
+        body = [edits.get(r, text) for r, text in enumerate(rows, 1)]
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(_write(tmp_path, head + "\n".join(body) + "\n"))
+        assert (err.value.line, err.value.reason) == (line, reason), edits
 
 
 def test_load_rejects_non_utf8_bytes_with_their_line(tmp_path):
