@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import nullcontext
 
 import click
 
@@ -25,12 +26,9 @@ BENCH_HEADER = "algo,shape,N,seed,queries,verified,wall_time_ms"
 
 def _parse_coords(text: str, label: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"{label} must be comma-separated integers, got {text!r}")
-    if not coords:
-        raise click.UsageError(f"{label} must not be empty")
-    return coords
 
 
 def _fmt_point(p) -> str:
@@ -119,17 +117,10 @@ def cmd_solve(instance_path, shape, target, algo, trace_path, verify_certificate
         )
     counted = orc.CountedOracle(inst)
     try:
-        trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    except OSError as exc:
-        _cannot_write(trace_path, exc)
-    try:
-        try:
+        with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:
             point = _run_algo(algo, counted, verify_certificates, trace)
-        finally:
-            if trace is not None:
-                trace.close()
     except OSError as exc:
-        # Only the trace file does I/O during a solve.
+        # Only the trace file does I/O: opening it, writing it during a solve, closing it.
         _cannot_write(trace_path, exc)
     click.echo(f"fixed_point = {_fmt_point(point)}")
     click.echo(f"queries = {counted.distinct_queries}")

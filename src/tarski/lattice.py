@@ -84,9 +84,10 @@ class Box:
 
 
 def _check_shape(shape: tuple[int, ...]) -> None:
-    """ValueError unless shape has at least one side and every side is
-    positive: the one shape check of full_box and of the instances."""
-    if not shape or any(n < 1 for n in shape):
+    """ValueError unless shape is a tuple of at least one side and every
+    side is a positive int: the one shape check of full_box and of the
+    instances."""
+    if type(shape) is not tuple or not shape or any(type(n) is not int or n < 1 for n in shape):
         raise ValueError(f"invalid shape {shape}")
 
 

@@ -31,14 +31,14 @@ Each mirrored pair of cases is written once, for a direction sign s: s = +1
 reads its comparisons as written, s = -1 reads them in the order dual, which
 swaps upward with downward, i-upward with i-downward, and meet with join.
 
-The public steps solve_level, init_direction, shrink_once and
-small_case_step check their arguments and raise before any query. The outer
-loop meets those preconditions by construction, so its level path carries
-bare corners and ints and runs the same code with fewer checks: it does not
-check its level against its box, which holds it strictly inside, computes
-the shrink probe with central_level_point's arithmetic behind plain integer
-compares, and builds a Box only for a level that gets past init, for
-observer payloads and for the baselines.
+A level has one path, the one solve runs: _solve_level on bare corners
+and a level the outer loop holds strictly inside its box, which makes the
+six init searches, then the shrink and small steps, then the configuration
+resolution. It checks neither its level nor its box sides, which the outer
+loop meets by construction, and it builds a Box only for a level that gets
+past init, for observer payloads and for the baselines. Of the steps only
+shrink_once and small_case_step check an argument, the diameters of their
+view, and raise before any query when those rule the step out.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baseline import brute_solve, dqy_solve
-from .errors import InfeasibleLevelError, MonotonicityViolation
+from .errors import MonotonicityViolation
 from .lattice import (
     Box,
     LabelSet,
@@ -56,7 +56,6 @@ from .lattice import (
     glb,
     level_point,
     lub,
-    norm1,
 )
 
 FIXED = "fixed"
@@ -384,21 +383,12 @@ class LevelsetSolver:
 
     # -- one level --------------------------------------------------------
 
-    def solve_level(self, box: Box, k: int) -> LevelOutcome:
-        """Find an upward point at-or-above level k or a downward point
-        at-or-below it, inside a box with certified corners."""
-        if not norm1(box.lo) < k < norm1(box.hi):
-            raise ValueError(f"level {k} must lie strictly inside {box.lo}..{box.hi}")
-        if min(box.sides) < 2:
-            raise ValueError("solve_level needs all box sides >= 2")
-        return self._solve_level(box.lo, box.hi, k)
-
     def _solve_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
-        """solve_level on the box [lo, hi], without its checks on k and the
-        box sides, which the outer loop meets by construction: level k lies
-        strictly inside the box, so it is not checked against it either. No
-        Box is built unless an observer is attached or the level gets past
-        init."""
+        """Find an upward point at-or-above level k or a downward point
+        at-or-below it, inside the box [lo, hi] with certified corners. The
+        caller holds k strictly inside the box and every side >= 2, as the
+        outer loop does by construction; neither is checked. No Box is built
+        unless an observer is attached or the level gets past init."""
         self._level = k
         observer = self.observer
         if observer is not None:
@@ -422,7 +412,7 @@ class LevelsetSolver:
         ups: list[tuple[Point, Point]] = []
         downs: list[tuple[Point, Point]] = []
         self._phase = PHASE_INIT
-        # The pairs of init_direction, axis by axis, without its level check.
+        # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
         for axis in range(3):
             down_pair = extreme_search(lo, hi, k, axis, 1)
             if isinstance(down_pair, LevelOutcome):
@@ -457,26 +447,6 @@ class LevelsetSolver:
         return self.resolve_third(cfg, k)
 
     # -- initialization ---------------------------------------------------
-
-    def init_direction(self, box: Box, k: int, axis: int):
-        """Both bounding points for one axis: an i-downward point with the
-        largest possible i-coordinate on the level and an i-upward point with
-        the smallest, or an early LevelOutcome if a search hits one. The
-        coordinate extremes make up(i)_i <= down(i)_i automatic.
-
-        Raises InfeasibleLevelError before any query when level k misses
-        the box. A level run makes the same two searches per axis, on a
-        level that lies strictly inside its box, so it skips this check."""
-        lo, hi = box.lo, box.hi
-        if not lo[0] + lo[1] + lo[2] <= k <= hi[0] + hi[1] + hi[2]:
-            raise InfeasibleLevelError(f"level {k} misses box {lo}..{hi}")
-        down_pair = self._extreme_search(lo, hi, k, axis, 1)
-        if isinstance(down_pair, LevelOutcome):
-            return down_pair
-        up_pair = self._extreme_search(lo, hi, k, axis, -1)
-        if isinstance(up_pair, LevelOutcome):
-            return up_pair
-        return up_pair, down_pair
 
     def _extreme_search(self, lo: Point, hi: Point, k: int, axis: int, s: int):
         """Find the extreme i-downward point (s = +1) or i-upward point
@@ -558,7 +528,8 @@ class LevelsetSolver:
     # -- shrinking --------------------------------------------------------
 
     def shrink_once(self, state: LevelState, view: SearchSpaceView | None = None):
-        """One geometric shrink while some diameter is >= 6.
+        """One geometric shrink while some diameter is >= 6, where view is
+        search_space(state), worked out here when not given.
 
         The probe sits at least ceil(dia_i/6) inside both bounds on every
         axis (such a level point always exists under the preconditions), so
@@ -578,11 +549,7 @@ class LevelsetSolver:
         a0, a1, a2 = l0 + s0, l1 + s1, l2 + s2
         b0, b1, b2 = r0 - s0, r1 - s1, r2 - s2
         lo_sum, hi_sum, k = a0 + a1 + a2, b0 + b1 + b2, state.k
-        # central_level_point's checks, as plain compares on the sums it needs.
-        if not (lo_sum <= k <= hi_sum and a0 <= b0 and a1 <= b1 and a2 <= b2):
-            raise InfeasibleLevelError(
-                f"no point with sum {k} inside {(a0, a1, a2)}..{(b0, b1, b2)}"
-            )
+        # S attains ell, r: k - sum(ell), sum(r) - k >= max(dia) >= sum(s); dia_i >= 2s_i: a <= b.
         q = central_level_point_unchecked((a0, a1, a2), (b0, b1, b2), k, lo_sum, hi_sum)
         fq = self._oracle.query(q)
         res = self._apply_query(state, q, fq)

@@ -17,7 +17,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
-from operator import itemgetter
 
 from .errors import CapacityError, InstanceFormatError, Violation
 from .lattice import Point, _check_shape, full_box, iter_box
@@ -46,6 +45,9 @@ class Instance:
     table kind: explicit F-values in lexicographic point order (first
     coordinate slowest); not necessarily monotone.
 
+    shape and target are tuples of ints and table is a tuple of such
+    tuples, else ValueError naming the field.
+
     A table is checked once, one row per point and each row inside the
     grid: by this constructor, for tables from outside the library, or by
     gen_random_monotone and load_instance, which check their own shape and
@@ -59,11 +61,16 @@ class Instance:
 
     def __post_init__(self):
         _check_shape(self.shape)
+        target, table = self.target, self.table
         if self.kind == KIND_TARGET:
-            if self.target is None or not self.contains(self.target):
-                raise ValueError(f"target {self.target} outside grid {self.shape}")
+            if target is not None and not _is_point(target):
+                raise ValueError(f"target {target!r} is not a tuple of ints")
+            if target is None or not self.contains(target):
+                raise ValueError(f"target {target} outside grid {self.shape}")
         elif self.kind == KIND_TABLE:
-            _check_table(self.shape, self.table)
+            if table is not None and type(table) is not tuple:
+                raise ValueError(f"table is a {type(table).__name__}, not a tuple")
+            _check_table(self.shape, table)
         else:
             raise ValueError(f"unknown instance kind {self.kind!r}")
 
@@ -247,24 +254,33 @@ def _little(words: array) -> array:
     return words
 
 
-def _check_table(shape: tuple[int, ...], table) -> None:
-    """ValueError unless table holds one row per point of the grid, each
-    inside the grid.
+def _is_point(x) -> bool:
+    """Whether x is a tuple of ints."""
+    return type(x) is tuple and all(type(c) is int for c in x)
 
-    Each axis's column is checked by its min and max; the rows are scanned
-    one by one only to name the first that fails.
+
+def _check_table(shape: tuple[int, ...], table) -> None:
+    """ValueError unless table holds one row per point of the grid, each a
+    tuple of ints inside the grid.
+
+    The rows are checked by the sets of their types and lengths, then each
+    axis's column, one at a time, by the set of its types and by its min
+    and max; the rows are scanned one by one only to name the first that
+    fails.
     """
     volume = prod(shape)
     if table is None or len(table) != volume:
         got = None if table is None else len(table)
         raise ValueError(f"table needs {volume} rows, got {got}")
     d = len(shape)
-    if set(map(len, table)) == {d} and all(
-        1 <= min(map(itemgetter(axis), table)) and max(map(itemgetter(axis), table)) <= n
-        for axis, n in enumerate(shape)
+    if set(map(type, table)) == {tuple} and set(map(len, table)) == {d} and all(
+        set(map(type, col)) == {int} and 1 <= min(col) and max(col) <= n
+        for col, n in zip(zip(*table), shape)
     ):
         return
     for row in table:
+        if not _is_point(row):
+            raise ValueError(f"table row {row!r} is not a tuple of ints")
         if len(row) != d or any(not 1 <= c <= n for c, n in zip(row, shape)):
             raise ValueError(f"table value {row} outside grid {shape}")
 
@@ -330,11 +346,12 @@ def monotonize_table(shape, table) -> list[Point]:
 
     The result at x is the componentwise max of the input over all y <= x,
     so it is always monotone, and monotone inputs pass through unchanged.
-    The shape and the table must be valid for an Instance, one in-grid row
-    per point, else ValueError. The kernel packs each column into one int,
-    a lane per point, whose width comes from the largest side so that the
-    lane's top bit, its guard, stays clear; a value beyond the grid would
-    spill into the guard or the next lane.
+    The shape and the rows must be valid for an Instance, one in-grid
+    tuple of ints per point, else ValueError; the table itself may be any
+    sequence. The kernel packs each column into one int, a lane per point,
+    whose width comes from the largest side so that the lane's top bit, its
+    guard, stays clear; a value beyond the grid would spill into the guard
+    or the next lane.
     """
     shape = tuple(shape)
     _check_shape(shape)

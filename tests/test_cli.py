@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from tarski import cli
 from tarski.cli import main
 from tarski.errors import CapacityError
-from tarski.oracle import gen_random_monotone, load_instance, save_instance
+from tarski.oracle import CountedOracle, gen_random_monotone, load_instance, save_instance
+from tarski.rng import SplitMix64
 
 
 def run(*args):
@@ -218,6 +219,19 @@ def test_gen_into_missing_directory_exit_2(tmp_path):
     assert f"cannot write {out}" in res.output
 
 
+def test_gen_usage_errors_exit_2_with_their_message(tmp_path):
+    out = tmp_path / "x.txt"
+    cases = [
+        (("--shape", "3,3,3", "--kind", "target"), "--kind target needs --target"),
+        (("--shape", "0,3", "--kind", "random"), "invalid shape (0, 3)"),
+    ]
+    for args, message in cases:
+        res = run("gen", *args, "-o", str(out))
+        assert res.exit_code == 2, (args, res.output)
+        assert message in res.output
+        assert not out.exists()
+
+
 def test_verify_target_and_violating_table(tmp_path):
     t = tmp_path / "t.txt"
     save_instance(gen_random_monotone((3, 3, 3), 2), t)
@@ -297,6 +311,34 @@ def test_bench_brute_on_oversized_cube_exit_2():
         assert "brute_solve over 8000000 points" in res.output
         assert "Traceback" not in res.output
         assert not isinstance(res.exception, CapacityError)
+
+
+def test_bench_rejects_non_positive_reps():
+    for reps in ("0", "-2"):
+        res = run("bench", "--sides", "8", "--reps", reps)
+        assert res.exit_code == 2, res.output
+        assert "--reps must be >= 1" in res.output
+
+
+def test_bench_random_kind_solves_one_seeded_table_per_side_and_rep():
+    # each (side, rep), side-major, draws its table's seed from the --seed stream
+    res = run(
+        "bench", "--sides", "4,5", "--kind", "random", "--reps", "2", "--seed", "3",
+        "--algos", "levelset,dqy",
+    )
+    assert res.exit_code == 0, res.output
+    head, *rows = res.output.splitlines()
+    assert head == cli.BENCH_HEADER
+    rng = SplitMix64(3)
+    tables = [gen_random_monotone((side,) * 3, rng.next_u64()) for side in (4, 5) for _ in range(2)]
+    want = []
+    for algo in ("levelset", "dqy"):
+        for inst in tables:
+            counted = CountedOracle(inst)
+            cli._run_algo(algo, counted, False, None)
+            side = inst.shape[0]
+            want.append(f"{algo},{side}x{side}x{side},{3 * side},3,{counted.distinct_queries},true")
+    assert [row.rsplit(",", 1)[0] for row in rows] == want
 
 
 def test_bench_rejects_unknown_algo():

@@ -202,6 +202,11 @@ def test_extreme_level_point_infeasible_and_bad_axes():
         extreme_level_point(full_box((3, 3, 3)), 5, 1, 1)
 
 
+def test_extreme_level_point_refuses_a_2d_box():
+    with pytest.raises(ValueError, match="extreme_level_point is defined for 3D boxes"):
+        extreme_level_point(full_box((4, 4)), 4, 0, 1)
+
+
 def _brute_extreme(box, k, max_coord, min_coord):
     best = None
     for p in iter_box(box):

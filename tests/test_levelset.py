@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from tarski.errors import InfeasibleLevelError, MonotonicityViolation
+from tarski.errors import MonotonicityViolation
 from tarski.lattice import (
     Box,
     central_level_point,
@@ -138,6 +138,9 @@ def test_init_direction_endpoint_example():
 
     box = full_box((8, 8, 8))
     assert extreme_level_point(box, 12, 0, 1) == (8, 1, 3)
+    oracle = _ScriptedOracle({}, fallback=lambda q: q)
+    LevelsetSolver(oracle)._extreme_search(box.lo, box.hi, 12, 0, 1)
+    assert oracle.order == [(8, 1, 3)]
 
 
 def test_init_search_starts_at_the_extreme_level_point():
@@ -154,19 +157,9 @@ def test_init_search_starts_at_the_extreme_level_point():
         inst = gen_target(hi, tuple(a + rng.below(b - a + 1) for a, b in zip(lo, hi)))
         for axis in range(3):
             o = CountedOracle(inst, record_transcript=True)
-            LevelsetSolver(o).init_direction(box, k, axis)
+            LevelsetSolver(o)._extreme_search(lo, hi, k, axis, 1)
             middle = 1 if axis == 0 else 0
             assert o.transcript[0][0] == extreme_level_point(box, k, axis, middle)
-
-
-def test_init_direction_refuses_a_level_outside_the_box_before_any_query():
-    box = Box((2, 2, 2), (6, 6, 6))
-    o = CountedOracle(gen_target((8, 8, 8), (4, 4, 4)))
-    for k in (5, 19):
-        for axis in range(3):
-            with pytest.raises(InfeasibleLevelError, match=f"level {k} misses box"):
-                LevelsetSolver(o).init_direction(box, k, axis)
-    assert o.distinct_queries == 0
 
 
 def test_init_direction_single_point_segment_that_does_not_resolve():
@@ -176,7 +169,7 @@ def test_init_direction_single_point_segment_that_does_not_resolve():
     with pytest.raises(
         MonotonicityViolation, match="single-point init segment for axis 0 did not resolve"
     ) as info:
-        LevelsetSolver(oracle).init_direction(Box((3, 3, 3), (6, 6, 6)), 10, 0)
+        LevelsetSolver(oracle)._extreme_search((3, 3, 3), (6, 6, 6), 10, 0, 1)
     assert oracle.order == [(4, 3, 3)]
     assert info.value.implicated == (((4, 3, 3), (4, 4, 2)),)
 
@@ -193,7 +186,7 @@ def test_init_direction_segment_point_with_impossible_sign_pattern():
     with pytest.raises(
         MonotonicityViolation, match=r"segment point \(7, 2, 3\) has an impossible sign pattern"
     ) as info:
-        LevelsetSolver(oracle).init_direction(Box((1, 1, 1), (7, 7, 7)), 12, 0)
+        LevelsetSolver(oracle)._extreme_search((1, 1, 1), (7, 7, 7), 12, 0, 1)
     assert oracle.order == list(script)
     assert info.value.implicated == tuple(script.items())
 
@@ -201,12 +194,11 @@ def test_init_direction_segment_point_with_impossible_sign_pattern():
 def test_init_direction_postconditions():
     box = full_box((8, 8, 8))
     k = 12
-    o = CountedOracle(gen_target((8, 8, 8), (4, 4, 4)))
-    solver = LevelsetSolver(o)
-    solver._level = k
-    res = solver.init_direction(box, k, 0)
-    assert isinstance(res, tuple)
-    (up, f_up), (down, f_down) = res
+    solver = LevelsetSolver(CountedOracle(gen_target((8, 8, 8), (4, 4, 4))))
+    down_pair = solver._extreme_search(box.lo, box.hi, k, 0, 1)
+    up_pair = solver._extreme_search(box.lo, box.hi, k, 0, -1)
+    assert isinstance(down_pair, tuple) and isinstance(up_pair, tuple)
+    (up, f_up), (down, f_down) = up_pair, down_pair
     _, lab_up = classify(up, f_up)
     _, lab_down = classify(down, f_down)
     assert 0 in lab_up.i_upward
@@ -218,14 +210,16 @@ def test_init_direction_postconditions():
 
 
 def test_init_direction_early_exit_all_up():
+    # every point below the target (8,8,8) is upward, so each search ends
+    # at its first probe
     box = full_box((8, 8, 8))
     o = CountedOracle(gen_target((8, 8, 8), (8, 8, 8)))
-    solver = LevelsetSolver(o)
-    solver._level = 12
-    res = solver.init_direction(box, 12, 0)
-    assert res.kind == UPWARD
-    assert norm1(res.point) >= 12
-    assert outcome_is_valid(o.instance, res, 12)
+    for s in (1, -1):
+        res = LevelsetSolver(o)._extreme_search(box.lo, box.hi, 12, 0, s)
+        assert res.kind == UPWARD
+        assert norm1(res.point) >= 12
+        assert outcome_is_valid(o.instance, res, 12)
+    assert o.distinct_queries == 2
 
 
 def test_init_direction_sweep_small_grids():
@@ -241,33 +235,36 @@ def test_init_direction_sweep_small_grids():
         k = norm1(box.lo) + 1 + rng.below(norm1(box.hi) - norm1(box.lo) - 1)
         level_pts = [p for p in iter_box(box) if norm1(p) == k]
         for axis in range(3):
-            o = CountedOracle(inst)
-            solver = LevelsetSolver(o)
-            solver._level = k
-            res = solver.init_direction(box, k, axis)
-            if isinstance(res, tuple):
-                (up, f_up), (down, f_down) = res
-                _, lab_up = classify(up, f_up)
-                _, lab_down = classify(down, f_down)
-                assert axis in lab_up.i_upward
-                assert axis in lab_down.i_downward
-                assert up[axis] == min(p[axis] for p in level_pts)
-                assert down[axis] == max(p[axis] for p in level_pts)
-            else:
-                assert outcome_is_valid(inst, res, k)
+            # s = +1 finds the extreme i-downward point, s = -1 the i-upward one
+            for s in (1, -1):
+                res = LevelsetSolver(CountedOracle(inst))._extreme_search(
+                    box.lo, box.hi, k, axis, s
+                )
+                if isinstance(res, tuple):
+                    point, value = res
+                    _, labels = classify(point, value)
+                    coords = [p[axis] for p in level_pts]
+                    if s > 0:
+                        assert axis in labels.i_downward
+                        assert point[axis] == max(coords)
+                    else:
+                        assert axis in labels.i_upward
+                        assert point[axis] == min(coords)
+                else:
+                    assert outcome_is_valid(inst, res, k)
 
 
-# -- solve_level ------------------------------------------------------------
+# -- one level ---------------------------------------------------------------
 
 
 def test_solve_level_spec_examples():
     box = full_box((8, 8, 8))
     for target in [(4, 4, 4), (1, 1, 1), (8, 8, 8)]:
         inst = gen_target((8, 8, 8), target)
-        out = LevelsetSolver(CountedOracle(inst)).solve_level(box, 12)
+        out = LevelsetSolver(CountedOracle(inst))._solve_level(box.lo, box.hi, 12)
         assert outcome_is_valid(inst, out, 12)
     inst = gen_target((8, 8, 8), (1, 1, 1))
-    out = LevelsetSolver(CountedOracle(inst)).solve_level(box, 12)
+    out = LevelsetSolver(CountedOracle(inst))._solve_level(box.lo, box.hi, 12)
     assert out.kind == DOWNWARD and norm1(out.point) <= 12
 
 
@@ -275,7 +272,7 @@ def test_solve_level_valid_outcome_many_instances():
     box = full_box((5, 5, 5))
     for seed in range(200):
         inst = gen_random_monotone((5, 5, 5), seed)
-        out = LevelsetSolver(CountedOracle(inst)).solve_level(box, 8)
+        out = LevelsetSolver(CountedOracle(inst))._solve_level(box.lo, box.hi, 8)
         assert outcome_is_valid(inst, out, 8), seed
 
 
@@ -293,18 +290,10 @@ def test_solve_level_on_certified_subboxes():
             continue
         k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
         inst = gen_target((n, n, n), t)
-        out = LevelsetSolver(CountedOracle(inst)).solve_level(box, k)
+        out = LevelsetSolver(CountedOracle(inst))._solve_level(lo, hi, k)
         assert outcome_is_valid(inst, out, k)
         assert leq(box.lo, out.point) and leq(out.point, box.hi)
         checked += 1
-
-
-def test_solve_level_rejects_bad_preconditions():
-    o = CountedOracle(gen_target((5, 5, 5), (2, 2, 2)))
-    with pytest.raises(ValueError):
-        LevelsetSolver(o).solve_level(full_box((5, 5, 5)), 3)
-    with pytest.raises(ValueError):
-        LevelsetSolver(o).solve_level(Box((1, 1, 1), (1, 5, 5)), 6)
 
 
 def test_solve_level_query_budget_small():
@@ -314,7 +303,7 @@ def test_solve_level_query_budget_small():
     for seed in range(100):
         inst = gen_random_monotone((6, 6, 6), seed)
         o = CountedOracle(inst)
-        LevelsetSolver(o).solve_level(box, 9)
+        LevelsetSolver(o)._solve_level(box.lo, box.hi, 9)
         assert o.distinct_queries <= 3 * lg + 14, seed
 
 
@@ -446,7 +435,6 @@ def test_shrink_probe_spec_example():
     st = state_from_coords(box, 12, (1, 1, 1), (7, 7, 7))
     oracle = _ScriptedOracle({(4, 4, 4): (5, 4, 3)}, fallback=lambda q: q)
     solver = LevelsetSolver(oracle)
-    solver._level = 12
     res = solver.shrink_once(st)
     assert oracle.order == [(4, 4, 4)]
     assert isinstance(res, LevelState)
@@ -462,7 +450,6 @@ def test_small_case_interior_probe_spec_example():
     st = state_from_coords(box, 9, (2, 2, 2), (4, 4, 4))
     oracle = _ScriptedOracle({(3, 3, 3): (4, 3, 2)}, fallback=lambda q: q)
     solver = LevelsetSolver(oracle)
-    solver._level = 9
     res = solver.small_case_step(st)
     assert oracle.order == [(3, 3, 3)]
     assert isinstance(res, LevelState)
@@ -490,7 +477,6 @@ def test_small_case_probe_branch_all_upward_spec_example():
         st = state_from_coords(box, k, (2, 2, 2), (4, 4, 4))
         oracle = _ScriptedOracle(script, fallback=lambda q: q)
         solver = LevelsetSolver(oracle)
-        solver._level = k
         out = solver.small_case_step(st)
         assert oracle.order == list(script), kind
         assert out.kind == kind
@@ -590,7 +576,6 @@ def test_resolution_never_fails_on_monotone_exhaustive_4_cube():
 def test_resolve_first_example():
     o = CountedOracle(gen_target((8, 8, 8), (1, 1, 1)))  # oracle unused here
     solver = LevelsetSolver(o)
-    solver._level = 12
     x, y = (5, 2, 5), (3, 4, 5)
     cfg = Config("first", UPWARD, ((x, (6, 2, 4)), (y, (3, 5, 4))))
     out = solver.resolve_meet_join(cfg)
@@ -602,7 +587,6 @@ def test_resolve_first_example():
 def test_resolve_second_mirrored_flavor():
     o = CountedOracle(gen_target((8, 8, 8), (8, 8, 8)))
     solver = LevelsetSolver(o)
-    solver._level = 12
     pts = ((2, 4, 6), (4, 3, 5), (3, 6, 3))
     vals = ((1, 4, 6), (4, 2, 5), (3, 6, 2))
     cfg = Config("second", DOWNWARD, tuple(zip(pts, vals)))
@@ -626,7 +610,6 @@ def test_resolve_third_planted_exhaustive():
                 fx, fy = o.query(x), o.query(y)
                 primed = o.distinct_queries
                 solver = LevelsetSolver(o)
-                solver._level = k
                 out = solver.resolve_third(
                     Config("third", None, ((x, fx), (y, fy)), axis=axis), k
                 )
@@ -665,7 +648,6 @@ def test_resolve_third_spec_example_initial_points():
         fallback=lambda q: (5, q[1] - 1, q[2]),
     )
     solver = LevelsetSolver(oracle)
-    solver._level = 12
     out = solver.resolve_third(Config("third", None, ((x, fx), (y, fy)), axis=0), 12)
     assert oracle.order[0] == (5, 5, 2)
     assert out.kind in (UPWARD, DOWNWARD)
@@ -677,7 +659,6 @@ def test_resolve_third_degenerate_adjacent_bracket():
     fx, fy = (5, 5, 1), (4, 6, 2)
     oracle = _ScriptedOracle({}, fallback=lambda q: q)
     solver = LevelsetSolver(oracle)
-    solver._level = 12
     out = solver.resolve_third(Config("third", None, ((x, fx), (y, fy)), axis=0), 12)
     assert out.kind == DOWNWARD
     assert out.point == glb(x, y) == (4, 5, 2)
@@ -692,7 +673,6 @@ def test_resolve_third_early_exit_branch():
     fy = (4, 2, 7)
     o = CountedOracle(inst)
     solver = LevelsetSolver(o)
-    solver._level = 12
     out = solver.resolve_third(Config("third", None, ((x, fx), (y, fy)), axis=0), 12)
     assert out.kind == UPWARD
     assert out.point == lub(x, y) == (5, 6, 6)
@@ -710,7 +690,6 @@ def test_resolve_third_certifies_inside_the_bracket_loop():
         fallback=lambda q: (5, q[1] - 1, q[2]),
     )
     solver = LevelsetSolver(oracle)
-    solver._level = 12
     out = solver.resolve_third(Config("third", None, ((x, fx), (y, fy)), axis=0), 12)
     assert oracle.order == [(5, 5, 2), (5, 3, 4)]
     assert out == LevelOutcome(UPWARD, lub((5, 3, 4), y)) == LevelOutcome(UPWARD, (5, 3, 6))
@@ -984,7 +963,6 @@ def test_resolve_first_and_second_planted_on_real_instances():
                 o = CountedOracle(inst)
                 pairs = tuple((p, o.query(p)) for p in pts)
                 solver = LevelsetSolver(o, verify_certificates=True)
-                solver._level = k
                 out = solver.resolve_meet_join(Config("first", flavor, pairs))
                 assert outcome_is_valid(inst, out, k), (pts, flavor)
                 firsts += 1
@@ -992,7 +970,6 @@ def test_resolve_first_and_second_planted_on_real_instances():
                 o = CountedOracle(inst)
                 pairs = tuple((p, o.query(p)) for p in pts)
                 solver = LevelsetSolver(o, verify_certificates=True)
-                solver._level = k
                 out = solver.resolve_meet_join(Config("second", flavor, pairs))
                 assert outcome_is_valid(inst, out, k), (pts, flavor)
                 seconds += 1

@@ -142,6 +142,8 @@ def test_monotonize_rejects_tables_that_do_not_fit_the_shape():
         ((2, 2), [(1, 1)] * 5, "table needs 4 rows, got 5"),
         ((2, 2), [(1,), (1,), (2,), (2,)], "table value (1,) outside grid (2, 2)"),
         ((2, 2), [(3, 1), (1, 1), (2, 2), (2, 2)], "table value (3, 1) outside grid (2, 2)"),
+        ((2,), [[2], (1,)], "table row [2] is not a tuple of ints"),
+        ((2,), [(2,), (True,)], "table row (True,) is not a tuple of ints"),
         ((2, 0), [], "invalid shape (2, 0)"),
         ((0,), [], "invalid shape (0,)"),
         ((0, 3), [], "invalid shape (0, 3)"),
@@ -235,6 +237,39 @@ def test_table_instance_validation():
         Instance(shape=(2, 2), kind="table", table=(((1, 1),) * 3 + ((3, 1),)))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # a list shape breaks the tuple arithmetic of the dqy recursion
+        (dict(shape=[9, 9], kind="target", target=(1, 2)), "invalid shape [9, 9]"),
+        # verify_monotone cannot pack a float side into lanes
+        (dict(shape=(2.0,), kind="table", table=((1,), (2,))), "invalid shape (2.0,)"),
+        (dict(shape=(True, 2), kind="target", target=(1, 2)), "invalid shape (True, 2)"),
+        (dict(shape=(9, 9), kind="target", target=[1, 2]), "target [1, 2] is not a tuple of ints"),
+        (dict(shape=(9, 9), kind="target", target=(1, 2.0)),
+         "target (1, 2.0) is not a tuple of ints"),
+        (dict(shape=(2,), kind="table", table=[(1,), (2,)]), "table is a list, not a tuple"),
+        # list rows never equal their points, so solve finds no fixed point
+        (dict(shape=(2, 2, 2), kind="table", table=tuple([[1, 1, 1]] * 8)),
+         "table row [1, 1, 1] is not a tuple of ints"),
+        # "1" does not compare with the grid bounds
+        (dict(shape=(2, 2), kind="table", table=((1, 1), (1, "1"), (2, 2), (2, 2))),
+         "table row (1, '1') is not a tuple of ints"),
+        (dict(shape=(2,), kind="table", table=((1,), (2.0,))),
+         "table row (2.0,) is not a tuple of ints"),
+        (dict(shape=(2, 2), kind="bogus"), "unknown instance kind 'bogus'"),
+    ],
+    ids=[
+        "list-shape", "float-side", "bool-side", "list-target", "float-target-coordinate",
+        "list-table", "list-row", "str-row-value", "float-row-value", "unknown-kind",
+    ],
+)
+def test_instance_names_each_malformed_field(fields, message):
+    with pytest.raises(ValueError) as err:
+        Instance(**fields)
+    assert str(err.value) == message
+
+
 def test_save_load_round_trip(tmp_path):
     for inst in [
         gen_target((5, 5, 5), (3, 1, 4)),
@@ -288,6 +323,23 @@ def test_load_errors_carry_line_numbers(tmp_path):
         with pytest.raises(InstanceFormatError) as err:
             load_instance(_write(tmp_path, body))
         assert err.value.line == line, body
+
+
+def test_load_names_each_header_error(tmp_path):
+    head = "tarski-instance v1\n"
+    cases = [
+        (head, 2, "missing dimension line"),
+        (head + "d 0\nshape 2\nkind target\ntarget 1\n", 2, "dimension must be positive, got 0"),
+        (head + "d 1\nshape 0\nkind target\ntarget 1\n", 3, "shape sides must be positive: (0,)"),
+        (head + "d 2\nshape 2 2\nkind target\ntarget 1\n", 5, "expected 2 target entries"),
+        (head + "d 2\nshape 2 2\nkind target\ntarget 1 2 1\n", 5, "expected 2 target entries"),
+        (head + "d 1\nshape 2\nkind target\ntarget 1\n1\n", 6, "unexpected trailing content"),
+    ]
+    for body, line, reason in cases:
+        path = _write(tmp_path, body)
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert str(err.value) == f"{path}:{line}: {reason}", body
 
 
 def test_load_rejects_out_of_grid_table_value(tmp_path):
@@ -346,6 +398,14 @@ def test_splitmix64_reference_stream():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+def test_below_refuses_a_bound_below_one_without_drawing():
+    rng = SplitMix64(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"below\(\) needs a positive bound"):
+            rng.below(n)
+    assert rng.next_u64() == SplitMix64(0).next_u64()
 
 
 def _strides(shape):
@@ -492,6 +552,8 @@ def test_table_instance_names_the_first_of_two_out_of_grid_rows():
         (((1, 1), (1, 1), (0, 2), (9, 9)), "table value (0, 2) outside grid (2, 2)"),
         (((1, 1), (1,), (1, 1), (1, 3)), "table value (1,) outside grid (2, 2)"),
         (((1, 1), (1, 1), (1, 2, 1), (2, 2)), "table value (1, 2, 1) outside grid (2, 2)"),
+        (((1, 1), (3, 1), [1, 1], (2, 2)), "table value (3, 1) outside grid (2, 2)"),
+        (((1, 1), [1, 1], (3, 1), (2, 2)), "table row [1, 1] is not a tuple of ints"),
     ]
     for table, message in cases:
         with pytest.raises(ValueError) as err:
