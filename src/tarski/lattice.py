@@ -171,14 +171,6 @@ def central_level_point(lower: Point, upper: Point, k: int) -> Point:
     remainder is handed out greedily in axis order, as in level_point.
     """
     lo_sum, hi_sum = _check_level(lower, upper, k)
-    return central_level_point_unchecked(lower, upper, k, lo_sum, hi_sum)
-
-
-def central_level_point_unchecked(
-    lower: Point, upper: Point, k: int, lo_sum: int, hi_sum: int
-) -> Point:
-    """central_level_point for a caller that already knows lower <= upper,
-    their coordinate sums lo_sum and hi_sum, and lo_sum <= k <= hi_sum."""
     width = hi_sum - lo_sum
     deficit = k - lo_sum
     if width == 0:
@@ -205,7 +197,10 @@ def _raise_in_axis_order(q: list[int], upper: Point, deficit: int) -> Point:
     for i in range(len(q)):
         if deficit == 0:
             break
-        step = min(deficit, upper[i] - q[i])
+        step = upper[i] - q[i]
+        # Not min(): a two-argument builtin min costs a call on CPython.
+        if step > deficit:
+            step = deficit
         q[i] += step
         deficit -= step
     return tuple(q)

@@ -36,14 +36,15 @@ and a level the outer loop holds strictly inside its box, which makes the
 six init searches, then the shrink and small steps, then the configuration
 resolution. It checks neither its level nor its box sides, which the outer
 loop meets by construction, and it builds a Box only for a level that gets
-past init, for observer payloads and for the baselines. Of the steps only
-shrink_once and small_case_step check an argument, the diameters of their
-view, and raise before any query when those rule the step out.
+past init, for observer payloads and for the baselines. No step checks its
+arguments: _run_level tests the diameters that pick the shrink or the small
+step before it calls either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baseline import brute_solve, dqy_solve
 from .errors import MonotonicityViolation
@@ -51,7 +52,6 @@ from .lattice import (
     Box,
     LabelSet,
     Point,
-    central_level_point_unchecked,
     classify,
     glb,
     level_point,
@@ -111,8 +111,7 @@ class LevelState:
         }
 
 
-@dataclass(frozen=True)
-class SearchSpaceView:
+class SearchSpaceView(NamedTuple):
     """Tight per-axis bounds of the remaining search space and its diameter."""
 
     ell: Point
@@ -141,17 +140,31 @@ def search_space(state: LevelState) -> SearchSpaceView:
     (lo0, lo1, lo2), (hi0, hi1, hi2) = state.box.lo, state.box.hi
     k = state.k
     up, down = state.up, state.down
+    # Every min and max written out: a two-argument builtin min or max costs a call on CPython.
     # The per-axis bounds a_i = up(i)_i and b_i = down(i)_i, clamped to the box.
-    a0, a1, a2 = max(up[0][0][0], lo0), max(up[1][0][1], lo1), max(up[2][0][2], lo2)
-    b0, b1, b2 = min(down[0][0][0], hi0), min(down[1][0][1], hi1), min(down[2][0][2], hi2)
-    ell = (max(a0, k - b1 - b2), max(a1, k - b0 - b2), max(a2, k - b0 - b1))
-    r = (min(b0, k - a1 - a2), min(b1, k - a0 - a2), min(b2, k - a0 - a1))
-    dia = (r[0] - ell[0], r[1] - ell[1], r[2] - ell[2])
-    if min(dia) < 0:
+    a0, a1, a2 = up[0][0][0], up[1][0][1], up[2][0][2]
+    b0, b1, b2 = down[0][0][0], down[1][0][1], down[2][0][2]
+    a0 = a0 if a0 > lo0 else lo0
+    a1 = a1 if a1 > lo1 else lo1
+    a2 = a2 if a2 > lo2 else lo2
+    b0 = b0 if b0 < hi0 else hi0
+    b1 = b1 if b1 < hi1 else hi1
+    b2 = b2 if b2 < hi2 else hi2
+    # Then each bound as far as the other two axes' bounds and the level sum allow.
+    e0, e1, e2 = k - b1 - b2, k - b0 - b2, k - b0 - b1
+    r0, r1, r2 = k - a1 - a2, k - a0 - a2, k - a0 - a1
+    e0 = e0 if e0 > a0 else a0
+    e1 = e1 if e1 > a1 else a1
+    e2 = e2 if e2 > a2 else a2
+    r0 = r0 if r0 < b0 else b0
+    r1 = r1 if r1 < b1 else b1
+    r2 = r2 if r2 < b2 else b2
+    d0, d1, d2 = r0 - e0, r1 - e1, r2 - e2
+    if d0 < 0 or d1 < 0 or d2 < 0:
         raise MonotonicityViolation(
             "remaining search space is empty", implicated=state.pairs()
         )
-    return SearchSpaceView(ell, r, dia)
+    return SearchSpaceView((e0, e1, e2), (r0, r1, r2), (d0, d1, d2))
 
 
 def find_configuration(state: LevelState) -> Config:
@@ -427,9 +440,11 @@ class LevelsetSolver:
             self.observer("init_done", state.snapshot())
         while True:
             view = search_space(state)
-            if min(view.dia) <= 1:
+            d0, d1, d2 = view.dia
+            # Tested one by one: builtin min and max cost a call each on CPython.
+            if d0 <= 1 or d1 <= 1 or d2 <= 1:
                 break
-            if max(view.dia) >= 6:
+            if d0 >= 6 or d1 >= 6 or d2 >= 6:
                 self._phase = PHASE_SHRINK
                 res = self.shrink_once(state, view)
             else:
@@ -528,8 +543,10 @@ class LevelsetSolver:
     # -- shrinking --------------------------------------------------------
 
     def shrink_once(self, state: LevelState, view: SearchSpaceView | None = None):
-        """One geometric shrink while some diameter is >= 6, where view is
-        search_space(state), worked out here when not given.
+        """One geometric shrink while some diameter is >= 6 and none is below
+        2, where view is search_space(state), worked out here when not given.
+        The caller holds those diameters, as _run_level does; they are not
+        checked.
 
         The probe sits at least ceil(dia_i/6) inside both bounds on every
         axis (such a level point always exists under the preconditions), so
@@ -540,17 +557,24 @@ class LevelsetSolver:
         """
         view = view or search_space(state)
         d0, d1, d2 = view.dia
-        if min(d0, d1, d2) <= 1 or max(d0, d1, d2) < 6:
-            raise ValueError(
-                f"shrink_once needs every diameter >= 2 and one >= 6, got {view.dia}"
-            )
         s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
         (l0, l1, l2), (r0, r1, r2) = view.ell, view.r
         a0, a1, a2 = l0 + s0, l1 + s1, l2 + s2
         b0, b1, b2 = r0 - s0, r1 - s1, r2 - s2
-        lo_sum, hi_sum, k = a0 + a1 + a2, b0 + b1 + b2, state.k
+        k = state.k
         # S attains ell, r: k - sum(ell), sum(r) - k >= max(dia) >= sum(s); dia_i >= 2s_i: a <= b.
-        q = central_level_point_unchecked((a0, a1, a2), (b0, b1, b2), k, lo_sum, hi_sum)
+        # central_level_point(a, b, k), inlined; a diameter >= 6 keeps width > 0.
+        lo_sum = a0 + a1 + a2
+        width, deficit = b0 + b1 + b2 - lo_sum, k - lo_sum
+        q0 = a0 + deficit * (b0 - a0) // width
+        q1 = a1 + deficit * (b1 - a1) // width
+        q2 = a2 + deficit * (b2 - a2) // width
+        # What the rounding left goes up to each bound in axis order; the last axis takes the rest.
+        rest = k - q0 - q1 - q2
+        step = b0 - q0 if b0 - q0 < rest else rest
+        q0, rest = q0 + step, rest - step
+        step = b1 - q1 if b1 - q1 < rest else rest
+        q = (q0, q1 + step, q2 + rest - step)
         fq = self._oracle.query(q)
         res = self._apply_query(state, q, fq)
         if self.observer is not None:
@@ -558,7 +582,8 @@ class LevelsetSolver:
         return res
 
     def small_case_step(self, state: LevelState, view: SearchSpaceView | None = None):
-        """One constant-size step once every diameter is below 6.
+        """One constant-size step once every diameter is in 2..5, which the
+        caller holds, as _run_level does; it is not checked.
 
         If S still has a point strictly inside every bound, probing it shrinks
         some diameter. Otherwise S hugs one corner of its bounding ranges, the
@@ -569,21 +594,17 @@ class LevelsetSolver:
         query.
         """
         view = view or search_space(state)
-        if min(view.dia) <= 1 or max(view.dia) >= 6:
-            raise ValueError(
-                f"small_case_step needs every diameter in 2..5, got {view.dia}"
-            )
-        ell, r, k = view.ell, view.r, state.k
-        if sum(ell) + 3 <= k <= sum(r) - 3:
-            q = level_point(tuple(c + 1 for c in ell), tuple(c - 1 for c in r), k)
+        (l0, l1, l2), (r0, r1, r2), k = view.ell, view.r, state.k
+        ell_sum = l0 + l1 + l2
+        if ell_sum + 3 <= k <= r0 + r1 + r2 - 3:
+            q = level_point((l0 + 1, l1 + 1, l2 + 1), (r0 - 1, r1 - 1, r2 - 1), k)
             res = self._apply_query(state, q, self._oracle.query(q))
         else:
-            s, corner = (1, ell) if sum(ell) + 3 > k else (-1, r)
-            # ell and r are attained in S and every diameter is >= 2, so sum(corner) == k - 2s.
+            s, (c0, c1, c2) = (1, view.ell) if ell_sum + 3 > k else (-1, view.r)
+            # ell and r are attained in S and every diameter is >= 2, so c0 + c1 + c2 == k - 2s.
             res = state
             probes = []
-            for axis in range(3):
-                q = tuple(c + s * (a != axis) for a, c in enumerate(corner))
+            for axis, q in enumerate(((c0, c1 + s, c2 + s), (c0 + s, c1, c2 + s), (c0 + s, c1 + s, c2))):
                 fq = self._oracle.query(q)
                 probes.append((q, fq))
                 # A probe taking its bound moves one other at most, to corner + s: the next stays in S.
@@ -594,7 +615,7 @@ class LevelsetSolver:
                     break
             else:
                 res = self._certify(
-                    LevelOutcome(_kind(s), tuple(c + s for c in corner)), tuple(probes)
+                    LevelOutcome(_kind(s), (c0 + s, c1 + s, c2 + s)), tuple(probes)
                 )
         if self.observer is not None:
             self.observer("small", _step_payload(state, view, res))

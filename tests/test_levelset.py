@@ -24,7 +24,6 @@ from tarski.levelset import (
     LevelOutcome,
     LevelsetSolver,
     LevelState,
-    SearchSpaceView,
     search_space,
     solve,
 )
@@ -107,6 +106,22 @@ def test_search_space_pinched_axis():
 
 
 def test_search_space_matches_bruteforce():
+    def matches(box, k, a, b):
+        # search_space agrees with the enumerated S, or raises when S is
+        # empty; true for a nonempty S.
+        st = state_from_coords(box, k, a, b)
+        pts = enumerate_space(box, k, a, b)
+        if not pts:
+            with pytest.raises(MonotonicityViolation):
+                search_space(st)
+            return False
+        view = search_space(st)
+        for i in range(3):
+            assert view.ell[i] == min(p[i] for p in pts)
+            assert view.r[i] == max(p[i] for p in pts)
+        return True
+
+    # Boxes anchored at (1,1,1) with every bound inside the box.
     rng = SplitMix64(11)
     checked = 0
     while checked < 400:
@@ -115,17 +130,17 @@ def test_search_space_matches_bruteforce():
         k = norm1(box.lo) + 1 + rng.below(max(1, norm1(box.hi) - norm1(box.lo) - 1))
         a = tuple(1 + rng.below(s) for s in sides)
         b = tuple(ai + rng.below(s - ai + 1) for ai, s in zip(a, sides))
-        st = state_from_coords(box, k, a, b)
-        pts = enumerate_space(box, k, a, b)
-        if not pts:
-            with pytest.raises(MonotonicityViolation):
-                search_space(st)
-            continue
-        view = search_space(st)
-        for i in range(3):
-            assert view.ell[i] == min(p[i] for p in pts)
-            assert view.r[i] == max(p[i] for p in pts)
-        checked += 1
+        checked += matches(box, k, a, b)
+    # Sub-boxes with lo > 1, and bounds drawn up to two past either side of
+    # the box, so that each clamp of a bound to the box binds.
+    checked = 0
+    while checked < 400:
+        lo = tuple(2 + rng.below(4) for _ in range(3))
+        box = Box(lo, tuple(c + 1 + rng.below(5) for c in lo))
+        k = norm1(box.lo) + 1 + rng.below(max(1, norm1(box.hi) - norm1(box.lo) - 1))
+        a = tuple(c - 2 + rng.below(h - c + 3) for c, h in zip(box.lo, box.hi))
+        b = tuple(ai + rng.below(h + 3 - ai) for ai, h in zip(a, box.hi))
+        checked += matches(box, k, a, b)
 
 
 # -- initialization --------------------------------------------------------
@@ -482,25 +497,6 @@ def test_small_case_probe_branch_all_upward_spec_example():
         assert out.kind == kind
         assert out.point == (3, 3, 3)
         assert norm1(out.point) >= k if kind == UPWARD else norm1(out.point) <= k
-
-
-def test_step_preconditions_raise_value_error():
-    # shrink_once needs every diameter >= 2 and one >= 6, small_case_step
-    # every diameter in 2..5; a view breaking that is refused before any
-    # query, also under python -O
-    box = full_box((9, 9, 9))
-    st = state_from_coords(box, 15, (1, 1, 1), (9, 9, 9))
-    oracle = CountedOracle(gen_target(box.hi, (5, 5, 5)))
-    solver = LevelsetSolver(oracle)
-    for ell, r in (((3, 3, 3), (6, 6, 6)), ((1, 1, 1), (2, 9, 9))):
-        view = SearchSpaceView(ell, r, tuple(b - a for a, b in zip(ell, r)))
-        with pytest.raises(ValueError, match="shrink_once needs"):
-            solver.shrink_once(st, view)
-    for ell, r in (((1, 3, 3), (7, 6, 6)), ((4, 3, 3), (5, 6, 6))):
-        view = SearchSpaceView(ell, r, tuple(b - a for a, b in zip(ell, r)))
-        with pytest.raises(ValueError, match="small_case_step needs"):
-            solver.small_case_step(st, view)
-    assert oracle.distinct_queries == 0
 
 
 # -- configurations ----------------------------------------------------------

@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Check that the tests still kill the mutants they were written against.
+
+    python3 tools/mutants.py
+
+Run it from anywhere; it reads src/, tests/ and pyproject.toml of the
+checkout it sits in. Each mutant below replaces one exact piece of text in
+one library file and names the tests that must fail on it. The script first
+runs every named test on an unmutated copy, which must pass. Then, for each
+mutant, it applies the replacement in a fresh copy and runs only that
+mutant's tests, stopping at the first failure. It exits 1 when a mutant
+survives, when a mutant's old text is not found exactly once (a refactor
+that moves the text must update the list here), or when the unmutated copy
+fails. Stdlib only; pytest runs in a subprocess with the interpreter that
+runs this script.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+def _clamp(line: str) -> Mutant:
+    """search_space without one of its six clamps of a bound to the box."""
+    return Mutant(
+        f"search_space without the clamp {line.strip()!r}",
+        "src/tarski/levelset.py",
+        line + "\n",
+        "",
+        ("tests/test_levelset.py::test_search_space_matches_bruteforce",),
+    )
+
+
+MUTANTS = (
+    Mutant(
+        "_Lanes picks a lane width without room for the guard bit",
+        "src/tarski/oracle.py",
+        "if max(shape) < 1 << (8 * s - 1))",
+        "if max(shape) < 1 << (8 * s))",
+        (
+            "tests/test_oracle.py::test_verify_monotone_matches_reference_on_perturbed_tables",
+            "tests/test_oracle.py::test_monotonize_matches_reference_on_raw_tables",
+        ),
+    ),
+    Mutant(
+        "_checked_table leaves the target field unset",
+        "src/tarski/oracle.py",
+        '    object.__setattr__(inst, "target", None)\n',
+        "",
+        ("tests/test_oracle.py::test_gen_tables_pass_the_public_constructor",),
+    ),
+    Mutant(
+        "_table_rows looks every axis up in the largest side's range",
+        "src/tarski/oracle.py",
+        "lookups = [values[n].__getitem__ for n in shape]",
+        "lookups = [values[max(shape)].__getitem__ for n in shape]",
+        ("tests/test_oracle.py::test_load_checks_each_axis_range_on_unequal_sides",),
+    ),
+    Mutant(
+        "the shrink probe is the greedy level point, not the central one",
+        "src/tarski/levelset.py",
+        "        q0 = a0 + deficit * (b0 - a0) // width\n"
+        "        q1 = a1 + deficit * (b1 - a1) // width\n"
+        "        q2 = a2 + deficit * (b2 - a2) // width\n",
+        "        q0, q1, q2 = a0, a1, a2\n",
+        (
+            "tests/test_levelset.py::test_shrink_probe_spec_example",
+            "tests/test_levelset.py::test_shrink_probe_is_central_inside_the_sixth_step_bounds",
+        ),
+    ),
+    _clamp("    a0 = a0 if a0 > lo0 else lo0"),
+    _clamp("    a1 = a1 if a1 > lo1 else lo1"),
+    _clamp("    a2 = a2 if a2 > lo2 else lo2"),
+    _clamp("    b0 = b0 if b0 < hi0 else hi0"),
+    _clamp("    b1 = b1 if b1 < hi1 else hi1"),
+    _clamp("    b2 = b2 if b2 < hi2 else hi2"),
+)
+
+
+def _copy(dest: str) -> None:
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name),
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        else:
+            shutil.copy2(src, dest)
+
+
+def _pytest(root: str, tests) -> int:
+    """Run the given test node IDs under root with root/src on the path;
+    pytest's exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = os.path.join(tmp, "clean")
+        _copy(clean)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        if _pytest(clean, tests) != 0:
+            print("the named tests fail on the unmutated code; nothing to check")
+            return 1
+        for i, m in enumerate(MUTANTS):
+            with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
+                text = fh.read()
+            found = text.count(m.old)
+            if found != 1:
+                problems.append(f"{m.name}: old text found {found} times in {m.path}")
+                print(f"MISSING   {m.name}")
+                continue
+            root = os.path.join(tmp, f"mutant{i}")
+            _copy(root)
+            with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
+                fh.write(text.replace(m.old, m.new))
+            killed = _pytest(root, m.tests) != 0
+            shutil.rmtree(root)
+            print(f"{'killed' if killed else 'SURVIVED':9} {m.name}")
+            if not killed:
+                problems.append(f"{m.name}: survives {', '.join(m.tests)}")
+    print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
+    for p in problems:
+        print(f"  {p}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
