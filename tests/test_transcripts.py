@@ -17,6 +17,8 @@ The hook-free solves and the dqy baseline are pinned on their own at the
 sides the benchmark runs (2^8, 2^20 and 2^40), where coordinates outgrow
 every machine word, and on 2-D and pinched grids, which the solver hands
 to dqy; dqy is pinned on 1-D and 4-D grids and rotation tables as well.
+Beyond its distinct queries, dqy's every query call is pinned in call
+order, cache hits included, on those grids and on raw tables.
 """
 
 import hashlib
@@ -37,6 +39,7 @@ DIGEST = "7565fab1e5d9039cb06e9b37823a454a8959fad9c25313a14901929dc270b2e7"
 CONFIG_DIGEST = "7bfca45c226f25fbc17c0c1d0758f28da29e8c3975ebba0ff84b00be7fc97b47"
 SOLVE_DIGEST = "f86cbe92891a865c5b6071d2049e7e7fb039a96023113b354950e58c37701504"
 DQY_DIGEST = "9c5dabd106c7e1b3095684fcb53d0286454a7bc31ea2fa6b39726c51f14f650d"
+DQY_CALLS_DIGEST = "2484546f51dc594f139f8f2540d4ba1e68856440729d67652cbf0e2c5876c8c3"
 
 
 def _instances():
@@ -45,6 +48,11 @@ def _instances():
     for _ in range(20):
         yield gen_target((n, n, n), tuple(1 + rng.below(n) for _ in range(3)))
     yield from rotation_batch(60, 7)
+    yield from _raw_tables()
+
+
+def _raw_tables():
+    """300 uniform random cubes of sides 3 to 7, not monotonized."""
     for seed in range(300):
         side = 3 + seed % 5
         yield raw_random_table((side,) * 3, seed)
@@ -223,3 +231,41 @@ def test_dqy_transcripts_are_pinned():
     for inst in [*_large_targets(), *others, *rotation_batch(30, 13)]:
         _fold_run(sha, inst, lambda o: dqy_solve(o).fixed_point)
     assert sha.hexdigest() == DQY_DIGEST
+
+
+class _CallLog(CountedOracle):
+    """CountedOracle that also logs every query call, cache hits included,
+    as (point, value) in call order."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.calls = []
+
+    def query(self, x):
+        fx = super().query(x)
+        self.calls.append((x, fx))
+        return fx
+
+
+def test_dqy_query_calls_are_pinned():
+    # DQY_DIGEST pins the distinct queries only; this pins every call, as
+    # the levelset TSV trace writes one record per call of its outer dqy
+    # phase, on the families of DQY_DIGEST and on raw tables, whose
+    # violations take the evidence path.
+    rng = SplitMix64(9)
+    others = [
+        _target(rng, shape)
+        for shape in ((1 << 40,), (7,), (1 << 20,) * 4, (5, 3, 6, 4))
+        for _ in range(3)
+    ]
+    sha = hashlib.sha256()
+    for inst in [*_large_targets(), *others, *rotation_batch(30, 13), *_raw_tables()]:
+        oracle = _CallLog(inst)
+        try:
+            result = f"fixed {dqy_solve(oracle).fixed_point}"
+        except MonotonicityViolation as mv:
+            result = f"violation {mv}|{mv.implicated}"
+        for point, value in oracle.calls:
+            sha.update(f"{point}\t{value}\n".encode())
+        sha.update(f"{result}\n--\n".encode())
+    assert sha.hexdigest() == DQY_CALLS_DIGEST
