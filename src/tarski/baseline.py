@@ -3,7 +3,9 @@
 dqy_solve is the classic O(log^d N)-query scheme: binary search the last
 free axis, solving each slice as a (d-1)-dimensional sub-instance. It serves
 as a correctness oracle, as the fallback for boxes with pinched sides, and
-as the scaling comparison for the levelset solver.
+as the scaling comparison for the levelset solver. The innermost axis
+bisects in its caller's loop, and every query call of the plain recursion
+is kept, cache hits included, as traces record each call.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, MonotonicityViolation
-from .lattice import Box, Point, full_box, iter_box, sign
+from .lattice import Box, Point, full_box, iter_box
 from .oracle import MAX_DENSE_POINTS
 
 
@@ -32,8 +34,10 @@ def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
         box = full_box(oracle.instance.shape)
     start = oracle.distinct_queries
     axes = [a for a in range(len(box.lo)) if box.lo[a] < box.hi[a]]
-    point = _solve_rec(
-        oracle, box.lo, box.hi, axes, (box.lo, None), (box.hi, None)
+    point = (
+        _solve_rec(oracle, box.lo, box.hi, axes, (box.lo, None), (box.hi, None))
+        if axes
+        else box.lo
     )
     fp = oracle.query(point)
     if fp != point:
@@ -51,28 +55,37 @@ def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:
     corners bracket the restriction (F(lo)_a >= lo_a and F(hi)_a <= hi_a for
     a in axes). Binary search on the last axis; at each midpoint solve the
     slice recursively, then step toward the side its value points to.
+    ``axes`` is never empty. The innermost axis bisects in its caller's
+    loop: with no axis left in ``rest``, the probe is the slice's lower
+    corner itself, where a plain recursion would spend one frame per step
+    on a slice with no free axis only to return that corner.
+
+    Every query call of that plain recursion is kept, in the same order,
+    cache hits included (each step re-queries the answer its slice has
+    already queried), as a levelset trace writes one record per call.
 
     floor_ev / ceil_ev are (point, value) pairs backing the current corner
     certificates (value None for a root corner, queried on failure). When the
     bracket runs empty, which cannot happen for monotone F, the two evidence
     pairs contain an explicit violating pair.
     """
-    if not axes:
-        return lo
+    query = oracle.query
     axis = axes[-1]
     rest = axes[:-1]
     a, b = lo[axis], hi[axis]
     cur_lo, cur_hi = lo, hi
     while a <= b:
         m = (a + b) // 2
-        slice_lo = cur_lo[:axis] + (m,) + cur_lo[axis + 1 :]
-        slice_hi = cur_hi[:axis] + (m,) + cur_hi[axis + 1 :]
-        y = _solve_rec(oracle, slice_lo, slice_hi, rest, floor_ev, ceil_ev)
-        fy = oracle.query(y)
-        s = sign(fy[axis] - m)
-        if s == 0:
+        y = cur_lo[:axis] + (m,) + cur_lo[axis + 1 :]
+        if rest:
+            y = _solve_rec(
+                oracle, y, cur_hi[:axis] + (m,) + cur_hi[axis + 1 :], rest, floor_ev, ceil_ev
+            )
+        fy = query(y)
+        v = fy[axis]
+        if v == m:
             return y
-        if s > 0:
+        if v > m:
             cur_lo = y
             floor_ev = (y, fy)
             a = m + 1
@@ -83,10 +96,10 @@ def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:
     raise MonotonicityViolation(
         f"binary search on axis {axis} exhausted its bracket",
         implicated=(
-            (floor_ev[0], floor_ev[1] if floor_ev[1] is not None else oracle.query(floor_ev[0])),
-            (ceil_ev[0], ceil_ev[1] if ceil_ev[1] is not None else oracle.query(ceil_ev[0])),
-            (cur_lo, oracle.query(cur_lo)),
-            (cur_hi, oracle.query(cur_hi)),
+            (floor_ev[0], floor_ev[1] if floor_ev[1] is not None else query(floor_ev[0])),
+            (ceil_ev[0], ceil_ev[1] if ceil_ev[1] is not None else query(ceil_ev[0])),
+            (cur_lo, query(cur_lo)),
+            (cur_hi, query(cur_hi)),
         ),
     )
 

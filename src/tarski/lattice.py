@@ -17,10 +17,6 @@ Point = tuple[int, ...]
 SignVector = tuple[int, ...]
 
 
-def sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def norm1(x: Point) -> int:
     """Coordinate sum of a point."""
     return sum(x)

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from _families import raw_random_table
 from tarski.baseline import brute_solve, dqy_solve
 from tarski.errors import CapacityError, MonotonicityViolation
-from tarski.lattice import Box, full_box, iter_box
+from tarski.lattice import Box, full_box, iter_box, leq
 from tarski.oracle import (
     CountedOracle,
     Instance,
@@ -112,6 +113,22 @@ def test_dqy_violation_on_hostile_table():
         dqy_solve(o)
     pts = [p for p, _ in err.value.implicated]
     assert (1,) in pts and (2,) in pts
+
+
+def test_dqy_violations_on_raw_tables_implicate_a_violating_pair():
+    # the evidence dqy raises with holds x <= y with F(x) not <= F(y)
+    seen = 0
+    for seed in range(600):
+        inst = raw_random_table((3 + seed % 5,) * 3, seed)
+        try:
+            dqy_solve(CountedOracle(inst))
+        except MonotonicityViolation as mv:
+            pairs = mv.implicated
+            assert any(
+                leq(x, y) and not leq(fx, fy) for x, fx in pairs for y, fy in pairs
+            ), (seed, pairs)
+            seen += 1
+    assert seen > 500
 
 
 def test_dqy_agrees_with_levelset_on_fixed_point_sets():

@@ -8,11 +8,13 @@ checkout it sits in. Each mutant below replaces one exact piece of text in
 one library file and names the tests that must fail on it. The script first
 runs every named test on an unmutated copy, which must pass. Then, for each
 mutant, it applies the replacement in a fresh copy and runs only that
-mutant's tests, stopping at the first failure. It exits 1 when a mutant
+mutant's tests, stopping at the first failure. Each pytest run has a
+timeout; a mutant whose run times out, such as a binary search that no
+longer narrows its bracket, counts as killed. It exits 1 when a mutant
 survives, when a mutant's old text is not found exactly once (a refactor
 that moves the text must update the list here), or when the unmutated copy
-fails. Stdlib only; pytest runs in a subprocess with the interpreter that
-runs this script.
+fails or times out. Stdlib only; pytest runs in a subprocess with the
+interpreter that runs this script.
 """
 
 from __future__ import annotations
@@ -27,14 +29,20 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 120.0
 
 
 class Mutant(NamedTuple):
+    """One replacement and the tests that must fail on it. A mutant that
+    hangs costs its whole timeout, so it names a quick test and a short
+    timeout."""
+
     name: str
     path: str
     old: str
     new: str
     tests: tuple[str, ...]
+    timeout: float = TIMEOUT_S
 
 
 def _clamp(line: str) -> Mutant:
@@ -91,6 +99,33 @@ MUTANTS = (
     _clamp("    b0 = b0 if b0 < hi0 else hi0"),
     _clamp("    b1 = b1 if b1 < hi1 else hi1"),
     _clamp("    b2 = b2 if b2 < hi2 else hi2"),
+    Mutant(
+        "dqy's bisection raises its floor without updating the floor evidence",
+        "src/tarski/baseline.py",
+        "            floor_ev = (y, fy)\n",
+        "",
+        (
+            "tests/test_baseline.py::test_dqy_violations_on_raw_tables_implicate_a_violating_pair",
+            "tests/test_transcripts.py::test_dqy_query_calls_are_pinned",
+        ),
+    ),
+    Mutant(
+        "dqy's bisection does not step past a midpoint below the answer",
+        "src/tarski/baseline.py",
+        "            a = m + 1\n",
+        "            a = m\n",
+        ("tests/test_baseline.py::test_dqy_1d_binary_search",),
+        timeout=15.0,
+    ),
+    Mutant(
+        "the 3D table evaluator lets the first coordinate be 0",
+        "src/tarski/oracle.py",
+        "            if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "                return table[",
+        "            if 0 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "                return table[",
+        ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
+    ),
 )
 
 
@@ -104,12 +139,16 @@ def _copy(dest: str) -> None:
             shutil.copy2(src, dest)
 
 
-def _pytest(root: str, tests) -> int:
+def _pytest(root: str, tests, timeout: float) -> int | None:
     """Run the given test node IDs under root with root/src on the path;
-    pytest's exit code."""
+    pytest's exit code, or None when the run outlasts timeout seconds and
+    is stopped."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=root, env=env, capture_output=True).returncode
+    try:
+        return subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -119,8 +158,10 @@ def main() -> int:
         clean = os.path.join(tmp, "clean")
         _copy(clean)
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        if _pytest(clean, tests) != 0:
-            print("the named tests fail on the unmutated code; nothing to check")
+        code = _pytest(clean, tests, TIMEOUT_S)
+        if code != 0:
+            failed = "time out" if code is None else "fail"
+            print(f"the named tests {failed} on the unmutated code; nothing to check")
             return 1
         for i, m in enumerate(MUTANTS):
             with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
@@ -128,15 +169,17 @@ def main() -> int:
             found = text.count(m.old)
             if found != 1:
                 problems.append(f"{m.name}: old text found {found} times in {m.path}")
-                print(f"MISSING   {m.name}")
+                print(f"{'MISSING':16} {m.name}")
                 continue
             root = os.path.join(tmp, f"mutant{i}")
             _copy(root)
             with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
                 fh.write(text.replace(m.old, m.new))
-            killed = _pytest(root, m.tests) != 0
+            code = _pytest(root, m.tests, m.timeout)
+            killed = code != 0
             shutil.rmtree(root)
-            print(f"{'killed' if killed else 'SURVIVED':9} {m.name}")
+            verdict = "SURVIVED" if not killed else "killed (timeout)" if code is None else "killed"
+            print(f"{verdict:16} {m.name}")
             if not killed:
                 problems.append(f"{m.name}: survives {', '.join(m.tests)}")
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
