@@ -20,19 +20,16 @@ from .oracle import MAX_DENSE_POINTS
 @dataclass(frozen=True)
 class BaselineReport:
     fixed_point: Point
-    distinct_queries: int
 
 
 def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
     """Fixed point of F restricted to a box with certified corners.
 
     With no box, solves the full grid (whose corners are certified for free:
-    F maps the grid into itself). distinct_queries is the count this call
-    added to the oracle.
+    F maps the grid into itself).
     """
     if box is None:
         box = full_box(oracle.instance.shape)
-    start = oracle.distinct_queries
     axes = [a for a in range(len(box.lo)) if box.lo[a] < box.hi[a]]
     point = (
         _solve_rec(oracle, box.lo, box.hi, axes, (box.lo, None), (box.hi, None))
@@ -45,7 +42,7 @@ def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
             f"candidate {point} is not fixed",
             implicated=((point, fp), (box.lo, oracle.query(box.lo)), (box.hi, oracle.query(box.hi))),
         )
-    return BaselineReport(point, oracle.distinct_queries - start)
+    return BaselineReport(point)
 
 
 def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:

@@ -110,11 +110,6 @@ def cmd_solve(instance_path, shape, target, algo, trace_path, verify_certificate
         flag = "--trace" if trace_path else "--verify-certificates"
         raise click.UsageError(f"{flag} applies to --algo levelset only")
     inst = _load_or_build(instance_path, shape, target)
-    if algo == "levelset" and len(inst.shape) > 3:
-        raise click.UsageError(
-            f"--algo levelset handles at most 3 dimensions, the grid has {len(inst.shape)}; "
-            "use --algo dqy or brute"
-        )
     counted = orc.CountedOracle(inst)
     try:
         with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:

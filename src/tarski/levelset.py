@@ -320,17 +320,16 @@ class LevelsetSolver:
 
     def solve(self) -> Point:
         """Run the full algorithm on the oracle's grid and return a fixed
-        point, one the oracle has answered with itself."""
+        point, one the oracle has answered with itself. A grid that is not
+        3D goes to the binary search baseline on the full box."""
         shape = self.oracle.instance.shape
-        if len(shape) > 3:
-            raise ValueError("the levelset solver handles at most 3 dimensions")
         # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
         lo, hi = (1,) * len(shape), shape
         lo_sum, hi_sum = len(shape), sum(shape)
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
-                if len(shape) < 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
+                if len(shape) != 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
                     return self._baseline(PHASE_OUTER, dqy_solve, Box(lo, hi)).fixed_point
                 if hi_sum - lo_sum <= 6:
                     return self._baseline(PHASE_BRUTE, brute_solve, Box(lo, hi))
@@ -386,10 +385,10 @@ class LevelsetSolver:
 
     def _baseline(self, phase: str, run, box: Box):
         """Run a baseline solver on the box, its queries traced under phase.
-        Boxes with a pinched side (and grids below 3D) go to the binary
-        search baseline; i-upward/i-downward points cannot exist along a
-        pinched axis, so the level machinery has nothing to grab. The
-        constant-size remainder is scanned by brute force."""
+        Boxes with a pinched side (and grids that are not 3D) go to the
+        binary search baseline; i-upward/i-downward points cannot exist
+        along a pinched axis, so the level machinery has nothing to grab.
+        The constant-size remainder is scanned by brute force."""
         self._phase = phase
         self._level = -1
         return run(self._oracle, box)
@@ -542,11 +541,10 @@ class LevelsetSolver:
 
     # -- shrinking --------------------------------------------------------
 
-    def shrink_once(self, state: LevelState, view: SearchSpaceView | None = None):
+    def shrink_once(self, state: LevelState, view: SearchSpaceView):
         """One geometric shrink while some diameter is >= 6 and none is below
-        2, where view is search_space(state), worked out here when not given.
-        The caller holds those diameters, as _run_level does; they are not
-        checked.
+        2, where view is search_space(state). The caller holds those
+        diameters, as _run_level does; they are not checked.
 
         The probe sits at least ceil(dia_i/6) inside both bounds on every
         axis (such a level point always exists under the preconditions), so
@@ -555,7 +553,6 @@ class LevelsetSolver:
         keeps every axis about equally far from both bounds instead of
         pushing the first axes to one bound and the last to the other.
         """
-        view = view or search_space(state)
         d0, d1, d2 = view.dia
         s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
         (l0, l1, l2), (r0, r1, r2) = view.ell, view.r
@@ -581,9 +578,10 @@ class LevelsetSolver:
             self.observer("shrink", _step_payload(state, view, res, q=q, fq=fq))
         return res
 
-    def small_case_step(self, state: LevelState, view: SearchSpaceView | None = None):
-        """One constant-size step once every diameter is in 2..5, which the
-        caller holds, as _run_level does; it is not checked.
+    def small_case_step(self, state: LevelState, view: SearchSpaceView):
+        """One constant-size step once every diameter is in 2..5, where view
+        is search_space(state). The caller holds those diameters, as
+        _run_level does; they are not checked.
 
         If S still has a point strictly inside every bound, probing it shrinks
         some diameter. Otherwise S hugs one corner of its bounding ranges, the
@@ -593,7 +591,6 @@ class LevelsetSolver:
         the corner plus s is an upward, resp. downward, point with no further
         query.
         """
-        view = view or search_space(state)
         (l0, l1, l2), (r0, r1, r2), k = view.ell, view.r, state.k
         ell_sum = l0 + l1 + l2
         if ell_sum + 3 <= k <= r0 + r1 + r2 - 3:
@@ -721,13 +718,10 @@ class _TracingOracle:
         )
         return fx
 
-    @property
-    def distinct_queries(self) -> int:
-        return self._solver.oracle.distinct_queries
-
 
 def solve(oracle, *, verify_certificates: bool = False, trace=None, observer=None) -> Point:
-    """Find a verified fixed point of the oracle's instance (d <= 3)."""
+    """Find a verified fixed point of the oracle's instance: by the levelset
+    algorithm on a 3D grid, by dqy_solve on any other."""
     return LevelsetSolver(
         oracle,
         verify_certificates=verify_certificates,

@@ -3,8 +3,22 @@
 import itertools
 
 from tarski.lattice import classify, full_box, iter_box, norm1
-from tarski.oracle import Instance
+from tarski.oracle import CountedOracle, Instance
 from tarski.rng import SplitMix64
+
+
+class CallLog(CountedOracle):
+    """CountedOracle that also logs every query call, cache hits included,
+    as (point, value) in call order."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.calls = []
+
+    def query(self, x):
+        fx = super().query(x)
+        self.calls.append((x, fx))
+        return fx
 
 
 def rotation_instance(n, deltas, rot=1):

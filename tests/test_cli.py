@@ -38,19 +38,20 @@ def test_solve_usage_errors_exit_2():
     assert run("solve", "--shape", "4,4,4", "--target", "9,1,1").exit_code == 2
 
 
-def test_solve_levelset_on_4d_grid_is_usage_error(tmp_path):
-    res = run("solve", "--shape", "4,4,4,4", "--target", "1,2,3,4")
-    assert res.exit_code == 2, res.output
-    assert "at most 3 dimensions" in res.output
-    assert "Traceback" not in res.output
+def test_solve_levelset_on_4d_grid_matches_dqy(tmp_path):
+    # levelset hands a grid that is not 3D to dqy whole: the same point and
+    # the same query count, from --shape and from --instance alike.
     path = tmp_path / "t4.txt"
     assert run(
         "gen", "--shape", "4,4,4,4", "--kind", "target", "--target", "1,2,3,4",
         "-o", str(path),
     ).exit_code == 0
-    res = run("solve", "--instance", str(path))
-    assert res.exit_code == 2, res.output
-    assert "at most 3 dimensions" in res.output
+    for source in (("--shape", "4,4,4,4", "--target", "1,2,3,4"), ("--instance", str(path))):
+        res = run("solve", *source)
+        want = run("solve", *source, "--algo", "dqy")
+        assert res.exit_code == want.exit_code == 0, res.output
+        assert "fixed_point = (1,2,3,4)" in res.output
+        assert res.output == want.output
 
 
 def test_solve_dqy_on_4d_grid():

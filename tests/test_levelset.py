@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies
 
+from tarski.baseline import dqy_solve
 from tarski.errors import MonotonicityViolation
 from tarski.lattice import (
     Box,
@@ -458,7 +459,7 @@ def test_shrink_probe_spec_example():
     st = state_from_coords(box, 12, (1, 1, 1), (7, 7, 7))
     oracle = _ScriptedOracle({(4, 4, 4): (5, 4, 3)}, fallback=lambda q: q)
     solver = LevelsetSolver(oracle)
-    res = solver.shrink_once(st)
+    res = solver.shrink_once(st, search_space(st))
     assert oracle.order == [(4, 4, 4)]
     assert isinstance(res, LevelState)
     # the probe was 1-upward (and 3-downward), so both bounds moved
@@ -473,7 +474,7 @@ def test_small_case_interior_probe_spec_example():
     st = state_from_coords(box, 9, (2, 2, 2), (4, 4, 4))
     oracle = _ScriptedOracle({(3, 3, 3): (4, 3, 2)}, fallback=lambda q: q)
     solver = LevelsetSolver(oracle)
-    res = solver.small_case_step(st)
+    res = solver.small_case_step(st, search_space(st))
     assert oracle.order == [(3, 3, 3)]
     assert isinstance(res, LevelState)
 
@@ -500,7 +501,7 @@ def test_small_case_probe_branch_all_upward_spec_example():
         st = state_from_coords(box, k, (2, 2, 2), (4, 4, 4))
         oracle = _ScriptedOracle(script, fallback=lambda q: q)
         solver = LevelsetSolver(oracle)
-        out = solver.small_case_step(st)
+        out = solver.small_case_step(st, search_space(st))
         assert oracle.order == list(script), kind
         assert out.kind == kind
         assert out.point == (3, 3, 3)
@@ -718,8 +719,40 @@ def test_solve_exhaustive_targets_sides_up_to_5():
 def test_solve_low_dimensions_delegate():
     assert solve(CountedOracle(gen_target((9,), (4,)))) == (4,)
     assert solve(CountedOracle(gen_target((16, 16), (13, 2)))) == (13, 2)
-    with pytest.raises(ValueError):
-        solve(CountedOracle(gen_target((3, 3, 3, 3), (1, 1, 1, 1))))
+    assert solve(CountedOracle(gen_target((3, 3, 3, 3), (1, 1, 1, 1)))) == (1, 1, 1, 1)
+    assert solve(CountedOracle(gen_target((6, 2, 9, 4, 5), (5, 1, 7, 4, 2)))) == (5, 1, 7, 4, 2)
+
+
+def test_solve_above_3d_is_dqy_call_for_call():
+    # A grid with more than 3 dimensions goes to dqy_solve on the full box:
+    # the same query calls, cache hits included, in the same order, and the
+    # same answer or violation, in both verify_certificates modes.
+    from _families import CallLog, raw_random_table
+
+    def run(inst, search):
+        oracle = CallLog(inst)
+        try:
+            result = ("fixed", search(oracle))
+        except MonotonicityViolation as mv:
+            result = ("violation", str(mv), mv.implicated)
+        return oracle.calls, result
+
+    rng = SplitMix64(29)
+    instances = [
+        gen_target(shape, tuple(1 + rng.below(n) for n in shape))
+        for shape in ((1 << 20,) * 4, (5, 3, 6, 4), (1 << 10,) * 5, (2, 7, 1, 3, 4))
+        for _ in range(3)
+    ]
+    instances += [gen_random_monotone((4, 3, 4, 2 + seed % 3), seed) for seed in range(20)]
+    instances += [raw_random_table((3,) * 4, seed) for seed in range(60)]
+    violations = 0
+    for inst in instances:
+        want = run(inst, lambda o: dqy_solve(o).fixed_point)
+        violations += want[1][0] == "violation"
+        for verify_certificates in (False, True):
+            got = run(inst, lambda o: solve(o, verify_certificates=verify_certificates))
+            assert got == want, (inst.shape, verify_certificates)
+    assert violations >= 50, violations
 
 
 def test_solve_degenerate_and_odd_shapes():
@@ -1025,24 +1058,12 @@ def test_trace_records_every_query_with_phase():
     assert "init" in phases
 
 
-class _CallLog(CountedOracle):
-    """CountedOracle that logs every query call, cache hits included."""
-
-    def __init__(self, instance):
-        super().__init__(instance)
-        self.calls = []
-
-    def query(self, x):
-        fx = super().query(x)
-        self.calls.append((x, fx))
-        return fx
-
-
 def test_trace_has_one_record_per_query_call():
     # A trace pairs up with the oracle's call log: one record per query call,
     # cache hits included, in call order. This holds in every phase, for the
     # baselines the solver delegates to, and on violation paths in both modes.
-    from _families import raw_random_table, rotation_batch
+    # A grid that is not 3D is one dqy phase: all outer, outside any level.
+    from _families import CallLog, raw_random_table, rotation_batch
 
     rng = SplitMix64(17)
     instances = [
@@ -1055,11 +1076,13 @@ def test_trace_has_one_record_per_query_call():
     instances += [gen_target((16, 16), (13, 2)), gen_target((1, 9, 9), (1, 4, 2)),
                   gen_target((7, 3, 9), (2, 3, 8))]
     instances += [raw_random_table((3 + seed % 4,) * 3, seed) for seed in range(80)]
+    # A 4-D grid, and a raw 4-D table.
+    instances += [gen_target((3, 5, 4, 6), (2, 5, 1, 3)), raw_random_table((3,) * 4, 2)]
     phases = set()
     violations = {False: 0, True: 0}
     for inst in instances:
         for verify_certificates in (False, True):
-            oracle = _CallLog(inst)
+            oracle = CallLog(inst)
             buf = io.StringIO()
             try:
                 solve(oracle, verify_certificates=verify_certificates, trace=buf)
@@ -1068,6 +1091,8 @@ def test_trace_has_one_record_per_query_call():
             records = [line.split("\t") for line in buf.getvalue().splitlines()]
             calls = [(",".join(map(str, x)), ",".join(map(str, fx))) for x, fx in oracle.calls]
             assert [(rec[2], rec[3]) for rec in records] == calls
+            if len(inst.shape) != 3:
+                assert records and {(rec[0], rec[1]) for rec in records} == {("outer", "-1")}
             phases.update(rec[0] for rec in records)
     assert phases == {"init", "shrink", "small", "third", "outer", "brute"}
     assert violations[False] > 10 and violations[True] > 10, violations

@@ -16,9 +16,10 @@ random labelled levelset points.
 The hook-free solves and the dqy baseline are pinned on their own at the
 sides the benchmark runs (2^8, 2^20 and 2^40), where coordinates outgrow
 every machine word, and on 2-D and pinched grids, which the solver hands
-to dqy; dqy is pinned on 1-D and 4-D grids and rotation tables as well.
-Beyond its distinct queries, dqy's every query call is pinned in call
-order, cache hits included, on those grids and on raw tables.
+to dqy; dqy is pinned on 1-D and 4-D grids, rotation tables and raw tables
+as well. dqy's pin takes in every query call in call order, cache hits
+included, so it pins its distinct queries too: they are the first
+occurrences of those calls.
 """
 
 import hashlib
@@ -27,7 +28,7 @@ import pathlib
 import subprocess
 import sys
 
-from _families import raw_random_table, rotation_batch
+from _families import CallLog, raw_random_table, rotation_batch
 from tarski.baseline import dqy_solve
 from tarski.errors import MonotonicityViolation
 from tarski.lattice import classify, full_box, iter_box, norm1
@@ -38,7 +39,6 @@ from tarski.rng import SplitMix64
 DIGEST = "7565fab1e5d9039cb06e9b37823a454a8959fad9c25313a14901929dc270b2e7"
 CONFIG_DIGEST = "7bfca45c226f25fbc17c0c1d0758f28da29e8c3975ebba0ff84b00be7fc97b47"
 SOLVE_DIGEST = "f86cbe92891a865c5b6071d2049e7e7fb039a96023113b354950e58c37701504"
-DQY_DIGEST = "9c5dabd106c7e1b3095684fcb53d0286454a7bc31ea2fa6b39726c51f14f650d"
 DQY_CALLS_DIGEST = "2484546f51dc594f139f8f2540d4ba1e68856440729d67652cbf0e2c5876c8c3"
 
 
@@ -199,59 +199,25 @@ def _large_targets():
                 yield _target(rng, shape)
 
 
-def _fold_run(sha, inst, run) -> None:
-    """Fold the transcript and the result of run(oracle), on a fresh oracle
-    of inst, into sha."""
-    oracle = CountedOracle(inst, record_transcript=True)
-    try:
-        result = f"fixed {run(oracle)}"
-    except MonotonicityViolation as mv:
-        result = f"violation {mv}|{mv.implicated}"
-    for point, value in oracle.transcript:
-        sha.update(f"{point}\t{value}\n".encode())
-    sha.update(f"{result}\n--\n".encode())
-
-
 def test_hook_free_solves_at_benchmark_sides_are_pinned():
     sha = hashlib.sha256()
     for inst in _large_targets():
         for verify_certificates in (False, True):
-            _fold_run(sha, inst, lambda o: solve(o, verify_certificates=verify_certificates))
+            oracle = CountedOracle(inst, record_transcript=True)
+            try:
+                result = f"fixed {solve(oracle, verify_certificates=verify_certificates)}"
+            except MonotonicityViolation as mv:
+                result = f"violation {mv}|{mv.implicated}"
+            for point, value in oracle.transcript:
+                sha.update(f"{point}\t{value}\n".encode())
+            sha.update(f"{result}\n--\n".encode())
     assert sha.hexdigest() == SOLVE_DIGEST
 
 
-def test_dqy_transcripts_are_pinned():
-    rng = SplitMix64(9)
-    others = [
-        _target(rng, shape)
-        for shape in ((1 << 40,), (7,), (1 << 20,) * 4, (5, 3, 6, 4))
-        for _ in range(3)
-    ]
-    sha = hashlib.sha256()
-    for inst in [*_large_targets(), *others, *rotation_batch(30, 13)]:
-        _fold_run(sha, inst, lambda o: dqy_solve(o).fixed_point)
-    assert sha.hexdigest() == DQY_DIGEST
-
-
-class _CallLog(CountedOracle):
-    """CountedOracle that also logs every query call, cache hits included,
-    as (point, value) in call order."""
-
-    def __init__(self, instance):
-        super().__init__(instance)
-        self.calls = []
-
-    def query(self, x):
-        fx = super().query(x)
-        self.calls.append((x, fx))
-        return fx
-
-
 def test_dqy_query_calls_are_pinned():
-    # DQY_DIGEST pins the distinct queries only; this pins every call, as
-    # the levelset TSV trace writes one record per call of its outer dqy
-    # phase, on the families of DQY_DIGEST and on raw tables, whose
-    # violations take the evidence path.
+    # Every call is pinned, not only the distinct queries, as the levelset
+    # TSV trace writes one record per call of its outer dqy phase. Raw
+    # tables are in, as their violations take the evidence path.
     rng = SplitMix64(9)
     others = [
         _target(rng, shape)
@@ -260,7 +226,7 @@ def test_dqy_query_calls_are_pinned():
     ]
     sha = hashlib.sha256()
     for inst in [*_large_targets(), *others, *rotation_batch(30, 13), *_raw_tables()]:
-        oracle = _CallLog(inst)
+        oracle = CallLog(inst)
         try:
             result = f"fixed {dqy_solve(oracle).fixed_point}"
         except MonotonicityViolation as mv:

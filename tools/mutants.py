@@ -126,6 +126,20 @@ MUTANTS = (
         "                return table[",
         ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
     ),
+    Mutant(
+        "solve runs the level path on grids of more than 3 dimensions",
+        "src/tarski/levelset.py",
+        "if len(shape) != 3 or lo[0] == hi[0]",
+        "if len(shape) < 3 or lo[0] == hi[0]",
+        ("tests/test_levelset.py::test_solve_above_3d_is_dqy_call_for_call",),
+    ),
+    Mutant(
+        "certificate payloads read verified as False only under python -O",
+        "src/tarski/levelset.py",
+        '"verified": verified}',
+        '"verified": verified and __debug__}',
+        ("tests/test_transcripts.py::test_pinned_digest_holds_under_python_O",),
+    ),
 )
 
 
