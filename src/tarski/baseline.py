@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, MonotonicityViolation
+from .errors import MonotonicityViolation
 from .lattice import Box, Point, full_box, iter_box
-from .oracle import MAX_DENSE_POINTS
+from .oracle import _check_dense
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def brute_solve(oracle, box: Box | None = None) -> Point:
     """First fixed point of the box in lexicographic order."""
     if box is None:
         box = full_box(oracle.instance.shape)
-    if box.volume > MAX_DENSE_POINTS:
-        raise CapacityError(f"brute_solve over {box.volume} points")
+    _check_dense(box.volume, "brute_solve")
     scanned = []
     for x in iter_box(box):
         fx = oracle.query(x)

@@ -269,8 +269,7 @@ class LevelsetSolver:
         self.verify_certificates = verify_certificates
         self.observer = observer
         self._oracle = oracle if trace is None else _TracingOracle(self, trace)
-        self._phase = PHASE_OUTER
-        self._level = -1
+        self._context = (PHASE_OUTER, -1)  # (phase, level) of a traced query
         self._evidence: tuple[tuple[Point, Point], ...] = ()
 
     # -- plumbing ---------------------------------------------------------
@@ -330,9 +329,12 @@ class LevelsetSolver:
         try:
             while True:
                 if len(shape) != 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
-                    return self._baseline(PHASE_OUTER, dqy_solve, Box(lo, hi)).fixed_point
+                    # A pinched side has no i-upward or i-downward point for a level to grab.
+                    self._context = (PHASE_OUTER, -1)
+                    return dqy_solve(self._oracle, Box(lo, hi)).fixed_point
                 if hi_sum - lo_sum <= 6:
-                    return self._baseline(PHASE_BRUTE, brute_solve, Box(lo, hi))
+                    self._context = (PHASE_BRUTE, -1)
+                    return brute_solve(self._oracle, Box(lo, hi))
                 if pending is not None:
                     lo, hi = self._tighten(lo, hi, pending)
                     pending = None
@@ -371,8 +373,7 @@ class LevelsetSolver:
         corner is an implied certificate; the pair (u, F(u)) backing it joins
         every later violation.
         """
-        self._phase = PHASE_OUTER
-        self._level = -1
+        self._context = (PHASE_OUTER, -1)
         u, fu = out.point, out.fvalue
         if not (lo[0] <= fu[0] <= hi[0] and lo[1] <= fu[1] <= hi[1] and lo[2] <= fu[2] <= hi[2]):
             raise MonotonicityViolation(
@@ -383,16 +384,6 @@ class LevelsetSolver:
         corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
         return (corner, hi) if out.kind == UPWARD else (lo, corner)
 
-    def _baseline(self, phase: str, run, box: Box):
-        """Run a baseline solver on the box, its queries traced under phase.
-        Boxes with a pinched side (and grids that are not 3D) go to the
-        binary search baseline; i-upward/i-downward points cannot exist
-        along a pinched axis, so the level machinery has nothing to grab.
-        The constant-size remainder is scanned by brute force."""
-        self._phase = phase
-        self._level = -1
-        return run(self._oracle, box)
-
     # -- one level --------------------------------------------------------
 
     def _solve_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
@@ -401,7 +392,7 @@ class LevelsetSolver:
         caller holds k strictly inside the box and every side >= 2, as the
         outer loop does by construction; neither is checked. No Box is built
         unless an observer is attached or the level gets past init."""
-        self._level = k
+        self._context = (PHASE_INIT, k)
         observer = self.observer
         if observer is not None:
             box = Box(lo, hi)
@@ -417,13 +408,11 @@ class LevelsetSolver:
                 observer("level_done", {
                     "box": box, "k": k, "queries": self.oracle.distinct_queries - before
                 })
-            self._level = -1
 
     def _run_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
         extreme_search = self._extreme_search
         ups: list[tuple[Point, Point]] = []
         downs: list[tuple[Point, Point]] = []
-        self._phase = PHASE_INIT
         # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
         for axis in range(3):
             down_pair = extreme_search(lo, hi, k, axis, 1)
@@ -444,10 +433,10 @@ class LevelsetSolver:
             if d0 <= 1 or d1 <= 1 or d2 <= 1:
                 break
             if d0 >= 6 or d1 >= 6 or d2 >= 6:
-                self._phase = PHASE_SHRINK
+                self._context = (PHASE_SHRINK, k)
                 res = self.shrink_once(state, view)
             else:
-                self._phase = PHASE_SMALL
+                self._context = (PHASE_SMALL, k)
                 res = self.small_case_step(state, view)
             if isinstance(res, LevelOutcome):
                 return res
@@ -457,7 +446,7 @@ class LevelsetSolver:
             self.observer("config", {"config": cfg, "state": state.snapshot()})
         if cfg.kind != "third":
             return self.resolve_meet_join(cfg)
-        self._phase = PHASE_THIRD
+        self._context = (PHASE_THIRD, k)
         return self.resolve_third(cfg, k)
 
     # -- initialization ---------------------------------------------------
@@ -712,8 +701,9 @@ class _TracingOracle:
     def query(self, x: Point) -> Point:
         fx = self._solver.oracle.query(x)
         _, labels = classify(x, fx)
+        phase, level = self._solver._context
         self._trace.write(
-            f"{self._solver._phase}\t{self._solver._level}\t{_fmt_point(x)}\t"
+            f"{phase}\t{level}\t{_fmt_point(x)}\t"
             f"{_fmt_point(fx)}\t{_label_tokens(labels)}\n"
         )
         return fx

@@ -309,7 +309,7 @@ def test_bench_brute_on_oversized_cube_exit_2():
     ):
         res = run(*args)
         assert res.exit_code == 2, (args, res.output)
-        assert "brute_solve over 8000000 points" in res.output
+        assert "brute_solve needs 8000000 grid points, limit is 1000000" in res.output
         assert "Traceback" not in res.output
         assert not isinstance(res.exception, CapacityError)
 

@@ -848,7 +848,7 @@ def test_tighten_confirms_image_as_outer_query_in_verify_mode():
         trace=buf,
         observer=lambda ev, p: events.append((ev, p)),
     )
-    solver._phase, solver._level = "third", 12  # left over from the level
+    solver._context = ("third", 12)  # left over from the level
     up = LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3))
     assert solver._tighten((3, 3, 3), (7, 7, 7), up) == ((4, 5, 3), (7, 7, 7))
     assert oracle.order == [(4, 5, 3)]

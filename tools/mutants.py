@@ -115,7 +115,7 @@ MUTANTS = (
         "            a = m + 1\n",
         "            a = m\n",
         ("tests/test_baseline.py::test_dqy_1d_binary_search",),
-        timeout=15.0,
+        timeout=5.0,
     ),
     Mutant(
         "the 3D table evaluator lets the first coordinate be 0",
@@ -127,11 +127,70 @@ MUTANTS = (
         ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
     ),
     Mutant(
+        "the 3D target evaluator lets the first coordinate be 0",
+        "src/tarski/oracle.py",
+        "                if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "                    # c + sign",
+        "                if 0 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "                    # c + sign",
+        ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
+    ),
+    Mutant(
+        "the evaluator of grids that are not 3D skips the bounds check",
+        "src/tarski/oracle.py",
+        "return lambda x: value(x) if contains(x) else None",
+        "return lambda x: value(x)",
+        ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
+    ),
+    Mutant(
+        "_check_table passes a column without testing its types",
+        "src/tarski/oracle.py",
+        "set(map(type, col)) == {int} and 1 <= min(col)",
+        "1 <= min(col)",
+        ("tests/test_oracle.py::test_instance_names_each_malformed_field",),
+    ),
+    Mutant(
+        "_check_table passes rows without testing their type",
+        "src/tarski/oracle.py",
+        "if set(map(type, table)) == {tuple} and set(map(len, table)) == {d} and all(",
+        "if set(map(len, table)) == {d} and all(",
+        ("tests/test_oracle.py::test_instance_names_each_malformed_field",),
+    ),
+    Mutant(
+        "Instance takes a target without testing its type",
+        "src/tarski/oracle.py",
+        "            if target is not None and not _is_point(target):\n"
+        "                raise ValueError(f\"target {target!r} is not a tuple of ints\")\n",
+        "",
+        ("tests/test_oracle.py::test_instance_names_each_malformed_field",),
+    ),
+    Mutant(
         "solve runs the level path on grids of more than 3 dimensions",
         "src/tarski/levelset.py",
         "if len(shape) != 3 or lo[0] == hi[0]",
         "if len(shape) < 3 or lo[0] == hi[0]",
         ("tests/test_levelset.py::test_solve_above_3d_is_dqy_call_for_call",),
+    ),
+    Mutant(
+        "an init search misses a downward point whose own axis F keeps",
+        "src/tarski/levelset.py",
+        "if si <= 0 and sj <= 0 and sp <= 0:",
+        "if si < 0 and sj <= 0 and sp <= 0:",
+        ("tests/test_levelset.py::test_init_direction_sweep_small_grids",),
+    ),
+    Mutant(
+        "_corner_pairs queries past the trace",
+        "src/tarski/levelset.py",
+        "return ((lo, self._oracle.query(lo)), (hi, self._oracle.query(hi)))",
+        "return ((lo, self.oracle.query(lo)), (hi, self.oracle.query(hi)))",
+        ("tests/test_levelset.py::test_trace_has_one_record_per_query_call",),
+    ),
+    Mutant(
+        "_tighten traces its queries under the context the last level left",
+        "src/tarski/levelset.py",
+        "        self._context = (PHASE_OUTER, -1)\n        u, fu = out.point, out.fvalue\n",
+        "        u, fu = out.point, out.fvalue\n",
+        ("tests/test_levelset.py::test_tighten_confirms_image_as_outer_query_in_verify_mode",),
     ),
     Mutant(
         "certificate payloads read verified as False only under python -O",
@@ -156,9 +215,12 @@ def _copy(dest: str) -> None:
 def _pytest(root: str, tests, timeout: float) -> int | None:
     """Run the given test node IDs under root with root/src on the path;
     pytest's exit code, or None when the run outlasts timeout seconds and
-    is stopped."""
+    is stopped. The hypothesis plugin stays unloaded: importing it costs
+    most of a run's start-up, and the property tests set their own
+    settings without it."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-p", "no:hypothesispytest", *tests]
     try:
         return subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=timeout).returncode
     except subprocess.TimeoutExpired:
