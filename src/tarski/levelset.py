@@ -21,11 +21,13 @@ second, or third configuration, and each of those resolves into the
 required upward/downward point, the first two by pure meet/join reasoning,
 the third by one more binary search.
 
-Monotonicity is only ever used locally. When a case analysis that is
-exhaustive for monotone F falls through, the solver raises
-MonotonicityViolation carrying the constant-size set of (point, value)
-pairs it was looking at, plus the pair (u, F(u)) behind every corner the
-outer loop moved to an image.
+Monotonicity is only ever used locally. The bounds of S and the
+configuration scan read coordinates only, hold for every F and check
+nothing. When a case analysis that is exhaustive for monotone F falls
+through (in _certify, _tighten or _extreme_search, or in a baseline solve
+delegates to), the solver raises MonotonicityViolation carrying the
+constant-size set of (point, value) pairs it was looking at, plus the pair
+(u, F(u)) behind every corner the outer loop moved to an image.
 
 Each mirrored pair of cases is written once, for a direction sign s: s = +1
 reads its comparisons as written, s = -1 reads them in the order dual, which
@@ -99,9 +101,6 @@ class LevelState:
     up: list[tuple[Point, Point]]
     down: list[tuple[Point, Point]]
 
-    def pairs(self) -> tuple[tuple[Point, Point], ...]:
-        return tuple(self.up) + tuple(self.down)
-
     def snapshot(self) -> dict:
         return {
             "box": self.box,
@@ -135,7 +134,9 @@ def search_space(state: LevelState) -> SearchSpaceView:
     S is the set of levelset points bounded per-axis by the up/down pair;
     the coordinate bounds follow from the per-axis constraints plus the fixed
     coordinate sum, clamped to the box. Both bounds are attained by points
-    of S whenever S is nonempty.
+    of S whenever S is nonempty, which holds for any F on every state the
+    solver builds and is not checked: init makes S the whole level, and
+    every later probe lies in S and moves a bound only to itself.
     """
     (lo0, lo1, lo2), (hi0, hi1, hi2) = state.box.lo, state.box.hi
     k = state.k
@@ -159,12 +160,7 @@ def search_space(state: LevelState) -> SearchSpaceView:
     r0 = r0 if r0 < b0 else b0
     r1 = r1 if r1 < b1 else b1
     r2 = r2 if r2 < b2 else b2
-    d0, d1, d2 = r0 - e0, r1 - e1, r2 - e2
-    if d0 < 0 or d1 < 0 or d2 < 0:
-        raise MonotonicityViolation(
-            "remaining search space is empty", implicated=state.pairs()
-        )
-    return SearchSpaceView((e0, e1, e2), (r0, r1, r2), (d0, d1, d2))
+    return SearchSpaceView((e0, e1, e2), (r0, r1, r2), (r0 - e0, r1 - e1, r2 - e2))
 
 
 def find_configuration(state: LevelState) -> Config:
@@ -174,7 +170,9 @@ def find_configuration(state: LevelState) -> Config:
     the downward mirror); meet/join resolves it with zero queries. second:
     a cyclic triple of the same shape. third: some pair up(i), down(i) with
     down(i)_i at most one above up(i)_i; costs one more binary search. One of
-    them must exist once some diameter of S is <= 1.
+    them exists, for any F, on every state _run_level passes: six level
+    points in the box with up(i)_i <= down(i)_i, a nonempty S and some
+    diameter of S <= 1.
     """
     flavors = ((1, state.up), (-1, state.down))
     for i in range(3):
@@ -190,12 +188,10 @@ def find_configuration(state: LevelState) -> Config:
             x, y, z = pairs[i][0], pairs[j][0], pairs[p][0]
             if s * (x[i] - y[i]) >= 0 and s * (y[j] - z[j]) >= 0 and s * (z[p] - x[p]) >= 0:
                 return Config("second", _kind(s), (pairs[i], pairs[j], pairs[p]))
+    # No fall-through in the domain: the lemma test_configuration_lemma checks.
     for i in range(3):
         if state.down[i][0][i] - state.up[i][0][i] <= 1:
             return Config("third", None, (state.up[i], state.down[i]), axis=i)
-    raise MonotonicityViolation(
-        "no configuration among the bounding points", implicated=state.pairs()
-    )
 
 
 def _kind(s: int) -> str:

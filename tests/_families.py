@@ -3,7 +3,7 @@
 import itertools
 
 from tarski.lattice import classify, full_box, iter_box, norm1
-from tarski.oracle import CountedOracle, Instance
+from tarski.oracle import CountedOracle, Instance, gen_target
 from tarski.rng import SplitMix64
 
 
@@ -70,6 +70,40 @@ def raw_random_table(shape, seed):
             tuple(1 + rng.below(n) for n in shape) for _ in range(box.volume)
         ),
     )
+
+
+def perturbed_target_table(n, seed):
+    """Target-sign n-cube with about one point in ten redrawn as q + s,
+    s in {-1, 0, 1}^3, clipped to the grid; not monotone. The target, then
+    each point's draws in point order, come from one SplitMix64."""
+    rng = SplitMix64(seed)
+    shape = (n, n, n)
+    base = gen_target(shape, tuple(1 + rng.below(n) for _ in range(3)))
+    table = []
+    for q in iter_box(full_box(shape)):
+        if rng.below(10):
+            table.append(base.value(q))
+        else:
+            table.append(tuple(min(n, max(1, c + rng.below(3) - 1)) for c in q))
+    return Instance(shape=shape, kind="table", table=tuple(table))
+
+
+def jump_target_table(n, seed):
+    """Target-sign n-cube, n >= 3, aimed at (n/3, n/2, n - 1), with about
+    one point q in four sent to a uniform point above q or below it; not
+    monotone. Each point's draws come from one SplitMix64 in point order."""
+    rng = SplitMix64(seed)
+    shape = (n, n, n)
+    base = gen_target(shape, (n // 3, n // 2, n - 1))
+    table = []
+    for q in iter_box(full_box(shape)):
+        if rng.below(4):
+            table.append(base.value(q))
+        elif rng.below(2):
+            table.append(tuple(c + rng.below(n - c + 1) for c in q))
+        else:
+            table.append(tuple(1 + rng.below(c) for c in q))
+    return Instance(shape=shape, kind="table", table=tuple(table))
 
 
 def levelset_points(inst, k):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import pytest
@@ -25,6 +26,7 @@ from tarski.levelset import (
     LevelOutcome,
     LevelsetSolver,
     LevelState,
+    find_configuration,
     search_space,
     solve,
 )
@@ -108,15 +110,12 @@ def test_search_space_pinched_axis():
 
 def test_search_space_matches_bruteforce():
     def matches(box, k, a, b):
-        # search_space agrees with the enumerated S, or raises when S is
-        # empty; true for a nonempty S.
-        st = state_from_coords(box, k, a, b)
+        # search_space agrees with the enumerated S when S is nonempty, its
+        # one precondition; true for a nonempty S.
         pts = enumerate_space(box, k, a, b)
         if not pts:
-            with pytest.raises(MonotonicityViolation):
-                search_space(st)
             return False
-        view = search_space(st)
+        view = search_space(state_from_coords(box, k, a, b))
         for i in range(3):
             assert view.ell[i] == min(p[i] for p in pts)
             assert view.r[i] == max(p[i] for p in pts)
@@ -568,6 +567,51 @@ def test_find_configuration_definitions_hold():
     assert kinds, "no run ever reached the configuration phase"
 
 
+def test_configuration_lemma():
+    # Why find_configuration has no fall-through: six points of a level in a
+    # box, with up(i)_i <= down(i)_i, a nonempty S and some diameter of S
+    # <= 1, always hold a first, second or third configuration. The scan
+    # reads coordinates only, so the F-values are dummies. Every such state
+    # of every box with sides 2-3 is checked, then a seeded sample of boxes
+    # with sides 4-7, off the origin too.
+    def in_domain_and_holds(box, k, ups, downs):
+        state = LevelState(box, k, [(u, u) for u in ups], [(d, d) for d in downs])
+        if not 0 <= min(search_space(state).dia) <= 1:
+            return False
+        assert isinstance(find_configuration(state), Config), state.snapshot()
+        return True
+
+    def level(box, k):
+        return [p for p in iter_box(box) if norm1(p) == k]
+
+    checked = 0
+    for sides in itertools.product((2, 3), repeat=3):
+        box = full_box(sides)
+        for k in range(norm1(box.lo) + 1, norm1(box.hi)):
+            pts = level(box, k)
+            # up(i)_i <= down(i)_i holds on every state with a nonempty S.
+            bounds = [[(u, d) for u in pts for d in pts if u[i] <= d[i]] for i in range(3)]
+            for (u0, d0), (u1, d1), (u2, d2) in itertools.product(*bounds):
+                checked += in_domain_and_holds(box, k, (u0, u1, u2), (d0, d1, d2))
+    assert checked == 83045
+
+    rng = SplitMix64(21)
+    sampled = 0
+    for _ in range(600):
+        lo = tuple(1 + rng.below(4) for _ in range(3))
+        box = Box(lo, tuple(c + 3 + rng.below(4) for c in lo))
+        k = norm1(box.lo) + 1 + rng.below(norm1(box.hi) - norm1(box.lo) - 1)
+        pts = level(box, k)
+        for _ in range(20):
+            ups, downs = [], []
+            for i in range(3):
+                u, d = pts[rng.below(len(pts))], pts[rng.below(len(pts))]
+                ups.append(u if u[i] <= d[i] else d)
+                downs.append(d if u[i] <= d[i] else u)
+            sampled += in_domain_and_holds(box, k, ups, downs)
+    assert sampled == 9612
+
+
 def test_resolution_never_fails_on_monotone_exhaustive_4_cube():
     # all 64 target instances plus a seeded batch; any failure would raise
     for target in iter_box(full_box((4, 4, 4))):
@@ -914,26 +958,43 @@ def test_violations_after_tightening_carry_its_evidence():
 
 
 def test_violations_escape_solve_unchained():
-    # raised inside a level, inside a level after a tightening, by the
-    # final scan after one and by the dqy delegation after one: each
-    # violation leaves solve as the exception first raised, with the
-    # tightening evidence merged in and no other exception chained to it
-    from _families import raw_random_table
+    # One row per raise site of the levelset solver and of the baselines
+    # solve delegates to, each reached through solve: inside a level, inside
+    # a level after a tightening, while tightening, by the final scan and
+    # by the dqy delegation. Each violation leaves solve as the exception
+    # first raised, with the tightening evidence merged in and no other
+    # exception chained to it; in verify mode its pairs hold a witness.
+    from _families import jump_target_table, perturbed_target_table, raw_random_table
+
+    def raw(seed):
+        return raw_random_table((6, 6, 6), seed)
 
     cases = (
-        (34, "endpoint", False),
-        (79, "endpoint", True),
-        (1, "no fixed point", True),
-        (19, "binary search", True),
+        # _extreme_search
+        (raw(34), False, "endpoint .* impossible sign pattern", False),
+        (raw(79), False, "endpoint .* impossible sign pattern", True),
+        (perturbed_target_table(10, 114), True, "single-point init segment .* did not resolve", True),
+        (perturbed_target_table(24, 509), True, "segment point .* impossible sign pattern", True),
+        # _certify and _tighten
+        (raw(20), True, "implied .* certificate failed", True),
+        (jump_target_table(12, 33), True, "image .* left the box", True),
+        # brute_solve, dqy's bisection and dqy_solve's final query
+        (raw(1), False, "no fixed point in a certified box", True),
+        (raw(19), False, "binary search on axis .* exhausted its bracket", True),
+        (raw(18), True, "candidate .* is not fixed", False),
     )
-    for seed, message, tightened in cases:
-        solver = LevelsetSolver(CountedOracle(raw_random_table((6, 6, 6), seed)))
+    for inst, verify, message, tightened in cases:
+        solver = LevelsetSolver(CountedOracle(inst), verify_certificates=verify)
         with pytest.raises(MonotonicityViolation, match=message) as info:
             solver.solve()
         mv = info.value
-        assert mv.__context__ is None and mv.__cause__ is None, seed
-        assert bool(solver._evidence) == tightened
+        assert mv.__context__ is None and mv.__cause__ is None, message
+        assert bool(solver._evidence) == tightened, message
         assert set(solver._evidence) <= set(mv.implicated)
+        if verify:
+            w = mv.witness
+            assert w is not None, message
+            assert leq(w.x, w.y) and not leq(inst.value(w.x), inst.value(w.y)), message
 
 
 def test_witness_is_scanned_only_when_read(monkeypatch):
