@@ -274,7 +274,8 @@ class LevelsetSolver:
         return ((lo, self._oracle.query(lo)), (hi, self._oracle.query(hi)))
 
     def _certify(self, outcome: LevelOutcome, sources) -> LevelOutcome:
-        """Record an implied certificate; in debug mode confirm it by query."""
+        """Record an implied certificate; with verify_certificates set,
+        confirm it by query."""
         verified = False
         if self.verify_certificates:
             fq = self._oracle.query(outcome.point)
@@ -318,13 +319,15 @@ class LevelsetSolver:
         point, one the oracle has answered with itself. A grid that is not
         3D goes to the binary search baseline on the full box."""
         shape = self.oracle.instance.shape
+        if len(shape) != 3:
+            return dqy_solve(self._oracle, Box((1,) * len(shape), shape)).fixed_point
         # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
-        lo, hi = (1,) * len(shape), shape
-        lo_sum, hi_sum = len(shape), sum(shape)
+        lo, hi = (1, 1, 1), shape
+        lo_sum, hi_sum = 3, sum(shape)
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
-                if len(shape) != 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
+                if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
                     # A pinched side has no i-upward or i-downward point for a level to grab.
                     self._context = (PHASE_OUTER, -1)
                     return dqy_solve(self._oracle, Box(lo, hi)).fixed_point
@@ -367,7 +370,9 @@ class LevelsetSolver:
         monotonicity: F(u) is upward as well, and u <= F(u) <= F(hi) <= hi
         keeps it in the half. Dually for a downward point u = hi. The new
         corner is an implied certificate; the pair (u, F(u)) backing it joins
-        every later violation.
+        every later violation. _certify sees it only when verify_certificates
+        is set or an observer is attached, the two cases where it does
+        anything; otherwise the corner is F(u) as it stands.
         """
         self._context = (PHASE_OUTER, -1)
         u, fu = out.point, out.fvalue
@@ -377,8 +382,9 @@ class LevelsetSolver:
                 implicated=((u, fu),) + self._corner_pairs(lo, hi),
             )
         self._evidence += ((u, fu),)
-        corner = self._certify(LevelOutcome(out.kind, fu), ((u, fu),)).point
-        return (corner, hi) if out.kind == UPWARD else (lo, corner)
+        if self.verify_certificates or self.observer is not None:
+            self._certify(LevelOutcome(out.kind, fu), ((u, fu),))
+        return (fu, hi) if out.kind == UPWARD else (lo, fu)
 
     # -- one level --------------------------------------------------------
 

@@ -122,13 +122,14 @@ class CountedOracle:
         return list(self.cache.items()) if self._record_transcript else None
 
     def query(self, x: Point) -> Point:
-        fx = self.cache.get(x)
+        cache = self.cache
+        fx = cache.get(x)
         if fx is not None:
             return fx
         fx = self._evaluate(x)
         if fx is None:
             raise ValueError(f"query {x} outside grid {self.instance.shape}")
-        self.cache[x] = fx
+        cache[x] = fx
         return fx
 
 
@@ -137,8 +138,9 @@ def _evaluator(inst: Instance):
     grid, bounds check included.
 
     3D grids, where nearly all queries go, get the check and the evaluation
-    written out on unpacked coordinates; other dimensions use the
-    instance's own contains and value.
+    written out on unpacked coordinates, the unpacking doubling as the
+    length check; other dimensions use the instance's own contains and
+    value.
     """
     if len(inst.shape) != 3:
         contains, value = inst.contains, inst.value
@@ -148,25 +150,30 @@ def _evaluator(inst: Instance):
         t0, t1, t2 = inst.target
 
         def evaluate(x):
-            if len(x) == 3:
+            try:
                 a, b, c = x
-                if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:
-                    # c + sign(t - c) per coordinate, as in Instance.value
-                    return (
-                        a + (t0 > a) - (t0 < a),
-                        b + (t1 > b) - (t1 < b),
-                        c + (t2 > c) - (t2 < c),
-                    )
+            except ValueError:
+                return None
+            if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:
+                # c + sign(t - c) per coordinate, as in Instance.value, by
+                # comparisons: CPython's specialized int add takes no bool.
+                return (
+                    a + 1 if a < t0 else a - 1 if a > t0 else a,
+                    b + 1 if b < t1 else b - 1 if b > t1 else b,
+                    c + 1 if c < t2 else c - 1 if c > t2 else c,
+                )
             return None
 
         return evaluate
     table = inst.table
 
     def evaluate(x):
-        if len(x) == 3:
+        try:
             a, b, c = x
-            if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:
-                return table[((a - 1) * n1 + b - 1) * n2 + c - 1]
+        except ValueError:
+            return None
+        if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:
+            return table[((a - 1) * n1 + b - 1) * n2 + c - 1]
         return None
 
     return evaluate

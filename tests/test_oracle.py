@@ -105,6 +105,44 @@ def test_query_values_follow_the_instance():
             assert o.query(x) == want, (inst.shape, x)
 
 
+def test_3d_query_values_equal_instance_values_everywhere_on_small_grids():
+    # the 3D evaluators are written out apart from Instance.value: every
+    # point of small grids, targets at every corner and inside, monotone
+    # and raw tables
+    from _families import raw_random_table
+
+    rng = SplitMix64(23)
+    for shape in ((3, 3, 3), (2, 4, 3), (5, 1, 4)):
+        targets = list(itertools.product(*[(1, n) for n in shape]))
+        targets.append(tuple((n + 1) // 2 for n in shape))
+        instances = [gen_target(shape, t) for t in targets]
+        instances.append(gen_random_monotone(shape, rng.next_u64()))
+        instances.append(raw_random_table(shape, rng.next_u64()))
+        for inst in instances:
+            o = CountedOracle(inst)
+            for x in iter_box(full_box(shape)):
+                assert o.query(x) == inst.value(x), (shape, inst.target, x)
+
+
+def test_3d_target_query_values_at_the_target_on_huge_sides():
+    # sides past every machine word, each coordinate at t - 1, t, t + 1 and
+    # both grid edges, which the random sample of
+    # test_query_values_follow_the_instance never puts at c == t
+    rng = SplitMix64(24)
+    for shape in ((3, 5, 4), (7, 7, 7)):
+        grid = tuple(n << 40 for n in shape)
+        inside = tuple(1 + rng.below(n) for n in grid)
+        for target in (inside, (1, 1, 1), grid):
+            inst = gen_target(grid, target)
+            o = CountedOracle(inst)
+            axes = [
+                [c for c in (1, t - 1, t, t + 1, n) if 1 <= c <= n]
+                for t, n in zip(target, grid)
+            ]
+            for x in itertools.product(*axes):
+                assert o.query(x) == inst.value(x), (grid, target, x)
+
+
 def test_gen_target_examples():
     inst = gen_target((8, 8, 8), (4, 4, 4))
     assert inst.value((8, 8, 8)) == (7, 7, 7)

@@ -120,20 +120,27 @@ MUTANTS = (
     Mutant(
         "the 3D table evaluator lets the first coordinate be 0",
         "src/tarski/oracle.py",
-        "            if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
-        "                return table[",
-        "            if 0 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
-        "                return table[",
+        "        if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "            return table[",
+        "        if 0 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "            return table[",
         ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
     ),
     Mutant(
         "the 3D target evaluator lets the first coordinate be 0",
         "src/tarski/oracle.py",
-        "                if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
-        "                    # c + sign",
-        "                if 0 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
-        "                    # c + sign",
+        "            if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "                # c + sign",
+        "            if 0 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
+        "                # c + sign",
         ("tests/test_oracle.py::test_query_rejects_each_bound_and_wrong_length_without_a_trace",),
+    ),
+    Mutant(
+        "the 3D target evaluator steps a coordinate above the target up",
+        "src/tarski/oracle.py",
+        "a - 1 if a > t0",
+        "a + 1 if a > t0",
+        ("tests/test_oracle.py::test_3d_query_values_equal_instance_values_everywhere_on_small_grids",),
     ),
     Mutant(
         "the evaluator of grids that are not 3D skips the bounds check",
@@ -167,8 +174,8 @@ MUTANTS = (
     Mutant(
         "solve runs the level path on grids of more than 3 dimensions",
         "src/tarski/levelset.py",
-        "if len(shape) != 3 or lo[0] == hi[0]",
-        "if len(shape) < 3 or lo[0] == hi[0]",
+        "if len(shape) != 3:\n            return dqy_solve",
+        "if len(shape) < 3:\n            return dqy_solve",
         ("tests/test_levelset.py::test_solve_above_3d_is_dqy_call_for_call",),
     ),
     Mutant(
@@ -191,6 +198,13 @@ MUTANTS = (
         "        self._context = (PHASE_OUTER, -1)\n        u, fu = out.point, out.fvalue\n",
         "        u, fu = out.point, out.fvalue\n",
         ("tests/test_levelset.py::test_tighten_confirms_image_as_outer_query_in_verify_mode",),
+    ),
+    Mutant(
+        "_tighten certifies the new corner only when an observer is attached",
+        "src/tarski/levelset.py",
+        "if self.verify_certificates or self.observer is not None:\n            self._certify(",
+        "if self.observer is not None:\n            self._certify(",
+        ("tests/test_levelset.py::test_tighten_failures_raise_witnessed_violations",),
     ),
     Mutant(
         "certificate payloads read verified as False only under python -O",
