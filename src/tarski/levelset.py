@@ -71,8 +71,7 @@ PHASE_THIRD = "third"
 PHASE_OUTER = "outer"
 PHASE_BRUTE = "brute"
 
-# The two ends of a bracket on an init or third-configuration segment, as
-# indices into it.
+# The two ends of a bracket on a third-configuration segment, as indices into it.
 _LOW = 0
 _HIGH = 1
 
@@ -266,7 +265,7 @@ class LevelsetSolver:
         self.observer = observer
         self._oracle = oracle if trace is None else _TracingOracle(self, trace)
         self._context = (PHASE_OUTER, -1)  # (phase, level) of a traced query
-        self._evidence: tuple[tuple[Point, Point], ...] = ()
+        self._evidence: list[tuple[Point, Point]] = []
 
     # -- plumbing ---------------------------------------------------------
 
@@ -306,10 +305,19 @@ class LevelsetSolver:
         if d0 <= 0 and d1 <= 0 and d2 <= 0:
             return LevelOutcome(DOWNWARD, q, fq)
         up, down = list(state.up), list(state.down)
-        if (d0 > 0) + (d1 > 0) + (d2 > 0) == 1:
-            up[0 if d0 > 0 else 1 if d1 > 0 else 2] = (q, fq)
-        if (d0 < 0) + (d1 < 0) + (d2 < 0) == 1:
-            down[0 if d0 < 0 else 1 if d1 < 0 else 2] = (q, fq)
+        # Some axis rises and some falls: axis i alone rises (falls) when no other one does.
+        if d1 <= 0 and d2 <= 0:
+            up[0] = q, fq
+        elif d0 <= 0 and d2 <= 0:
+            up[1] = q, fq
+        elif d0 <= 0 and d1 <= 0:
+            up[2] = q, fq
+        if d1 >= 0 and d2 >= 0:
+            down[0] = q, fq
+        elif d0 >= 0 and d2 >= 0:
+            down[1] = q, fq
+        elif d0 >= 0 and d1 >= 0:
+            down[2] = q, fq
         return LevelState(state.box, state.k, up, down)
 
     # -- outer loop -------------------------------------------------------
@@ -323,7 +331,7 @@ class LevelsetSolver:
             return dqy_solve(self._oracle, Box((1,) * len(shape), shape)).fixed_point
         # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
         lo, hi = (1, 1, 1), shape
-        lo_sum, hi_sum = 3, sum(shape)
+        lo_sum, hi_sum = 3, shape[0] + shape[1] + shape[2]
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
@@ -335,28 +343,30 @@ class LevelsetSolver:
                     self._context = (PHASE_BRUTE, -1)
                     return brute_solve(self._oracle, Box(lo, hi))
                 if pending is not None:
-                    lo, hi = self._tighten(lo, hi, pending)
-                    pending = None
-                    lo_sum, hi_sum = sum(lo), sum(hi)
-                    continue
-                # span >= 7 and no pinched side: k lies strictly inside
-                out = self._solve_level(lo, hi, (lo_sum + hi_sum + 1) // 2)
-                if out.kind == FIXED:
-                    # Only a query makes a FIXED outcome, and F of its point is the point.
-                    return out.point
-                before = lo, hi
-                if out.kind == UPWARD:
-                    lo = out.point
-                    lo_sum = sum(lo)
+                    out, pending = pending, None
+                    lo, hi = self._tighten(lo, hi, out)
                 else:
-                    hi = out.point
-                    hi_sum = sum(hi)
-                if self.observer is not None:
-                    self.observer(
-                        "recurse", {"before": Box(*before), "after": Box(lo, hi), "outcome": out}
-                    )
-                if out.fvalue is not None:
-                    pending = out
+                    # span >= 7 and no pinched side: k lies strictly inside
+                    out = self._solve_level(lo, hi, (lo_sum + hi_sum + 1) // 2)
+                    if out.kind == FIXED:
+                        # Only a query makes a FIXED outcome, and F of its point is the point.
+                        return out.point
+                    before = lo, hi
+                    if out.kind == UPWARD:
+                        lo = out.point
+                    else:
+                        hi = out.point
+                    if self.observer is not None:
+                        self.observer(
+                            "recurse", {"before": Box(*before), "after": Box(lo, hi), "outcome": out}
+                        )
+                    if out.fvalue is not None:
+                        pending = out
+                # Both steps move only the corner out.kind names.
+                if out.kind == UPWARD:
+                    lo_sum = lo[0] + lo[1] + lo[2]
+                else:
+                    hi_sum = hi[0] + hi[1] + hi[2]
         except MonotonicityViolation as mv:
             if self._evidence:
                 mv.extend(self._evidence)
@@ -381,7 +391,7 @@ class LevelsetSolver:
                 f"image {fu} of the certified corner {u} left the box {lo}..{hi}",
                 implicated=((u, fu),) + self._corner_pairs(lo, hi),
             )
-        self._evidence += ((u, fu),)
+        self._evidence.append((u, fu))
         if self.verify_certificates or self.observer is not None:
             self._certify(LevelOutcome(out.kind, fu), ((u, fu),))
         return (fu, hi) if out.kind == UPWARD else (lo, fu)
@@ -463,10 +473,11 @@ class LevelsetSolver:
         pinned to ci, the middle axis j runs over [jmin, jmax], and the third
         axis p takes the rest. Its two endpoints, the low one with j at its
         oriented minimum and the high one with j at its oriented maximum,
-        either resolve directly or bracket the segment: the low end strictly
-        descends (oriented) in the third axis, the high end in the middle
-        axis; binary search keeps that bracket until the endpoints are
-        adjacent, where their meet is a certified downward (oriented) point.
+        either resolve directly or bracket the segment as two named ends: low
+        at middle coordinate a strictly descends (oriented) in the third axis,
+        high at b in the middle axis. Binary search keeps that bracket until a
+        and b (a < b when s = +1) are adjacent, where the meet of low and high
+        is a certified downward (oriented) point.
         """
         query = self._oracle.query
         j, p = _OTHERS[axis]
@@ -485,9 +496,9 @@ class LevelsetSolver:
             jmin = lo[j]
         if jmax > hi[j]:
             jmax = hi[j]
-        low_j, high_j = (jmin, jmax) if s > 0 else (jmax, jmin)
-        ends: list[tuple[Point, Point]] = []
-        cj = low_j
+        a, b = (jmin, jmax) if s > 0 else (jmax, jmin)
+        low = high = None
+        cj = a
         while True:
             cp = m - cj
             q = (ci, cj, cp) if axis == 0 else (cj, ci, cp) if axis == 1 else (cj, cp, ci)
@@ -497,37 +508,36 @@ class LevelsetSolver:
             if sj >= 0 and sp >= 0:
                 if si < 0:
                     return q, fq
-                return LevelOutcome(FIXED if si == sj == sp == 0 else _kind(s), q, fq)
+                return LevelOutcome(FIXED if si == sj == sp == 0 else UPWARD if s > 0 else DOWNWARD, q, fq)
             if si <= 0 and sj <= 0 and sp <= 0:
-                return LevelOutcome(_kind(-s), q, fq)
-            # The bracket end q can replace, or None when its sign pattern
-            # is impossible on the segment.
-            side = None if si > 0 else _LOW if sj >= 0 else _HIGH
-            if len(ends) < 2:
-                if side != len(ends):
+                return LevelOutcome(DOWNWARD if s > 0 else UPWARD, q, fq)
+            # Otherwise q fits low if si <= 0 <= sj, high if si <= 0 > sj, neither if si > 0.
+            if high is None:  # q is the low endpoint at a, or after it the high one at b
+                if si > 0 or (sj < 0) == (low is None):
                     raise MonotonicityViolation(
                         f"endpoint {q} of the axis-{axis} init segment has an impossible sign pattern",
-                        implicated=(*ends, (q, fq)),
+                        implicated=((q, fq),) if low is None else (low, (q, fq)),
                     )
-                ends.append((q, fq))
-                if len(ends) == 1:
-                    cj = high_j
-                    if cj == low_j:
+                if low is None:
+                    low, cj = (q, fq), b
+                    if a == b:
                         raise MonotonicityViolation(
                             f"single-point init segment for axis {axis} did not resolve",
-                            implicated=ends,
+                            implicated=(low,),
                         )
                     continue
-            elif side is None:
+                high = q, fq
+            elif si > 0:
                 raise MonotonicityViolation(
                     f"segment point {q} has an impossible sign pattern",
-                    implicated=(*ends, (q, fq)),
+                    implicated=(low, high, (q, fq)),
                 )
+            elif sj >= 0:
+                low, a = (q, fq), cj
             else:
-                ends[side] = (q, fq)
-            a, b = ends[_LOW][0][j], ends[_HIGH][0][j]
-            if abs(b - a) <= 1:
-                return self._certify(_meet_outcome(s, [ends[_LOW][0], ends[_HIGH][0]]), tuple(ends))
+                high, b = (q, fq), cj
+            if -1 <= b - a <= 1:
+                return self._certify(_meet_outcome(s, [low[0], high[0]]), (low, high))
             cj = (a + b) // 2
 
     # -- shrinking --------------------------------------------------------

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies
@@ -204,6 +205,49 @@ def test_init_direction_segment_point_with_impossible_sign_pattern():
         LevelsetSolver(oracle)._extreme_search((1, 1, 1), (7, 7, 7), 12, 0, 1)
     assert oracle.order == list(script)
     assert info.value.implicated == tuple(script.items())
+
+
+def test_init_direction_endpoints_with_impossible_sign_patterns():
+    # on level 14 of (2,2,2)..(7,7,7) the axis-0 segment runs from its low
+    # end (7,2,5) to its high end (7,5,2) for s = +1, and from (2,7,5) to
+    # (2,5,7) for s = -1; each case gives one end the other end's type: F
+    # lowers (oriented) the middle axis at the low end, or raises it at the
+    # high end
+    cases = (
+        # s, scripted values in query order, of which the last is raised on
+        (1, {(7, 2, 5): (7, 1, 6)}),
+        (1, {(7, 2, 5): (7, 3, 4), (7, 5, 2): (7, 6, 1)}),
+        (-1, {(2, 7, 5): (2, 8, 4)}),
+        (-1, {(2, 7, 5): (2, 6, 6), (2, 5, 7): (2, 4, 8)}),
+    )
+    for s, script in cases:
+        oracle = _ScriptedOracle(script, fallback=lambda q: q)
+        end = list(script)[-1]
+        message = f"endpoint {end} of the axis-0 init segment has an impossible sign pattern"
+        with pytest.raises(MonotonicityViolation, match=re.escape(message)) as info:
+            LevelsetSolver(oracle)._extreme_search((2, 2, 2), (7, 7, 7), 14, 0, s)
+        assert oracle.order == list(script)
+        # the low end, if placed, then the end raised on
+        assert info.value.implicated == tuple(script.items())
+
+
+def test_init_direction_downward_orientation_bisects_to_adjacent_ends():
+    # s = -1 on level 14 of (2,2,2)..(7,7,7): the axis-0 segment's low end
+    # (2,7,5) and high end (2,5,7) bracket it with a = 7 > b = 5; the probe
+    # at 6 moves one end next to the other, and the join of the two ends
+    # is the certified upward point
+    for f_mid, low, high in (
+        ((2, 5, 7), (2, 6, 6), (2, 5, 7)),  # the probe replaces the low end
+        ((2, 7, 5), (2, 7, 5), (2, 6, 6)),  # the probe replaces the high end
+    ):
+        script = {(2, 7, 5): (2, 6, 6), (2, 5, 7): (2, 6, 6), (2, 6, 6): f_mid}
+        oracle = _ScriptedOracle(script, fallback=lambda q: q)
+        events = []
+        solver = LevelsetSolver(oracle, observer=lambda ev, p: events.append((ev, p)))
+        out = solver._extreme_search((2, 2, 2), (7, 7, 7), 14, 0, -1)
+        assert oracle.order == [(2, 7, 5), (2, 5, 7), (2, 6, 6)]
+        assert out == LevelOutcome(UPWARD, lub(low, high))
+        assert events == [("certificate", {"kind": UPWARD, "point": out.point, "verified": False})]
 
 
 def test_init_direction_postconditions():
@@ -505,6 +549,29 @@ def test_small_case_probe_branch_all_upward_spec_example():
         assert out.kind == kind
         assert out.point == (3, 3, 3)
         assert norm1(out.point) >= k if kind == UPWARD else norm1(out.point) <= k
+
+
+def test_apply_query_moves_the_bounds_classify_selects():
+    # for each of the 27 sign patterns of F(q) - q: a fixed, upward or
+    # downward q is the outcome; otherwise exactly the up(i) slots of q's
+    # i-upward labels and the down(i) slots of its i-downward labels move
+    box, q = full_box((9, 9, 9)), (5, 5, 5)
+    state = state_from_coords(box, 15, (2, 2, 2), (8, 8, 8))
+    up, down = list(state.up), list(state.down)
+    solver = LevelsetSolver(_ScriptedOracle({}, fallback=lambda x: x))
+    for signs in itertools.product((-1, 0, 1), repeat=3):
+        fq = tuple(c + d for c, d in zip(q, signs))
+        _, labels = classify(q, fq)
+        res = solver._apply_query(state, q, fq)
+        if labels.is_upward or labels.is_downward:
+            kind = FIXED if labels.is_fixed else UPWARD if labels.is_upward else DOWNWARD
+            assert res == LevelOutcome(kind, q, fq), signs
+            continue
+        assert (res.box, res.k) == (box, 15), signs
+        for i in range(3):
+            assert res.up[i] == ((q, fq) if i in labels.i_upward else up[i]), signs
+            assert res.down[i] == ((q, fq) if i in labels.i_downward else down[i]), signs
+        assert (state.up, state.down) == (up, down), signs
 
 
 # -- configurations ----------------------------------------------------------

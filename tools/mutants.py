@@ -5,10 +5,12 @@
 
 Run it from anywhere; it reads src/, tests/ and pyproject.toml of the
 checkout it sits in. Each mutant below replaces one exact piece of text in
-one library file and names the tests that must fail on it. The script first
-runs every named test on an unmutated copy, which must pass. Then, for each
-mutant, it applies the replacement in a fresh copy and runs only that
-mutant's tests, stopping at the first failure. Each pytest run has a
+one library file and names the tests that must fail on it. The script
+copies the checkout once and compiles that copy's modules. For each mutant
+it applies the replacement in a fresh copy of that and runs only that
+mutant's tests, stopping at the first failure, and prints the verdict with
+the run's seconds. Alongside that loop, in a second process, every named
+test runs on an unmutated copy, where it must pass. Each pytest run has a
 timeout; a mutant whose run times out, such as a binary search that no
 longer narrows its bracket, counts as killed. It exits 1 when a mutant
 survives, when a mutant's old text is not found exactly once (a refactor
@@ -19,6 +21,7 @@ interpreter that runs this script.
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 import subprocess
@@ -186,6 +189,36 @@ MUTANTS = (
         ("tests/test_levelset.py::test_init_direction_sweep_small_grids",),
     ),
     Mutant(
+        "an s = -1 init bracket reads as adjacent as soon as both ends are placed",
+        "src/tarski/levelset.py",
+        "if -1 <= b - a <= 1:",
+        "if b - a <= 1:",
+        (
+            "tests/test_levelset.py::test_init_direction_downward_orientation_bisects_to_adjacent_ends",
+            "tests/test_levelset.py::test_init_direction_sweep_small_grids",
+        ),
+    ),
+    Mutant(
+        "_apply_query moves up(0) without the sign test of axis 2",
+        "src/tarski/levelset.py",
+        "if d1 <= 0 and d2 <= 0:\n            up[0]",
+        "if d1 <= 0:\n            up[0]",
+        (
+            "tests/test_levelset.py::test_apply_query_moves_the_bounds_classify_selects",
+            "tests/test_levelset.py::test_shrink_strictly_decreases_phi",
+        ),
+    ),
+    Mutant(
+        "_apply_query moves down(0) without the sign test of axis 2",
+        "src/tarski/levelset.py",
+        "if d1 >= 0 and d2 >= 0:\n            down[0]",
+        "if d1 >= 0:\n            down[0]",
+        (
+            "tests/test_levelset.py::test_apply_query_moves_the_bounds_classify_selects",
+            "tests/test_levelset.py::test_find_configuration_definitions_hold",
+        ),
+    ),
+    Mutant(
         "_corner_pairs queries past the trace",
         "src/tarski/levelset.py",
         "return ((lo, self._oracle.query(lo)), (hi, self._oracle.query(hi)))",
@@ -226,18 +259,38 @@ def _copy(dest: str) -> None:
             shutil.copy2(src, dest)
 
 
-def _pytest(root: str, tests, timeout: float) -> int | None:
-    """Run the given test node IDs under root with root/src on the path;
-    pytest's exit code, or None when the run outlasts timeout seconds and
-    is stopped. The hypothesis plugin stays unloaded: importing it costs
+def _compile(root: str, tests) -> None:
+    """Write the bytecode of root's modules, and of the test modules as
+    pytest rewrites them, so that copies of root import them without
+    compiling, which is most of a short pytest run."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "tests"],
+                   cwd=root, capture_output=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+                    "-p", "no:hypothesispytest", *tests], cwd=root, env=env, capture_output=True)
+
+
+def _pytest(root: str, tests) -> subprocess.Popen:
+    """Start a run of the given test node IDs under root with root/src on
+    the path. The hypothesis plugin stays unloaded: importing it costs
     most of a run's start-up, and the property tests set their own
     settings without it."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-p", "no:hypothesispytest", *tests]
+    return subprocess.Popen(cmd, cwd=root, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def _exit_code(run: subprocess.Popen, timeout: float) -> int | None:
+    """The run's exit code, or None when it outlasts timeout more seconds
+    and is stopped."""
     try:
-        return subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=timeout).returncode
+        return run.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
+        run.kill()
+        run.wait()
         return None
 
 
@@ -245,33 +298,50 @@ def main() -> int:
     start = time.perf_counter()
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        clean = os.path.join(tmp, "clean")
-        _copy(clean)
+        base, clean = os.path.join(tmp, "base"), os.path.join(tmp, "clean")
         tests = sorted({t for m in MUTANTS for t in m.tests})
-        code = _pytest(clean, tests, TIMEOUT_S)
+        _copy(base)
+        _compile(base, tests)
+        shutil.copytree(base, clean)
+        clean_start = time.perf_counter()
+        clean_run = _pytest(clean, tests)
+        try:
+            for i, m in enumerate(MUTANTS):
+                if clean_run.poll() not in (None, 0):
+                    break  # the unmutated copy failed: no further verdict would mean anything
+                with open(os.path.join(base, m.path), encoding="utf-8") as fh:
+                    text = fh.read()
+                found = text.count(m.old)
+                if found != 1:
+                    problems.append(f"{m.name}: old text found {found} times in {m.path}")
+                    print(f"{'MISSING':16} {m.name}")
+                    continue
+                root = os.path.join(tmp, f"mutant{i}")
+                shutil.copytree(base, root)
+                path = os.path.join(root, m.path)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text.replace(m.old, m.new))
+                # The mutated module's bytecode holds the unmutated text.
+                stem = os.path.splitext(os.path.basename(path))[0]
+                for pyc in glob.glob(os.path.join(os.path.dirname(path), "__pycache__", stem + ".*")):
+                    os.remove(pyc)
+                t0 = time.perf_counter()
+                code = _exit_code(_pytest(root, m.tests), m.timeout)
+                seconds = time.perf_counter() - t0
+                killed = code != 0
+                shutil.rmtree(root)
+                verdict = "SURVIVED" if not killed else "killed (timeout)" if code is None else "killed"
+                print(f"{verdict:16} {seconds:5.1f} s  {m.name}")
+                if not killed:
+                    problems.append(f"{m.name}: survives {', '.join(m.tests)}")
+            code = _exit_code(clean_run, TIMEOUT_S - (time.perf_counter() - clean_start))
+        finally:
+            clean_run.kill()  # a no-op once the run has ended
+            clean_run.wait()
         if code != 0:
             failed = "time out" if code is None else "fail"
-            print(f"the named tests {failed} on the unmutated code; nothing to check")
+            print(f"the named tests {failed} on the unmutated code, so no verdict above holds")
             return 1
-        for i, m in enumerate(MUTANTS):
-            with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
-                text = fh.read()
-            found = text.count(m.old)
-            if found != 1:
-                problems.append(f"{m.name}: old text found {found} times in {m.path}")
-                print(f"{'MISSING':16} {m.name}")
-                continue
-            root = os.path.join(tmp, f"mutant{i}")
-            _copy(root)
-            with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
-                fh.write(text.replace(m.old, m.new))
-            code = _pytest(root, m.tests, m.timeout)
-            killed = code != 0
-            shutil.rmtree(root)
-            verdict = "SURVIVED" if not killed else "killed (timeout)" if code is None else "killed"
-            print(f"{verdict:16} {m.name}")
-            if not killed:
-                problems.append(f"{m.name}: survives {', '.join(m.tests)}")
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
     for p in problems:
         print(f"  {p}")
