@@ -79,6 +79,16 @@ class Box:
         return math.prod(self.sides)
 
 
+def _box(lo: Point, hi: Point) -> Box:
+    """The Box [lo, hi], built without Box's check. The caller guarantees
+    what that check tests: lo and hi have the same dimension and lo <= hi
+    componentwise."""
+    box = object.__new__(Box)
+    object.__setattr__(box, "lo", lo)
+    object.__setattr__(box, "hi", hi)
+    return box
+
+
 def _check_shape(shape: tuple[int, ...]) -> None:
     """ValueError unless shape is a tuple of at least one side and every
     side is a positive int: the one shape check of full_box and of the

@@ -38,9 +38,10 @@ and a level the outer loop holds strictly inside its box, which makes the
 six init searches, then the shrink and small steps, then the configuration
 resolution. It checks neither its level nor its box sides, which the outer
 loop meets by construction, and it builds a Box only for a level that gets
-past init, for observer payloads and for the baselines. No step checks its
-arguments: _run_level tests the diameters that pick the shrink or the small
-step before it calls either.
+past init, for observer payloads and for the baselines. Each of those boxes
+spans corners the solver holds, which always form a box, so it is built by
+the unchecked lattice._box. No step checks its arguments: _solve_level tests
+the diameters that pick the shrink or the small step before it calls either.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .lattice import (
     Box,
     LabelSet,
     Point,
+    _box,
     classify,
     glb,
     level_point,
@@ -70,6 +72,9 @@ PHASE_SMALL = "small"
 PHASE_THIRD = "third"
 PHASE_OUTER = "outer"
 PHASE_BRUTE = "brute"
+
+# The trace context of the outer loop's own queries and of its dqy delegation.
+_OUTER = (PHASE_OUTER, -1)
 
 # The two ends of a bracket on a third-configuration segment, as indices into it.
 _LOW = 0
@@ -159,7 +164,8 @@ def search_space(state: LevelState) -> SearchSpaceView:
     r0 = r0 if r0 < b0 else b0
     r1 = r1 if r1 < b1 else b1
     r2 = r2 if r2 < b2 else b2
-    return SearchSpaceView((e0, e1, e2), (r0, r1, r2), (r0 - e0, r1 - e1, r2 - e2))
+    # tuple.__new__ builds the same SearchSpaceView without the NamedTuple's Python-level __new__.
+    return tuple.__new__(SearchSpaceView, ((e0, e1, e2), (r0, r1, r2), (r0 - e0, r1 - e1, r2 - e2)))
 
 
 def find_configuration(state: LevelState) -> Config:
@@ -169,7 +175,7 @@ def find_configuration(state: LevelState) -> Config:
     the downward mirror); meet/join resolves it with zero queries. second:
     a cyclic triple of the same shape. third: some pair up(i), down(i) with
     down(i)_i at most one above up(i)_i; costs one more binary search. One of
-    them exists, for any F, on every state _run_level passes: six level
+    them exists, for any F, on every state _solve_level passes: six level
     points in the box with up(i)_i <= down(i)_i, a nonempty S and some
     diameter of S <= 1.
     """
@@ -264,20 +270,21 @@ class LevelsetSolver:
         self.verify_certificates = verify_certificates
         self.observer = observer
         self._oracle = oracle if trace is None else _TracingOracle(self, trace)
-        self._context = (PHASE_OUTER, -1)  # (phase, level) of a traced query
+        self._query = self._oracle.query
+        self._context = _OUTER  # (phase, level) of a traced query
         self._evidence: list[tuple[Point, Point]] = []
 
     # -- plumbing ---------------------------------------------------------
 
     def _corner_pairs(self, lo: Point, hi: Point):
-        return ((lo, self._oracle.query(lo)), (hi, self._oracle.query(hi)))
+        return ((lo, self._query(lo)), (hi, self._query(hi)))
 
     def _certify(self, outcome: LevelOutcome, sources) -> LevelOutcome:
         """Record an implied certificate; with verify_certificates set,
         confirm it by query."""
         verified = False
         if self.verify_certificates:
-            fq = self._oracle.query(outcome.point)
+            fq = self._query(outcome.point)
             _, labels = classify(outcome.point, fq)
             if not (labels.is_upward if outcome.kind == UPWARD else labels.is_downward):
                 raise MonotonicityViolation(
@@ -328,7 +335,7 @@ class LevelsetSolver:
         3D goes to the binary search baseline on the full box."""
         shape = self.oracle.instance.shape
         if len(shape) != 3:
-            return dqy_solve(self._oracle, Box((1,) * len(shape), shape)).fixed_point
+            return dqy_solve(self._oracle, _box((1,) * len(shape), shape)).fixed_point
         # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
         lo, hi = (1, 1, 1), shape
         lo_sum, hi_sum = 3, shape[0] + shape[1] + shape[2]
@@ -337,11 +344,11 @@ class LevelsetSolver:
             while True:
                 if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
                     # A pinched side has no i-upward or i-downward point for a level to grab.
-                    self._context = (PHASE_OUTER, -1)
-                    return dqy_solve(self._oracle, Box(lo, hi)).fixed_point
+                    self._context = _OUTER
+                    return dqy_solve(self._oracle, _box(lo, hi)).fixed_point
                 if hi_sum - lo_sum <= 6:
                     self._context = (PHASE_BRUTE, -1)
-                    return brute_solve(self._oracle, Box(lo, hi))
+                    return brute_solve(self._oracle, _box(lo, hi))
                 if pending is not None:
                     out, pending = pending, None
                     lo, hi = self._tighten(lo, hi, out)
@@ -351,15 +358,15 @@ class LevelsetSolver:
                     if out.kind == FIXED:
                         # Only a query makes a FIXED outcome, and F of its point is the point.
                         return out.point
-                    before = lo, hi
+                    if self.observer is not None:
+                        after = (out.point, hi) if out.kind == UPWARD else (lo, out.point)
+                        self.observer(
+                            "recurse", {"before": _box(lo, hi), "after": _box(*after), "outcome": out}
+                        )
                     if out.kind == UPWARD:
                         lo = out.point
                     else:
                         hi = out.point
-                    if self.observer is not None:
-                        self.observer(
-                            "recurse", {"before": Box(*before), "after": Box(lo, hi), "outcome": out}
-                        )
                     if out.fvalue is not None:
                         pending = out
                 # Both steps move only the corner out.kind names.
@@ -384,7 +391,7 @@ class LevelsetSolver:
         is set or an observer is attached, the two cases where it does
         anything; otherwise the corner is F(u) as it stands.
         """
-        self._context = (PHASE_OUTER, -1)
+        self._context = _OUTER
         u, fu = out.point, out.fvalue
         if not (lo[0] <= fu[0] <= hi[0] and lo[1] <= fu[1] <= hi[1] and lo[2] <= fu[2] <= hi[2]):
             raise MonotonicityViolation(
@@ -407,11 +414,49 @@ class LevelsetSolver:
         self._context = (PHASE_INIT, k)
         observer = self.observer
         if observer is not None:
-            box = Box(lo, hi)
+            box = _box(lo, hi)
             before = self.oracle.distinct_queries
             observer("level_start", {"box": box, "k": k, "queries": before})
         try:
-            return self._run_level(lo, hi, k)
+            extreme_search = self._extreme_search
+            ups: list[tuple[Point, Point]] = []
+            downs: list[tuple[Point, Point]] = []
+            # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
+            for axis in range(3):
+                down_pair = extreme_search(lo, hi, k, axis, 1)
+                if type(down_pair) is LevelOutcome:
+                    return down_pair
+                up_pair = extreme_search(lo, hi, k, axis, -1)
+                if type(up_pair) is LevelOutcome:
+                    return up_pair
+                ups.append(up_pair)
+                downs.append(down_pair)
+            state = LevelState(_box(lo, hi), k, ups, downs)
+            if observer is not None:
+                observer("init_done", state.snapshot())
+            shrink, small = (PHASE_SHRINK, k), (PHASE_SMALL, k)
+            while True:
+                view = search_space(state)
+                d0, d1, d2 = view.dia
+                # Tested one by one: builtin min and max cost a call each on CPython.
+                if d0 <= 1 or d1 <= 1 or d2 <= 1:
+                    break
+                if d0 >= 6 or d1 >= 6 or d2 >= 6:
+                    self._context = shrink
+                    res = self.shrink_once(state, view)
+                else:
+                    self._context = small
+                    res = self.small_case_step(state, view)
+                if type(res) is LevelOutcome:
+                    return res
+                state = res
+            cfg = find_configuration(state)
+            if observer is not None:
+                observer("config", {"config": cfg, "state": state.snapshot()})
+            if cfg.kind != "third":
+                return self.resolve_meet_join(cfg)
+            self._context = (PHASE_THIRD, k)
+            return self.resolve_third(cfg, k)
         except MonotonicityViolation as mv:
             mv.extend(self._corner_pairs(lo, hi))
             raise
@@ -420,46 +465,6 @@ class LevelsetSolver:
                 observer("level_done", {
                     "box": box, "k": k, "queries": self.oracle.distinct_queries - before
                 })
-
-    def _run_level(self, lo: Point, hi: Point, k: int) -> LevelOutcome:
-        extreme_search = self._extreme_search
-        ups: list[tuple[Point, Point]] = []
-        downs: list[tuple[Point, Point]] = []
-        # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
-        for axis in range(3):
-            down_pair = extreme_search(lo, hi, k, axis, 1)
-            if isinstance(down_pair, LevelOutcome):
-                return down_pair
-            up_pair = extreme_search(lo, hi, k, axis, -1)
-            if isinstance(up_pair, LevelOutcome):
-                return up_pair
-            ups.append(up_pair)
-            downs.append(down_pair)
-        state = LevelState(Box(lo, hi), k, ups, downs)
-        if self.observer is not None:
-            self.observer("init_done", state.snapshot())
-        while True:
-            view = search_space(state)
-            d0, d1, d2 = view.dia
-            # Tested one by one: builtin min and max cost a call each on CPython.
-            if d0 <= 1 or d1 <= 1 or d2 <= 1:
-                break
-            if d0 >= 6 or d1 >= 6 or d2 >= 6:
-                self._context = (PHASE_SHRINK, k)
-                res = self.shrink_once(state, view)
-            else:
-                self._context = (PHASE_SMALL, k)
-                res = self.small_case_step(state, view)
-            if isinstance(res, LevelOutcome):
-                return res
-            state = res
-        cfg = find_configuration(state)
-        if self.observer is not None:
-            self.observer("config", {"config": cfg, "state": state.snapshot()})
-        if cfg.kind != "third":
-            return self.resolve_meet_join(cfg)
-        self._context = (PHASE_THIRD, k)
-        return self.resolve_third(cfg, k)
 
     # -- initialization ---------------------------------------------------
 
@@ -479,9 +484,9 @@ class LevelsetSolver:
         and b (a < b when s = +1) are adjacent, where the meet of low and high
         is a certified downward (oriented) point.
         """
-        query = self._oracle.query
+        query = self._query
         j, p = _OTHERS[axis]
-        # min and max written out: this runs six times a level
+        # min and max written out: this runs up to six times a level (2.8 on targets)
         if s > 0:
             ci = k - lo[j] - lo[p]
             if ci > hi[axis]:
@@ -545,7 +550,7 @@ class LevelsetSolver:
     def shrink_once(self, state: LevelState, view: SearchSpaceView):
         """One geometric shrink while some diameter is >= 6 and none is below
         2, where view is search_space(state). The caller holds those
-        diameters, as _run_level does; they are not checked.
+        diameters, as _solve_level does; they are not checked.
 
         The probe sits at least ceil(dia_i/6) inside both bounds on every
         axis (such a level point always exists under the preconditions), so
@@ -573,7 +578,7 @@ class LevelsetSolver:
         q0, rest = q0 + step, rest - step
         step = b1 - q1 if b1 - q1 < rest else rest
         q = (q0, q1 + step, q2 + rest - step)
-        fq = self._oracle.query(q)
+        fq = self._query(q)
         res = self._apply_query(state, q, fq)
         if self.observer is not None:
             self.observer("shrink", _step_payload(state, view, res, q=q, fq=fq))
@@ -582,7 +587,7 @@ class LevelsetSolver:
     def small_case_step(self, state: LevelState, view: SearchSpaceView):
         """One constant-size step once every diameter is in 2..5, where view
         is search_space(state). The caller holds those diameters, as
-        _run_level does; they are not checked.
+        _solve_level does; they are not checked.
 
         If S still has a point strictly inside every bound, probing it shrinks
         some diameter. Otherwise S hugs one corner of its bounding ranges, the
@@ -596,14 +601,14 @@ class LevelsetSolver:
         ell_sum = l0 + l1 + l2
         if ell_sum + 3 <= k <= r0 + r1 + r2 - 3:
             q = level_point((l0 + 1, l1 + 1, l2 + 1), (r0 - 1, r1 - 1, r2 - 1), k)
-            res = self._apply_query(state, q, self._oracle.query(q))
+            res = self._apply_query(state, q, self._query(q))
         else:
             s, (c0, c1, c2) = (1, view.ell) if ell_sum + 3 > k else (-1, view.r)
             # ell and r are attained in S and every diameter is >= 2, so c0 + c1 + c2 == k - 2s.
             res = state
             probes = []
             for axis, q in enumerate(((c0, c1 + s, c2 + s), (c0 + s, c1, c2 + s), (c0 + s, c1 + s, c2))):
-                fq = self._oracle.query(q)
+                fq = self._query(q)
                 probes.append((q, fq))
                 # A probe taking its bound moves one other at most, to corner + s: the next stays in S.
                 res = self._apply_query(res, q, fq)
@@ -674,7 +679,7 @@ class LevelsetSolver:
             return _LOW
 
         right = _segment_point(i, y[i], j, x[j] - 1, k)
-        f_right = self._oracle.query(right)
+        f_right = self._query(right)
         res = settle(right, f_right)
         if isinstance(res, LevelOutcome):
             return res
@@ -687,7 +692,7 @@ class LevelsetSolver:
         ends = [(y, fy), (right, f_right)]
         while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
             q = _segment_point(i, y[i], j, (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2, k)
-            fq = self._oracle.query(q)
+            fq = self._query(q)
             res = settle(q, fq)
             if isinstance(res, LevelOutcome):
                 return res

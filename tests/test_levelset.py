@@ -1064,6 +1064,47 @@ def test_violations_escape_solve_unchained():
             assert leq(w.x, w.y) and not leq(inst.value(w.x), inst.value(w.y)), message
 
 
+def test_unchecked_boxes_equal_their_checked_twins(monkeypatch):
+    # The solver builds its boxes with lattice._box, which skips Box's
+    # check. Here each one is rebuilt through the checked Box: on monotone
+    # and raw inputs, in both modes, with and without an observer, no box
+    # is empty or mixes dimensions, and every solve ends in a fixed point or
+    # a MonotonicityViolation, never in a ValueError.
+    import tarski.levelset
+    from _families import (
+        jump_target_table,
+        perturbed_target_table,
+        raw_random_table,
+        rotation_batch,
+    )
+
+    unchecked = tarski.levelset._box
+    built = []
+
+    def checked(lo, hi):
+        box = unchecked(lo, hi)
+        assert box == Box(lo, hi)
+        built.append(box)
+        return box
+
+    monkeypatch.setattr(tarski.levelset, "_box", checked)
+    instances = [raw_random_table((n, n, n), seed) for n in range(3, 9) for seed in range(12)]
+    instances += [perturbed_target_table(n, seed) for n in (12, 16) for seed in range(6)]
+    instances += [jump_target_table(12, seed) for seed in range(6)]
+    instances += rotation_batch(24, 3)
+    outcomes = {"fixed": 0, "violation": 0}
+    for inst in instances:
+        for verify, observer in itertools.product((False, True), (None, lambda ev, p: None)):
+            try:
+                point = solve(CountedOracle(inst), verify_certificates=verify, observer=observer)
+            except MonotonicityViolation:
+                outcomes["violation"] += 1
+            else:
+                assert inst.value(point) == point
+                outcomes["fixed"] += 1
+    assert min(outcomes.values()) > 50 and len(built) > 1000, (outcomes, len(built))
+
+
 def test_witness_is_scanned_only_when_read(monkeypatch):
     import tarski.errors
     from _families import raw_random_table

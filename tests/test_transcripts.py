@@ -151,7 +151,7 @@ def test_hook_free_solves_build_no_observer_payloads(monkeypatch):
 def _states():
     """Six bounding points drawn at random from the correctly labelled
     points of levels of raw 5-cubes, kept when they lie in the scan's
-    domain: a nonempty S with some diameter <= 1, as _run_level hands it."""
+    domain: a nonempty S with some diameter <= 1, as _solve_level hands it."""
     rng = SplitMix64(5)
     for seed in range(40):
         inst = raw_random_table((5, 5, 5), seed)

@@ -221,16 +221,26 @@ MUTANTS = (
     Mutant(
         "_corner_pairs queries past the trace",
         "src/tarski/levelset.py",
-        "return ((lo, self._oracle.query(lo)), (hi, self._oracle.query(hi)))",
+        "return ((lo, self._query(lo)), (hi, self._query(hi)))",
         "return ((lo, self.oracle.query(lo)), (hi, self.oracle.query(hi)))",
         ("tests/test_levelset.py::test_trace_has_one_record_per_query_call",),
     ),
     Mutant(
         "_tighten traces its queries under the context the last level left",
         "src/tarski/levelset.py",
-        "        self._context = (PHASE_OUTER, -1)\n        u, fu = out.point, out.fvalue\n",
+        "        self._context = _OUTER\n        u, fu = out.point, out.fvalue\n",
         "        u, fu = out.point, out.fvalue\n",
         ("tests/test_levelset.py::test_tighten_confirms_image_as_outer_query_in_verify_mode",),
+    ),
+    Mutant(
+        "the level state's box is built from swapped corners",
+        "src/tarski/levelset.py",
+        "state = LevelState(_box(lo, hi), k, ups, downs)",
+        "state = LevelState(_box(hi, lo), k, ups, downs)",
+        (
+            "tests/test_levelset.py::test_unchecked_boxes_equal_their_checked_twins",
+            "tests/test_levelset.py::test_solve_exhaustive_targets_sides_up_to_5",
+        ),
     ),
     Mutant(
         "_tighten certifies the new corner only when an observer is attached",
