@@ -58,7 +58,6 @@ from .lattice import (
     _box,
     classify,
     glb,
-    level_point,
     lub,
 )
 
@@ -590,17 +589,25 @@ class LevelsetSolver:
         _solve_level does; they are not checked.
 
         If S still has a point strictly inside every bound, probing it shrinks
-        some diameter. Otherwise S hugs one corner of its bounding ranges, the
-        lower one (s = +1) or the upper one (s = -1); probing the three points
-        one step inside that corner either makes progress through an
-        unexpected label or proves (all three i-upward, resp. i-downward) that
-        the corner plus s is an upward, resp. downward, point with no further
-        query.
+        some diameter. The probe is level_point(ell + 1, r - 1, k) written
+        out, with no _check_level: every diameter >= 2 gives ell + 1 <= r - 1,
+        and the branch test puts k between their sums.
+
+        Otherwise S hugs one corner of its bounding ranges, the lower one
+        (s = +1) or the upper one (s = -1); probing the three points one step
+        inside that corner either makes progress through an unexpected label
+        or proves (all three i-upward, resp. i-downward) that the corner plus
+        s is an upward, resp. downward, point with no further query.
         """
         (l0, l1, l2), (r0, r1, r2), k = view.ell, view.r, state.k
         ell_sum = l0 + l1 + l2
         if ell_sum + 3 <= k <= r0 + r1 + r2 - 3:
-            q = level_point((l0 + 1, l1 + 1, l2 + 1), (r0 - 1, r1 - 1, r2 - 1), k)
+            # From ell + 1, axes 0 and 1 rise toward r - 1 in order; axis 2 takes the rest.
+            rest = k - ell_sum - 3
+            step = r0 - l0 - 2 if r0 - l0 - 2 < rest else rest
+            q0, rest = l0 + 1 + step, rest - step
+            step = r1 - l1 - 2 if r1 - l1 - 2 < rest else rest
+            q = (q0, l1 + 1 + step, l2 + 1 + rest - step)
             res = self._apply_query(state, q, self._query(q))
         else:
             s, (c0, c1, c2) = (1, view.ell) if ell_sum + 3 > k else (-1, view.r)

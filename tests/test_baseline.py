@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from _families import raw_random_table
+from _families import CallLog, raw_random_table
 from tarski.baseline import brute_solve, dqy_solve
 from tarski.errors import CapacityError, MonotonicityViolation
 from tarski.lattice import Box, full_box, iter_box, leq
@@ -104,6 +104,53 @@ def test_brute_solve_violation_lists_distinct_points_and_both_corners():
     assert len(pts) == len(set(pts)) == 33
     assert box.lo in pts and box.hi in pts
     assert all(v == o.query(p) for p, v in err.value.implicated)
+
+
+def test_brute_solve_queries_in_iter_box_order():
+    # brute_solve makes the query calls of a plain scan of iter_box(box), in
+    # order, up to the first fixed point; without one it raises with the
+    # first 32 scanned pairs and the last one. 1-D to 4-D grids, sub-boxes
+    # off the origin, pinched sides and one-point boxes.
+    def plain_scan(inst, box):
+        o = CountedOracle(inst)
+        calls = []
+        for x in iter_box(box):
+            calls.append((x, o.query(x)))
+            if calls[-1][1] == x:
+                return calls, x
+        return calls, None
+
+    cycle = tuple((x[0] % 4 + 1, x[1], x[2]) for x in iter_box(full_box((4, 4, 4))))
+    cases = [
+        (gen_target((9,), (6,)), None),
+        (gen_target((5, 6), (4, 2)), None),
+        (gen_target((4, 5, 3), (3, 5, 2)), None),
+        (gen_target((3, 4, 2, 3), (2, 4, 1, 3)), None),
+        (gen_target((7, 7, 7), (5, 4, 6)), Box((3, 2, 4), (6, 5, 7))),
+        (gen_target((7, 7, 7), (5, 4, 6)), Box((5, 2, 6), (5, 6, 6))),
+        (gen_target((6, 6, 6, 6), (2, 5, 3, 4)), Box((2, 3, 3, 2), (4, 6, 3, 5))),
+        (gen_target((7, 7, 7), (5, 4, 6)), Box((5, 4, 6), (5, 4, 6))),
+        (gen_target((7, 7, 7), (5, 4, 6)), Box((2, 3, 4), (2, 3, 4))),
+        (Instance(shape=(4, 4, 4), kind="table", table=cycle), None),
+    ]
+    cases += [(raw_random_table(shape, seed), Box(tuple(2 for _ in shape), shape))
+              for seed, shape in enumerate(((5,), (4, 5), (4, 3, 5), (3, 4, 3, 4)) * 5)]
+    outcomes = set()
+    for inst, box in cases:
+        box = box or full_box(inst.shape)
+        calls, fixed = plain_scan(inst, box)
+        o = CallLog(inst)
+        try:
+            assert brute_solve(o, box) == fixed
+            outcomes.add("fixed")
+        except MonotonicityViolation as mv:
+            assert fixed is None
+            assert mv.implicated == tuple(calls[:32]) + tuple(calls[32:][-1:])
+            outcomes.add(len(mv.implicated))
+        assert o.calls == calls, box
+    # the cycle table gives the 33 pairs, corners included; the one-point
+    # box off the target gives 1
+    assert {"fixed", 1, 33} <= outcomes, outcomes
 
 
 def test_dqy_violation_on_hostile_table():

@@ -16,6 +16,7 @@ from tarski.lattice import (
     glb,
     iter_box,
     leq,
+    level_point,
     lub,
     norm1,
 )
@@ -494,8 +495,6 @@ def test_shrink_probe_spec_example():
     # bounds (1,1,1)..(7,7,7) with dia (6,6,6) at level 12: the probe is the
     # central level point (4,4,4) of the shrunken bounds [2..6]^3; their
     # greedy level point (6,4,2) would sit on the bounds of axes 0 and 2
-    from tarski.lattice import level_point
-
     assert level_point((2, 2, 2), (6, 6, 6), 12) == (6, 4, 2)
     assert central_level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
     box = full_box((7, 7, 7))
@@ -520,6 +519,43 @@ def test_small_case_interior_probe_spec_example():
     res = solver.small_case_step(st, search_space(st))
     assert oracle.order == [(3, 3, 3)]
     assert isinstance(res, LevelState)
+
+
+def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds():
+    # On every small step of rotation and raw solves, in both modes, whose
+    # level has a point of S strictly inside every bound
+    # (sum(ell) + 3 <= k <= sum(r) - 3), the step's first query is
+    # level_point(ell + 1, r - 1, k) of its view; both ends of that range
+    # of k occur.
+    from _families import CallLog, raw_random_table, rotation_batch
+
+    class ProbeLog(LevelsetSolver):
+        def small_case_step(self, state, view):
+            steps.append((state.k, view, len(self.oracle.calls)))
+            return super().small_case_step(state, view)
+
+    instances = rotation_batch(60, 25) + [
+        raw_random_table((3 + seed % 6,) * 3, seed) for seed in range(120)
+    ]
+    seen, ends = 0, set()
+    for inst in instances:
+        for verify in (False, True):
+            steps = []
+            oracle = CallLog(inst)
+            try:
+                ProbeLog(oracle, verify_certificates=verify).solve()
+            except MonotonicityViolation:
+                pass
+            for k, view, mark in steps:
+                low, high = sum(view.ell) + 3, sum(view.r) - 3
+                if not low <= k <= high:
+                    continue
+                lower = tuple(c + 1 for c in view.ell)
+                upper = tuple(c - 1 for c in view.r)
+                assert oracle.calls[mark][0] == level_point(lower, upper, k), (view, k)
+                seen += 1
+                ends.update(end for end, at in (("low", low), ("high", high)) if k == at)
+    assert seen > 100 and ends == {"low", "high"}, (seen, ends)
 
 
 def test_small_case_probe_branch_all_upward_spec_example():

@@ -121,6 +121,29 @@ MUTANTS = (
         timeout=5.0,
     ),
     Mutant(
+        "brute_solve's scan stops each side's range short of its upper bound",
+        "src/tarski/baseline.py",
+        "product(*[range(a, b + 1) for",
+        "product(*[range(a, b) for",
+        (
+            "tests/test_baseline.py::test_brute_solve_queries_in_iter_box_order",
+            "tests/test_baseline.py::test_brute_solve_examples",
+        ),
+    ),
+    Mutant(
+        "the small step's interior probe raises axis 1 before axis 0",
+        "src/tarski/levelset.py",
+        "            step = r0 - l0 - 2 if r0 - l0 - 2 < rest else rest\n"
+        "            q0, rest = l0 + 1 + step, rest - step\n"
+        "            step = r1 - l1 - 2 if r1 - l1 - 2 < rest else rest\n"
+        "            q = (q0, l1 + 1 + step, l2 + 1 + rest - step)\n",
+        "            step = r1 - l1 - 2 if r1 - l1 - 2 < rest else rest\n"
+        "            q1, rest = l1 + 1 + step, rest - step\n"
+        "            step = r0 - l0 - 2 if r0 - l0 - 2 < rest else rest\n"
+        "            q = (l0 + 1 + step, q1, l2 + 1 + rest - step)\n",
+        ("tests/test_levelset.py::test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds",),
+    ),
+    Mutant(
         "the 3D table evaluator lets the first coordinate be 0",
         "src/tarski/oracle.py",
         "        if 1 <= a <= n0 and 1 <= b <= n1 and 1 <= c <= n2:\n"
