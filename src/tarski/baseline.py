@@ -2,8 +2,9 @@
 
 dqy_solve is the classic O(log^d N)-query scheme: binary search the last
 free axis, solving each slice as a (d-1)-dimensional sub-instance. It serves
-as a correctness oracle, as the fallback for boxes with pinched sides, and
-as the scaling comparison for the levelset solver. The innermost axis
+as a correctness oracle, as the scaling comparison for the levelset solver,
+and inside that solver for grids that are not 3D, for boxes with pinched
+sides and for the constant-size tail of a solve. The innermost axis
 bisects in its caller's loop, and every query call of the plain recursion
 is kept, cache hits included, as traces record each call.
 """

@@ -3,11 +3,12 @@
 The outer loop keeps a box whose corners are certified upward/downward and
 repeatedly runs the level procedure on the middle levelset, which yields an
 upward point at-or-above the level or a downward point at-or-below it; the
-box then shrinks to the half the certificate selects, and a constant-size
-remainder is scanned directly. When the certificate came from a query, its
-already known image is upward (resp. downward) too and becomes the corner
-before the next level, for free. Each level costs O(log N) distinct queries,
-so a full solve costs O(log^2 N), N being the sum of the side lengths.
+box then shrinks to the half the certificate selects, and dqy_solve takes a
+box with a pinched side or a constant-size one (coordinate-sum span <= 6).
+When the certificate came from a query, its already known image is upward
+(resp. downward) too and becomes the corner before the next level, for
+free. Each level costs O(log N) distinct queries, so a full solve costs
+O(log^2 N), N being the sum of the side lengths.
 
 The level procedure maintains six bounding points on the levelset: for each
 axis i an i-upward point up(i) and an i-downward point down(i) with
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baseline import brute_solve, dqy_solve
+from .baseline import dqy_solve
 from .errors import MonotonicityViolation
 from .lattice import (
     Box,
@@ -70,7 +71,6 @@ PHASE_SHRINK = "shrink"
 PHASE_SMALL = "small"
 PHASE_THIRD = "third"
 PHASE_OUTER = "outer"
-PHASE_BRUTE = "brute"
 
 # The trace context of the outer loop's own queries and of its dqy delegation.
 _OUTER = (PHASE_OUTER, -1)
@@ -341,13 +341,12 @@ class LevelsetSolver:
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
-                if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]:
-                    # A pinched side has no i-upward or i-downward point for a level to grab.
+                if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2] or hi_sum - lo_sum <= 6:
+                    # A pinched side has no i-upward or i-downward point for a level to grab,
+                    # and a box of span <= 6 (at most 27 points) costs dqy a few queries per
+                    # axis, where a scan's worst case is one query per point.
                     self._context = _OUTER
                     return dqy_solve(self._oracle, _box(lo, hi)).fixed_point
-                if hi_sum - lo_sum <= 6:
-                    self._context = (PHASE_BRUTE, -1)
-                    return brute_solve(self._oracle, _box(lo, hi))
                 if pending is not None:
                     out, pending = pending, None
                     lo, hi = self._tighten(lo, hi, out)
@@ -714,9 +713,9 @@ class LevelsetSolver:
 
 class _TracingOracle:
     """The oracle of a traced solve: writes one record per query call,
-    tagged with the solver's current phase and level, so delegated boxes
-    and the final scan show up in the trace too. Baselines given a box
-    never read an instance, so it carries none."""
+    tagged with the solver's current phase and level, so the boxes the
+    solver delegates to dqy show up in the trace too. dqy_solve given a box
+    never reads an instance, so it carries none."""
 
     def __init__(self, solver: LevelsetSolver, trace):
         self._solver = solver

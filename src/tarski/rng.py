@@ -3,10 +3,12 @@
 splitmix64: the state advances by the golden-ratio increment
 0x9E3779B97F4A7C15 per draw; the output is the state mixed by two
 multiply-xorshift rounds (multipliers 0xBF58476D1CE4E5B9 and
-0x94D049BB133111EB, shifts 30/27/31). Bounded draws reduce next_u64()
-modulo n; grid_columns makes the same draws in bulk, with the states of up
-to _CHUNK draws packed into one integer, one 128-bit lane each, so that
-every shift, multiply and mask of the two rounds acts on all lanes at once.
+0x94D049BB133111EB, shifts 30/27/31). A bounded draw below n <= 2^64
+reduces next_u64() modulo n, and one below a larger n reduces enough words
+for every value to be reachable. grid_columns makes draws of the first kind
+in bulk, with the states of up to _CHUNK draws packed into one integer, one
+128-bit lane each, so that every shift, multiply and mask of the two rounds
+acts on all lanes at once.
 The sequence depends only on the seed, never on the platform.
 """
 
@@ -15,7 +17,8 @@ from __future__ import annotations
 import sys
 from array import array
 
-_MASK64 = (1 << 64) - 1
+_WORD = 1 << 64
+_MASK64 = _WORD - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -35,17 +38,29 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Draw from {0, ..., n-1}."""
+        """Draw from {0, ..., n-1}.
+
+        For n <= 2^64 this is next_u64() % n. A larger n takes
+        ceil(n.bit_length() / 64) + 1 words, the first one lowest, and
+        reduces the number they form modulo n: it has at least 64 bits
+        more than n, so each value's probability is within 2^-64/n of 1/n.
+        """
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        return self.next_u64() % n
+        if n <= _WORD:
+            return self.next_u64() % n
+        x = 0
+        for shift in range(0, n.bit_length() + 64, 64):
+            x |= self.next_u64() << shift
+        return x % n
 
     def grid_columns(self, shape, count: int) -> list[list[int]]:
         """Draw count grid points, one column per axis.
 
-        The stream is the one of count * d calls 1 + below(n) in point order
-        (axis fastest); axis a's draws are every d-th state from the a-th
-        on, so each column is drawn on its own.
+        Each side n must be at most 2^64, as it is on any grid that a table
+        fits on. The stream is the one of count * d calls 1 + below(n) in
+        point order (axis fastest); axis a's draws are every d-th state from
+        the a-th on, so each column is drawn on its own.
 
         A column's states are packed _CHUNK at a time into one integer, one
         per 128-bit lane, lowest lane first. A lane holds its 64-bit value in

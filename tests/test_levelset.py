@@ -870,10 +870,11 @@ def test_solve_low_dimensions_delegate():
     assert solve(CountedOracle(gen_target((6, 2, 9, 4, 5), (5, 1, 7, 4, 2)))) == (5, 1, 7, 4, 2)
 
 
-def test_solve_above_3d_is_dqy_call_for_call():
-    # A grid with more than 3 dimensions goes to dqy_solve on the full box:
-    # the same query calls, cache hits included, in the same order, and the
-    # same answer or violation, in both verify_certificates modes.
+def test_solve_is_dqy_call_for_call_above_3d_and_on_span_6_grids():
+    # A grid with more than 3 dimensions, or a 3D grid whose coordinate-sum
+    # span is at most 6, goes to dqy_solve on the full box: the same query
+    # calls, cache hits included, in the same order, and the same answer or
+    # violation, in both verify_certificates modes.
     from _families import CallLog, raw_random_table
 
     def run(inst, search):
@@ -892,6 +893,13 @@ def test_solve_above_3d_is_dqy_call_for_call():
     ]
     instances += [gen_random_monotone((4, 3, 4, 2 + seed % 3), seed) for seed in range(20)]
     instances += [raw_random_table((3,) * 4, seed) for seed in range(60)]
+    instances += [
+        gen_target(shape, tuple(1 + rng.below(n) for n in shape))
+        for shape in ((2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 1, 4), (7, 1, 1))
+        for _ in range(3)
+    ]
+    instances += [gen_random_monotone((3, 3, 3), seed) for seed in range(10)]
+    instances += [raw_random_table((3,) * 3, seed) for seed in range(60)]
     violations = 0
     for inst in instances:
         want = run(inst, lambda o: dqy_solve(o).fixed_point)
@@ -899,7 +907,58 @@ def test_solve_above_3d_is_dqy_call_for_call():
         for verify_certificates in (False, True):
             got = run(inst, lambda o: solve(o, verify_certificates=verify_certificates))
             assert got == want, (inst.shape, verify_certificates)
-    assert violations >= 50, violations
+    assert violations >= 100, violations
+
+
+def _monotone_tables(shape):
+    """Every monotone table on the grid, by backtracking over iter_box
+    order. That order is a linear extension of the grid's, so when a point
+    is reached every point below it has its value already, and the point
+    takes each value at or above all of theirs."""
+    points = list(iter_box(full_box(shape)))
+    below = [[j for j in range(i) if leq(points[j], x)] for i, x in enumerate(points)]
+    table = []
+
+    def fill(i):
+        if i == len(points):
+            yield tuple(table)
+            return
+        for v in points:
+            if all(leq(table[j], v) for j in below[i]):
+                table.append(v)
+                yield from fill(i + 1)
+                table.pop()
+
+    yield from fill(0)
+
+
+def _distinct_queries(inst):
+    oracle = CountedOracle(inst)
+    p = solve(oracle)
+    assert inst.value(p) == p
+    return oracle.distinct_queries
+
+
+def test_solve_meets_the_optimum_on_every_monotone_2x2x2_function():
+    # Each axis of F is one of the 20 monotone Boolean functions of three
+    # variables, so there are 20^3 = 8000 of them. The grid's span is 3, so
+    # solve hands it to dqy, whose worst case, 4 distinct queries, is the
+    # optimum here.
+    counts = [
+        _distinct_queries(Instance(shape=(2, 2, 2), kind="table", table=table))
+        for table in _monotone_tables((2, 2, 2))
+    ]
+    assert len(counts) == 8000
+    assert max(counts) == 4
+    assert sum(counts) == 10049  # a mean of 1.256
+
+
+def test_solve_on_every_3x3x3_target_is_dqy_cheap():
+    # Span 6: the whole grid is the constant-size tail. Over all 27 targets
+    # solve makes 4.00 distinct queries on average and at most 6.
+    counts = [_distinct_queries(gen_target((3, 3, 3), t)) for t in iter_box(full_box((3, 3, 3)))]
+    assert sum(counts) == 4 * 27
+    assert max(counts) == 6
 
 
 def test_solve_degenerate_and_odd_shapes():
@@ -1061,10 +1120,10 @@ def test_violations_after_tightening_carry_its_evidence():
 
 
 def test_violations_escape_solve_unchained():
-    # One row per raise site of the levelset solver and of the baselines
+    # One row per raise site of the levelset solver and of the dqy baseline
     # solve delegates to, each reached through solve: inside a level, inside
-    # a level after a tightening, while tightening, by the final scan and
-    # by the dqy delegation. Each violation leaves solve as the exception
+    # a level after a tightening, while tightening, and by the dqy
+    # delegation. Each violation leaves solve as the exception
     # first raised, with the tightening evidence merged in and no other
     # exception chained to it; in verify mode its pairs hold a witness.
     from _families import jump_target_table, perturbed_target_table, raw_random_table
@@ -1081,8 +1140,7 @@ def test_violations_escape_solve_unchained():
         # _certify and _tighten
         (raw(20), True, "implied .* certificate failed", True),
         (jump_target_table(12, 33), True, "image .* left the box", True),
-        # brute_solve, dqy's bisection and dqy_solve's final query
-        (raw(1), False, "no fixed point in a certified box", True),
+        # dqy's bisection and dqy_solve's final query
         (raw(19), False, "binary search on axis .* exhausted its bracket", True),
         (raw(18), True, "candidate .* is not fixed", False),
     )
@@ -1259,7 +1317,7 @@ def test_trace_records_every_query_with_phase():
         vals = tuple(int(c) for c in fpt.split(","))
         assert o.instance.value(coords) == vals
         assert labels
-    assert phases <= {"init", "shrink", "small", "third", "outer", "brute"}
+    assert phases <= {"init", "shrink", "small", "third", "outer"}
     assert "init" in phases
 
 
@@ -1299,7 +1357,7 @@ def test_trace_has_one_record_per_query_call():
             if len(inst.shape) != 3:
                 assert records and {(rec[0], rec[1]) for rec in records} == {("outer", "-1")}
             phases.update(rec[0] for rec in records)
-    assert phases == {"init", "shrink", "small", "third", "outer", "brute"}
+    assert phases == {"init", "shrink", "small", "third", "outer"}
     assert violations[False] > 10 and violations[True] > 10, violations
 
 

@@ -446,6 +446,28 @@ def test_below_refuses_a_bound_below_one_without_drawing():
     assert rng.next_u64() == SplitMix64(0).next_u64()
 
 
+def test_below_up_to_2_64_reduces_one_word():
+    for n in (7, 2**40, 2**64):
+        rng, twin = SplitMix64(5), SplitMix64(5)
+        assert [rng.below(n) for _ in range(50)] == [twin.next_u64() % n for _ in range(50)]
+
+
+def test_below_above_2_64_draws_every_word_it_needs():
+    # ceil(bit_length / 64) + 1 words, the first one lowest, reduced modulo
+    # n. Every draw is in range, and on 2^65 and 2^200 about half of them
+    # lie in the top half, which one word alone never reaches.
+    for n, words in ((2**64 + 1, 3), (2**65, 3), (2**200, 5)):
+        rng, twin = SplitMix64(6), SplitMix64(6)
+        draws = [rng.below(n) for _ in range(200)]
+        want = [
+            sum(twin.next_u64() << (64 * i) for i in range(words)) % n for _ in range(200)
+        ]
+        assert draws == want, n
+        assert all(0 <= x < n for x in draws), n
+        if n & (n - 1) == 0:
+            assert 60 < sum(x >= n // 2 for x in draws) < 140, n
+
+
 def _strides(shape):
     """Flat-index step of one unit along each axis, first axis slowest."""
     strides = [1] * len(shape)

@@ -36,9 +36,9 @@ from tarski.levelset import LevelsetSolver, LevelState, find_configuration, sear
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
-DIGEST = "7565fab1e5d9039cb06e9b37823a454a8959fad9c25313a14901929dc270b2e7"
+DIGEST = "c1cb7c4b8d7573239f29ad76c419962fc460d7bf836405c3ebee1eb4cc33a918"
 CONFIG_DIGEST = "2997209a8565d8f2603fc11e7126b0eccaebc446d8e714bcf5567d62c0a0390e"
-SOLVE_DIGEST = "f86cbe92891a865c5b6071d2049e7e7fb039a96023113b354950e58c37701504"
+SOLVE_DIGEST = "b51b8b28884af7cff4ff44950f38494a44ad83be96f9e323539fcede4a8b7a52"
 DQY_CALLS_DIGEST = "2484546f51dc594f139f8f2540d4ba1e68856440729d67652cbf0e2c5876c8c3"
 
 

@@ -202,7 +202,14 @@ MUTANTS = (
         "src/tarski/levelset.py",
         "if len(shape) != 3:\n            return dqy_solve",
         "if len(shape) < 3:\n            return dqy_solve",
-        ("tests/test_levelset.py::test_solve_above_3d_is_dqy_call_for_call",),
+        ("tests/test_levelset.py::test_solve_is_dqy_call_for_call_above_3d_and_on_span_6_grids",),
+    ),
+    Mutant(
+        "solve runs a level on boxes of coordinate-sum span 6",
+        "src/tarski/levelset.py",
+        "hi_sum - lo_sum <= 6:",
+        "hi_sum - lo_sum <= 5:",
+        ("tests/test_levelset.py::test_solve_on_every_3x3x3_target_is_dqy_cheap",),
     ),
     Mutant(
         "an init search misses a downward point whose own axis F keeps",
