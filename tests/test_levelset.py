@@ -847,6 +847,37 @@ def test_resolve_third_certifies_inside_the_bracket_loop():
     assert out == LevelOutcome(UPWARD, lub((5, 3, 4), y)) == LevelOutcome(UPWARD, (5, 3, 6))
 
 
+def _bisect_to_adjacent_ends(f_high):
+    # the spec example's inputs, where the bracket narrows over two midpoints:
+    # the first probe (5,5,2) is high-typed (b = 5), the midpoint (5,3,4) is
+    # low-typed (a = 3), the midpoint (5,4,3) answers f_high and is high-typed
+    # (b = 4), so the ends (5,3,4) and (5,4,3) are adjacent
+    x, y = (4, 6, 2), (5, 1, 6)
+    fx, fy = (5, 5, 1), (4, 2, 6)
+    oracle = _ScriptedOracle(
+        {(5, 5, 2): (5, 4, 2), (5, 3, 4): (4, 4, 4), (5, 4, 3): f_high},
+        fallback=lambda q: q,
+    )
+    events = []
+    solver = LevelsetSolver(oracle, observer=lambda event, payload: events.append(payload))
+    out = solver.resolve_third(Config("third", None, ((x, fx), (y, fy)), axis=0), 12)
+    assert oracle.order == [(5, 5, 2), (5, 3, 4), (5, 4, 3)]
+    assert events == [{"kind": out.kind, "point": out.point, "verified": False}]
+    return out
+
+
+def test_resolve_third_bisects_past_a_low_midpoint_to_the_meet_when_f_high_keeps_p():
+    # F(high)_p == high_p on the third axis: the meet of the ends is downward
+    out = _bisect_to_adjacent_ends((5, 3, 3))
+    assert out == LevelOutcome(DOWNWARD, glb((5, 3, 4), (5, 4, 3))) == LevelOutcome(DOWNWARD, (5, 3, 3))
+
+
+def test_resolve_third_bisects_past_a_low_midpoint_to_the_join_when_f_high_raises_p():
+    # F(high)_p > high_p on the third axis: the join of the ends is upward
+    out = _bisect_to_adjacent_ends((5, 3, 4))
+    assert out == LevelOutcome(UPWARD, lub((5, 3, 4), (5, 4, 3))) == LevelOutcome(UPWARD, (5, 4, 4))
+
+
 # -- whole solve --------------------------------------------------------------
 
 
