@@ -75,10 +75,6 @@ PHASE_OUTER = "outer"
 # The trace context of the outer loop's own queries and of its dqy delegation.
 _OUTER = (PHASE_OUTER, -1)
 
-# The two ends of a bracket on a third-configuration segment, as indices into it.
-_LOW = 0
-_HIGH = 1
-
 # The two axes other than each axis, in increasing order.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
@@ -207,13 +203,6 @@ def _meet_outcome(s: int, points) -> LevelOutcome:
     """The meet of the points as a downward certificate for s = +1, their
     join as an upward one for s = -1."""
     return LevelOutcome(_kind(-s), glb(*points) if s > 0 else lub(*points))
-
-
-def _segment_point(i: int, ci: int, j: int, cj: int, k: int) -> Point:
-    """The point of level k with coordinates ci on axis i and cj on axis j."""
-    q = [k - ci - cj] * 3
-    q[i], q[j] = ci, cj
-    return tuple(q)
 
 
 def _fmt_point(p: Point) -> str:
@@ -663,52 +652,40 @@ class LevelsetSolver:
 
         if fx[j] == x[j]:
             return self._certify(LevelOutcome(UPWARD, lub(x, y)), cfg.points)
-        if fy[j] == y[j]:
+        # x is i-upward and y is i-downward, so now fx_j < x_j. With fy_j > y_j as well, the meet
+        # certifies the same way when y_j == x_j - 1 leaves no segment point between them.
+        if fy[j] == y[j] or y[j] == x[j] - 1:
             return self._certify(LevelOutcome(DOWNWARD, glb(x, y)), cfg.points)
-        # x is i-upward and y is i-downward, so now fx_j < x_j and fy_j > y_j.
-        if y[j] == x[j] - 1:
-            return self._certify(LevelOutcome(DOWNWARD, glb(x, y)), cfg.points)
-
-        def settle(q: Point, fq: Point) -> LevelOutcome | int:
-            """A certificate, or the bracket end q replaces: _LOW when
-            fq_i < q_i and fq_j > q_j, _HIGH when fq_i >= q_i and fq_j < q_j."""
-            if fq[i] >= q[i]:
-                if fq[j] >= q[j]:
-                    return self._certify(
-                        LevelOutcome(UPWARD, lub(q, y)), ((q, fq), (y, fy))
-                    )
-                return _HIGH
-            if fq[j] <= q[j]:
-                return self._certify(
-                    LevelOutcome(DOWNWARD, glb(x, q)), ((x, fx), (q, fq))
-                )
-            return _LOW
-
-        right = _segment_point(i, y[i], j, x[j] - 1, k)
-        f_right = self._query(right)
-        res = settle(right, f_right)
-        if isinstance(res, LevelOutcome):
-            return res
-        if res == _LOW:
-            # The whole bracket is low-typed; the meet with x still certifies
-            # because f_right_i < right_i = y_i <= x_i + 1 and fx_j < x_j = right_j + 1.
-            return self._certify(
-                LevelOutcome(DOWNWARD, glb(x, right)), ((x, fx), (right, f_right))
-            )
-        ends = [(y, fy), (right, f_right)]
-        while abs(ends[_HIGH][0][j] - ends[_LOW][0][j]) > 1:
-            q = _segment_point(i, y[i], j, (ends[_LOW][0][j] + ends[_HIGH][0][j]) // 2, k)
+        # The bracket: low at j-coordinate a and high at b, a < b. A probe q is low when
+        # fq_i < q_i and fq_j > q_j, high when fq_i >= q_i and fq_j < q_j; the two other
+        # patterns certify. Low starts at y, and the first probe is the segment's top point.
+        ci = y[i]
+        low, high = (y, fy), None
+        a, b = y[j], x[j] - 1
+        cj = b
+        while True:
+            seg = [k - ci - cj] * 3
+            seg[i], seg[j] = ci, cj
+            q = tuple(seg)
             fq = self._query(q)
-            res = settle(q, fq)
-            if isinstance(res, LevelOutcome):
-                return res
-            ends[res] = (q, fq)
-        (low, _), (high, f_high) = ends
-        if f_high[p] <= high[p]:
-            out = LevelOutcome(DOWNWARD, glb(low, high))
-        else:
-            out = LevelOutcome(UPWARD, lub(low, high))
-        return self._certify(out, tuple(ends))
+            if fq[i] >= ci:
+                if fq[j] >= cj:
+                    return self._certify(LevelOutcome(UPWARD, lub(q, y)), ((q, fq), (y, fy)))
+                high, b = (q, fq), cj
+            elif fq[j] <= cj or high is None:
+                # A low first probe certifies too: fq_i < q_i = y_i <= x_i + 1, fx_j < x_j = q_j + 1.
+                return self._certify(LevelOutcome(DOWNWARD, glb(x, q)), ((x, fx), (q, fq)))
+            else:
+                low, a = (q, fq), cj
+            if b - a <= 1:
+                # Adjacent ends: the meet is downward when F(high) keeps or lowers the third
+                # axis p, the join upward when F(high) raises it.
+                if high[1][p] <= high[0][p]:
+                    out = LevelOutcome(DOWNWARD, glb(low[0], high[0]))
+                else:
+                    out = LevelOutcome(UPWARD, lub(low[0], high[0]))
+                return self._certify(out, (low, high))
+            cj = (a + b) // 2
 
 
 class _TracingOracle:

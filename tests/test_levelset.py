@@ -775,7 +775,9 @@ def test_resolve_third_planted_exhaustive():
 
 
 class _ScriptedOracle:
-    """Fixed value map with a fallback; records query order."""
+    """Fixed value map with a fallback; records query order. A search that
+    stops narrowing its bracket fails on the 65th query instead of running
+    on."""
 
     def __init__(self, values, fallback):
         self.values = dict(values)
@@ -784,6 +786,8 @@ class _ScriptedOracle:
         self.distinct_queries = 0
 
     def query(self, x):
+        if len(self.order) == 64:
+            raise RuntimeError("more than 64 queries to a scripted oracle")
         self.order.append(x)
         self.distinct_queries += 1
         return self.values.get(x, self.fallback(x))

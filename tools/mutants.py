@@ -229,6 +229,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the third-configuration bisection stops at ends two apart",
+        "src/tarski/levelset.py",
+        "if b - a <= 1:",
+        "if b - a <= 2:",
+        ("tests/test_levelset.py::test_resolve_third_bisects_past_a_low_midpoint_to_the_meet_when_f_high_keeps_p",),
+    ),
+    Mutant(
+        "the third-configuration bisection moves its low end without moving a",
+        "src/tarski/levelset.py",
+        "                low, a = (q, fq), cj\n            if b - a <= 1:",
+        "                low = q, fq\n            if b - a <= 1:",
+        ("tests/test_levelset.py::test_resolve_third_bisects_past_a_low_midpoint_to_the_meet_when_f_high_keeps_p",),
+    ),
+    Mutant(
+        "the third configuration's adjacent ends take the join when F(high) keeps the third axis",
+        "src/tarski/levelset.py",
+        "if high[1][p] <= high[0][p]:",
+        "if high[1][p] < high[0][p]:",
+        ("tests/test_levelset.py::test_resolve_third_bisects_past_a_low_midpoint_to_the_meet_when_f_high_keeps_p",),
+    ),
+    Mutant(
         "_apply_query moves up(0) without the sign test of axis 2",
         "src/tarski/levelset.py",
         "if d1 <= 0 and d2 <= 0:\n            up[0]",
