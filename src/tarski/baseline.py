@@ -123,9 +123,8 @@ def brute_solve(oracle, box: Box | None = None) -> Point:
             return x
         if len(scanned) < 32:
             scanned.append((x, fx))
-    # box.lo was scanned first; box.hi, scanned last, is (x, fx) now.
-    if scanned[-1][0] != x:
-        scanned.append((x, fx))
+    # box.lo was scanned first; box.hi, scanned last, is (x, fx) now, listed once if already kept.
+    scanned.append((x, fx))
     raise MonotonicityViolation(
         "no fixed point in a certified box", implicated=tuple(scanned)
     )

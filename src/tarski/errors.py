@@ -50,14 +50,16 @@ class MonotonicityViolation(Exception):
     """The observed F-values cannot belong to any monotone function.
 
     ``implicated`` is the constant-size set of queried (point, F(point))
-    pairs the failing step examined, the one record a violation keeps.
-    ``witness`` is worked out from it each time it is read: an explicit
-    violating pair among those pairs, or None. Extracting it is best effort;
-    the implicated set itself is the reliable diagnostic.
+    pairs the failing step examined, the one record a violation keeps. It
+    lists each point once, in the order the pairs came, with the value of
+    the point's first occurrence; extend keeps that rule. ``witness`` is
+    worked out from it each time it is read: an explicit violating pair
+    among those pairs, or None. Extracting it is best effort; the
+    implicated set itself is the reliable diagnostic.
     """
 
     def __init__(self, message: str, implicated=()):
-        self.implicated = tuple(implicated)
+        self.implicated = _each_point_once(implicated)
         super().__init__(message)
 
     @property
@@ -67,7 +69,12 @@ class MonotonicityViolation(Exception):
     def extend(self, extra_pairs) -> None:
         """Attach more context pairs, in place; a point keeps the value of
         its first occurrence."""
-        merged: dict = {}
-        for p, v in self.implicated + tuple(extra_pairs):
-            merged.setdefault(p, v)
-        self.implicated = tuple(merged.items())
+        self.implicated = _each_point_once(self.implicated + tuple(extra_pairs))
+
+
+def _each_point_once(pairs) -> tuple:
+    """The (point, value) pairs with each point once, first occurrence first."""
+    merged: dict = {}
+    for p, v in pairs:
+        merged.setdefault(p, v)
+    return tuple(merged.items())

@@ -362,8 +362,7 @@ class LevelsetSolver:
                 else:
                     hi_sum = hi[0] + hi[1] + hi[2]
         except MonotonicityViolation as mv:
-            if self._evidence:
-                mv.extend(self._evidence)
+            mv.extend(self._evidence)
             raise
 
     def _tighten(self, lo: Point, hi: Point, out: LevelOutcome) -> tuple[Point, Point]:

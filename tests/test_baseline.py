@@ -175,6 +175,7 @@ def test_dqy_violations_on_raw_tables_implicate_a_violating_pair():
             assert any(
                 leq(x, y) and not leq(fx, fy) for x, fx in pairs for y, fy in pairs
             ), (seed, pairs)
+            assert len({x for x, _ in pairs}) == len(pairs), (seed, pairs)
             seen += 1
     assert seen > 500
 

@@ -36,10 +36,10 @@ from tarski.levelset import LevelsetSolver, LevelState, find_configuration, sear
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
-DIGEST = "c1cb7c4b8d7573239f29ad76c419962fc460d7bf836405c3ebee1eb4cc33a918"
+DIGEST = "db5dc0ccf9ec886eee4dc4a8c4dbd810c1e602ec2dff72cea233d1fb1f9aa64e"
 CONFIG_DIGEST = "2997209a8565d8f2603fc11e7126b0eccaebc446d8e714bcf5567d62c0a0390e"
 SOLVE_DIGEST = "b51b8b28884af7cff4ff44950f38494a44ad83be96f9e323539fcede4a8b7a52"
-DQY_CALLS_DIGEST = "2484546f51dc594f139f8f2540d4ba1e68856440729d67652cbf0e2c5876c8c3"
+DQY_CALLS_DIGEST = "d7f76e95c3284ed88538f75b2f61c004ecf2d861f1f42f40a56f353fed2cbc3c"
 
 
 def _instances():

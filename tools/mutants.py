@@ -121,6 +121,16 @@ MUTANTS = (
         timeout=5.0,
     ),
     Mutant(
+        "a violation keeps every implicated pair, duplicate points included",
+        "src/tarski/errors.py",
+        "self.implicated = _each_point_once(implicated)",
+        "self.implicated = tuple(implicated)",
+        (
+            "tests/test_cli.py::test_solve_violation_lists_each_queried_point_once",
+            "tests/test_baseline.py::test_dqy_violations_on_raw_tables_implicate_a_violating_pair",
+        ),
+    ),
+    Mutant(
         "brute_solve's scan stops each side's range short of its upper bound",
         "src/tarski/baseline.py",
         "product(*[range(a, b + 1) for",
