@@ -148,21 +148,15 @@ def test_solve_trace_and_verify_flags_need_levelset(tmp_path):
 
 
 def test_solve_violation_exit_3(tmp_path):
-    bad = tmp_path / "cycle.txt"
-    bad.write_text("tarski-instance v1\nd 1\nshape 2\nkind table\n2\n1\n")
-    res = run("solve", "--instance", str(bad), "--algo", "dqy")
-    assert res.exit_code == 3
-    assert "monotonicity violation" in res.output
-
-
-def test_solve_violation_lists_each_queried_point_once(tmp_path):
     # F(1) = 2, F(2) = 1: the violation implicates both points of the grid, each once
     bad = tmp_path / "cycle.txt"
     bad.write_text("tarski-instance v1\nd 1\nshape 2\nkind table\n2\n1\n")
-    res = run("solve", "--instance", str(bad))
-    assert res.exit_code == 3
-    queried = [line.strip() for line in res.output.splitlines() if "queried" in line]
-    assert sorted(queried) == ["queried (1) -> (2)", "queried (2) -> (1)"]
+    for algo in ("levelset", "dqy"):
+        res = run("solve", "--instance", str(bad), "--algo", algo)
+        assert res.exit_code == 3
+        assert "monotonicity violation" in res.output
+        queried = sorted(line.strip() for line in res.output.splitlines() if "queried" in line)
+        assert queried == ["queried (1) -> (2)", "queried (2) -> (1)"], algo
 
 
 def test_solve_trace_file(tmp_path):

@@ -126,7 +126,7 @@ MUTANTS = (
         "self.implicated = _each_point_once(implicated)",
         "self.implicated = tuple(implicated)",
         (
-            "tests/test_cli.py::test_solve_violation_lists_each_queried_point_once",
+            "tests/test_cli.py::test_solve_violation_exit_3",
             "tests/test_baseline.py::test_dqy_violations_on_raw_tables_implicate_a_violating_pair",
         ),
     ),
