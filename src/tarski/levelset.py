@@ -405,19 +405,22 @@ class LevelsetSolver:
             observer("level_start", {"box": box, "k": k, "queries": before})
         try:
             extreme_search = self._extreme_search
-            ups: list[tuple[Point, Point]] = []
-            downs: list[tuple[Point, Point]] = []
-            # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
-            for axis in range(3):
-                down_pair = extreme_search(lo, hi, k, axis, 1)
-                if type(down_pair) is LevelOutcome:
-                    return down_pair
-                up_pair = extreme_search(lo, hi, k, axis, -1)
-                if type(up_pair) is LevelOutcome:
-                    return up_pair
-                ups.append(up_pair)
-                downs.append(down_pair)
-            state = LevelState(_box(lo, hi), k, ups, downs)
+            state = LevelState(_box(lo, hi), k, [(lo, None)] * 3, [(hi, None)] * 3)
+            lazy = max(search_space(state).dia) < 6
+            if not lazy:
+                ups: list[tuple[Point, Point]] = []
+                downs: list[tuple[Point, Point]] = []
+                # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
+                for axis in range(3):
+                    down_pair = extreme_search(lo, hi, k, axis, 1)
+                    if type(down_pair) is LevelOutcome:
+                        return down_pair
+                    up_pair = extreme_search(lo, hi, k, axis, -1)
+                    if type(up_pair) is LevelOutcome:
+                        return up_pair
+                    ups.append(up_pair)
+                    downs.append(down_pair)
+                state = LevelState(_box(lo, hi), k, ups, downs)
             if observer is not None:
                 observer("init_done", state.snapshot())
             shrink, small = (PHASE_SHRINK, k), (PHASE_SMALL, k)
@@ -436,6 +439,15 @@ class LevelsetSolver:
                 if type(res) is LevelOutcome:
                     return res
                 state = res
+            if lazy:
+                self._context = (PHASE_INIT, k)
+                for axis in range(3):
+                    for s, pairs in ((1, state.down), (-1, state.up)):
+                        if pairs[axis][1] is None:
+                            pair = extreme_search(lo, hi, k, axis, s)
+                            if type(pair) is LevelOutcome:
+                                return pair
+                            pairs[axis] = pair
             cfg = find_configuration(state)
             if observer is not None:
                 observer("config", {"config": cfg, "state": state.snapshot()})

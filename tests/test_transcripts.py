@@ -36,9 +36,9 @@ from tarski.levelset import LevelsetSolver, LevelState, find_configuration, sear
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
-DIGEST = "db5dc0ccf9ec886eee4dc4a8c4dbd810c1e602ec2dff72cea233d1fb1f9aa64e"
+DIGEST = "f52045448fa5a29d2039a4521f3c5b8c49dc97d68599840f6f89e98d25d48680"
 CONFIG_DIGEST = "2997209a8565d8f2603fc11e7126b0eccaebc446d8e714bcf5567d62c0a0390e"
-SOLVE_DIGEST = "b51b8b28884af7cff4ff44950f38494a44ad83be96f9e323539fcede4a8b7a52"
+SOLVE_DIGEST = "7951d09cae4f2503e28b4f63fd3aec9b114aff96457c89726fe2bd06ed42136a"
 DQY_CALLS_DIGEST = "d7f76e95c3284ed88538f75b2f61c004ecf2d861f1f42f40a56f353fed2cbc3c"
 
 
