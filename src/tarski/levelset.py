@@ -222,20 +222,6 @@ def _label_tokens(labels: LabelSet) -> str:
     return ",".join(toks)
 
 
-def _step_payload(before: LevelState, view: SearchSpaceView, res, **probe) -> dict:
-    """Observer payload of one shrink or small step: the state before it,
-    its view, the probe (shrink only), and its outcome or the diameters it
-    left."""
-    done = isinstance(res, LevelOutcome)
-    return {
-        "state_before": before.snapshot(),
-        "view": view,
-        **probe,
-        "outcome": res if done else None,
-        "dia_after": None if done else search_space(res).dia,
-    }
-
-
 class LevelsetSolver:
     """One solve run over one oracle. Strictly sequential; make a fresh
     solver (and oracle) per run.
@@ -286,34 +272,6 @@ class LevelsetSolver:
                 "certificate", {"kind": outcome.kind, "point": outcome.point, "verified": verified}
             )
         return outcome
-
-    def _apply_query(self, state: LevelState, q: Point, fq: Point):
-        """The outcome when q is fixed, upward or downward; otherwise a new
-        state, with the bounds q's labels select moved to q.
-
-        The labels are those of classify, read off the signs directly: q is
-        i-upward when i is the only axis F raises, i-downward when i is the
-        only axis F lowers."""
-        d0, d1, d2 = fq[0] - q[0], fq[1] - q[1], fq[2] - q[2]
-        if d0 >= 0 and d1 >= 0 and d2 >= 0:
-            return LevelOutcome(FIXED if d0 == d1 == d2 == 0 else UPWARD, q, fq)
-        if d0 <= 0 and d1 <= 0 and d2 <= 0:
-            return LevelOutcome(DOWNWARD, q, fq)
-        up, down = list(state.up), list(state.down)
-        # Some axis rises and some falls: axis i alone rises (falls) when no other one does.
-        if d1 <= 0 and d2 <= 0:
-            up[0] = q, fq
-        elif d0 <= 0 and d2 <= 0:
-            up[1] = q, fq
-        elif d0 <= 0 and d1 <= 0:
-            up[2] = q, fq
-        if d1 >= 0 and d2 >= 0:
-            down[0] = q, fq
-        elif d0 >= 0 and d2 >= 0:
-            down[1] = q, fq
-        elif d0 >= 0 and d1 >= 0:
-            down[2] = q, fq
-        return LevelState(state.box, state.k, up, down)
 
     # -- outer loop -------------------------------------------------------
 
@@ -396,7 +354,16 @@ class LevelsetSolver:
         at-or-below it, inside the box [lo, hi] with certified corners. The
         caller holds k strictly inside the box and every side >= 2, as the
         outer loop does by construction; neither is checked. No Box is built
-        unless an observer is attached or the level gets past init."""
+        unless an observer is attached or the level gets past init.
+
+        The bounds start on the box faces, where S is the whole level. When
+        some diameter of that S is >= 6 the six init searches run first;
+        otherwise the small steps set most bounds themselves, and the
+        searches run last, for the bounds no probe has set. Either way the
+        shrink and small steps follow, one probe each (three at a corner of
+        S), each probe's labels moving the bounds it selects, until some
+        diameter is <= 1 and a configuration resolves the level.
+        """
         self._context = (PHASE_INIT, k)
         observer = self.observer
         if observer is not None:
@@ -404,50 +371,139 @@ class LevelsetSolver:
             before = self.oracle.distinct_queries
             observer("level_start", {"box": box, "k": k, "queries": before})
         try:
-            extreme_search = self._extreme_search
-            state = LevelState(_box(lo, hi), k, [(lo, None)] * 3, [(hi, None)] * 3)
-            lazy = max(search_space(state).dia) < 6
-            if not lazy:
-                ups: list[tuple[Point, Point]] = []
-                downs: list[tuple[Point, Point]] = []
-                # Per axis the extreme i-downward, then i-upward point, so up(i)_i <= down(i)_i.
-                for axis in range(3):
-                    down_pair = extreme_search(lo, hi, k, axis, 1)
-                    if type(down_pair) is LevelOutcome:
-                        return down_pair
-                    up_pair = extreme_search(lo, hi, k, axis, -1)
-                    if type(up_pair) is LevelOutcome:
-                        return up_pair
-                    ups.append(up_pair)
-                    downs.append(down_pair)
-                state = LevelState(_box(lo, hi), k, ups, downs)
-            if observer is not None:
-                observer("init_done", state.snapshot())
+            query = self._query
+            # The six bounding pairs, a bound not yet set being its box corner with no value, and
+            # the bound coordinates a_i = up(i)_i and b_i = down(i)_i of S. Only probes move the
+            # latter: an init search's point has the whole level's extreme coordinate on its axis,
+            # which already bounds S.
+            up, down = [(lo, None)] * 3, [(hi, None)] * 3
+            (a0, a1, a2), (b0, b1, b2) = lo, hi
+            lazy = None  # whether the init searches wait, decided on the first S: the whole level
             shrink, small = (PHASE_SHRINK, k), (PHASE_SMALL, k)
             while True:
-                view = search_space(state)
-                d0, d1, d2 = view.dia
-                # Tested one by one: builtin min and max cost a call each on CPython.
+                # S's bounds ell = e and r, as search_space computes them; a0..b2 lie in the box.
+                # Every min and max written out: a two-argument builtin costs a call on CPython.
+                e0, e1, e2 = k - b1 - b2, k - b0 - b2, k - b0 - b1
+                r0, r1, r2 = k - a1 - a2, k - a0 - a2, k - a0 - a1
+                e0 = e0 if e0 > a0 else a0
+                e1 = e1 if e1 > a1 else a1
+                e2 = e2 if e2 > a2 else a2
+                r0 = r0 if r0 < b0 else b0
+                r1 = r1 if r1 < b1 else b1
+                r2 = r2 if r2 < b2 else b2
+                d0, d1, d2 = r0 - e0, r1 - e1, r2 - e2
+                if lazy is None:
+                    lazy = d0 < 6 and d1 < 6 and d2 < 6
+                    if not lazy:
+                        out = self._init_searches(lo, hi, k, up, down)
+                        if out is not None:
+                            return out
+                    state = LevelState(_box(lo, hi), k, up, down)  # shares the two lists
+                    if observer is not None:
+                        observer("init_done", state.snapshot())
                 if d0 <= 1 or d1 <= 1 or d2 <= 1:
                     break
+                if observer is not None:
+                    before_step = state.snapshot()
+                    view = tuple.__new__(SearchSpaceView, ((e0, e1, e2), (r0, r1, r2), (d0, d1, d2)))
+                e_sum = e0 + e1 + e2
+                bounds = None  # at a corner of S, the bounds its three probes aim to take
                 if d0 >= 6 or d1 >= 6 or d2 >= 6:
-                    self._context = shrink
-                    res = self.shrink_once(state, view)
+                    # The shrink probe sits at least a sixth s_i = ceil(dia_i/6) inside both bounds
+                    # on every axis, so whatever per-axis label it gets moves that bound by at least
+                    # s_i. Among those points it takes the central one, which keeps every axis about
+                    # equally far from both bounds: central_level_point(u, v, k) written out, where
+                    # u = ell + s and v = r - s. S attains ell and r, so k - sum(ell) and
+                    # sum(r) - k are >= max(dia) >= sum(s), and dia_i >= 2s_i gives u <= v.
+                    phase = shrink
+                    s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
+                    u0, u1, u2 = e0 + s0, e1 + s1, e2 + s2
+                    v0, v1, v2 = r0 - s0, r1 - s1, r2 - s2
+                    u_sum = u0 + u1 + u2
+                    # A diameter >= 6 keeps width > 0.
+                    width, deficit = v0 + v1 + v2 - u_sum, k - u_sum
+                    q0 = u0 + deficit * (v0 - u0) // width
+                    q1 = u1 + deficit * (v1 - u1) // width
+                    q2 = u2 + deficit * (v2 - u2) // width
+                    # What the rounding left goes up to each bound in axis order; the last axis takes the rest.
+                    rest = k - q0 - q1 - q2
+                    step = v0 - q0 if v0 - q0 < rest else rest
+                    q0, rest = q0 + step, rest - step
+                    step = v1 - q1 if v1 - q1 < rest else rest
+                    probes = ((q0, q1 + step, q2 + rest - step),)
+                elif e_sum + 3 <= k <= r0 + r1 + r2 - 3:
+                    # Every diameter is in 2..5 and S has a point strictly inside every bound;
+                    # probing it shrinks some diameter. It is level_point(ell + 1, r - 1, k) written
+                    # out: every diameter >= 2 gives ell + 1 <= r - 1, and the branch test puts k
+                    # between their sums. From ell + 1, axes 0 and 1 rise toward r - 1 in order;
+                    # axis 2 takes the rest.
+                    phase = small
+                    rest = k - e_sum - 3
+                    step = r0 - e0 - 2 if r0 - e0 - 2 < rest else rest
+                    q0, rest = e0 + 1 + step, rest - step
+                    step = r1 - e1 - 2 if r1 - e1 - 2 < rest else rest
+                    probes = ((q0, e1 + 1 + step, e2 + 1 + rest - step),)
                 else:
-                    self._context = small
-                    res = self.small_case_step(state, view)
-                if type(res) is LevelOutcome:
-                    return res
-                state = res
+                    # Otherwise S hugs one corner of its bounding ranges, the lower one (s = +1) or
+                    # the upper one (s = -1), and c0 + c1 + c2 == k - 2s. Probing the three points
+                    # one step inside that corner either makes progress through an unexpected label
+                    # or proves (all three i-upward, resp. i-downward) that the corner plus s is an
+                    # upward, resp. downward, point with no further query.
+                    phase = small
+                    s, c0, c1, c2 = (1, e0, e1, e2) if e_sum + 3 > k else (-1, r0, r1, r2)
+                    probes = ((c0, c1 + s, c2 + s), (c0 + s, c1, c2 + s), (c0 + s, c1 + s, c2))
+                    bounds = up if s > 0 else down
+                self._context = phase
+                out = None
+                for axis, q in enumerate(probes):
+                    fq = query(q)
+                    q0, q1, q2 = q
+                    # q is fixed, upward or downward, or its labels are those of classify, read off
+                    # the signs of F's moves: q is i-upward when i is the only axis F raises,
+                    # i-downward when i is the only axis F lowers.
+                    m0, m1, m2 = fq[0] - q0, fq[1] - q1, fq[2] - q2
+                    if m0 >= 0 and m1 >= 0 and m2 >= 0:
+                        out = LevelOutcome(FIXED if m0 == m1 == m2 == 0 else UPWARD, q, fq)
+                        break
+                    if m0 <= 0 and m1 <= 0 and m2 <= 0:
+                        out = LevelOutcome(DOWNWARD, q, fq)
+                        break
+                    pair = q, fq
+                    if m1 <= 0 and m2 <= 0:
+                        up[0], a0 = pair, q0
+                    elif m0 <= 0 and m2 <= 0:
+                        up[1], a1 = pair, q1
+                    elif m0 <= 0 and m1 <= 0:
+                        up[2], a2 = pair, q2
+                    if m1 >= 0 and m2 >= 0:
+                        down[0], b0 = pair, q0
+                    elif m0 >= 0 and m2 >= 0:
+                        down[1], b1 = pair, q1
+                    elif m0 >= 0 and m1 >= 0:
+                        down[2], b2 = pair, q2
+                    # A corner probe taking its bound moves one other at most, to corner + s:
+                    # the next probe stays in S.
+                    if bounds is None or bounds[axis] is not pair:
+                        break
+                else:
+                    # All three probes i-upward (resp. i-downward): corner + s is upward (downward).
+                    out = self._certify(LevelOutcome(_kind(s), (c0 + s, c1 + s, c2 + s)), tuple(bounds))
+                if observer is not None:
+                    probe = {"q": q, "fq": fq} if phase is shrink else {}
+                    observer(phase[0], {
+                        "state_before": before_step,
+                        "view": view,
+                        **probe,
+                        "outcome": out,
+                        "dia_after": None if out is not None else search_space(state).dia,
+                    })
+                if out is not None:
+                    return out
             if lazy:
                 self._context = (PHASE_INIT, k)
-                for axis in range(3):
-                    for s, pairs in ((1, state.down), (-1, state.up)):
-                        if pairs[axis][1] is None:
-                            pair = extreme_search(lo, hi, k, axis, s)
-                            if type(pair) is LevelOutcome:
-                                return pair
-                            pairs[axis] = pair
+                out = self._init_searches(lo, hi, k, up, down)
+                if out is not None:
+                    return out
             cfg = find_configuration(state)
             if observer is not None:
                 observer("config", {"config": cfg, "state": state.snapshot()})
@@ -465,6 +521,19 @@ class LevelsetSolver:
                 })
 
     # -- initialization ---------------------------------------------------
+
+    def _init_searches(self, lo: Point, hi: Point, k: int, up: list, down: list):
+        """Set each bound of the level no probe has set to the extreme point
+        _extreme_search finds, axis by axis and the i-downward one first, so
+        up(i)_i <= down(i)_i; None, or the first search's early outcome."""
+        for axis in range(3):
+            for s, pairs in ((1, down), (-1, up)):
+                if pairs[axis][1] is None:
+                    pair = self._extreme_search(lo, hi, k, axis, s)
+                    if type(pair) is LevelOutcome:
+                        return pair
+                    pairs[axis] = pair
+        return None
 
     def _extreme_search(self, lo: Point, hi: Point, k: int, axis: int, s: int):
         """Find the extreme i-downward point (s = +1) or i-upward point
@@ -542,93 +611,6 @@ class LevelsetSolver:
             if -1 <= b - a <= 1:
                 return self._certify(_meet_outcome(s, [low[0], high[0]]), (low, high))
             cj = (a + b) // 2
-
-    # -- shrinking --------------------------------------------------------
-
-    def shrink_once(self, state: LevelState, view: SearchSpaceView):
-        """One geometric shrink while some diameter is >= 6 and none is below
-        2, where view is search_space(state). The caller holds those
-        diameters, as _solve_level does; they are not checked.
-
-        The probe sits at least ceil(dia_i/6) inside both bounds on every
-        axis (such a level point always exists under the preconditions), so
-        whatever per-axis label it gets moves that bound by at least a sixth
-        of the diameter. Among those points it takes the central one, which
-        keeps every axis about equally far from both bounds instead of
-        pushing the first axes to one bound and the last to the other.
-        """
-        d0, d1, d2 = view.dia
-        s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
-        (l0, l1, l2), (r0, r1, r2) = view.ell, view.r
-        a0, a1, a2 = l0 + s0, l1 + s1, l2 + s2
-        b0, b1, b2 = r0 - s0, r1 - s1, r2 - s2
-        k = state.k
-        # S attains ell, r: k - sum(ell), sum(r) - k >= max(dia) >= sum(s); dia_i >= 2s_i: a <= b.
-        # central_level_point(a, b, k), inlined; a diameter >= 6 keeps width > 0.
-        lo_sum = a0 + a1 + a2
-        width, deficit = b0 + b1 + b2 - lo_sum, k - lo_sum
-        q0 = a0 + deficit * (b0 - a0) // width
-        q1 = a1 + deficit * (b1 - a1) // width
-        q2 = a2 + deficit * (b2 - a2) // width
-        # What the rounding left goes up to each bound in axis order; the last axis takes the rest.
-        rest = k - q0 - q1 - q2
-        step = b0 - q0 if b0 - q0 < rest else rest
-        q0, rest = q0 + step, rest - step
-        step = b1 - q1 if b1 - q1 < rest else rest
-        q = (q0, q1 + step, q2 + rest - step)
-        fq = self._query(q)
-        res = self._apply_query(state, q, fq)
-        if self.observer is not None:
-            self.observer("shrink", _step_payload(state, view, res, q=q, fq=fq))
-        return res
-
-    def small_case_step(self, state: LevelState, view: SearchSpaceView):
-        """One constant-size step once every diameter is in 2..5, where view
-        is search_space(state). The caller holds those diameters, as
-        _solve_level does; they are not checked.
-
-        If S still has a point strictly inside every bound, probing it shrinks
-        some diameter. The probe is level_point(ell + 1, r - 1, k) written
-        out, with no _check_level: every diameter >= 2 gives ell + 1 <= r - 1,
-        and the branch test puts k between their sums.
-
-        Otherwise S hugs one corner of its bounding ranges, the lower one
-        (s = +1) or the upper one (s = -1); probing the three points one step
-        inside that corner either makes progress through an unexpected label
-        or proves (all three i-upward, resp. i-downward) that the corner plus
-        s is an upward, resp. downward, point with no further query.
-        """
-        (l0, l1, l2), (r0, r1, r2), k = view.ell, view.r, state.k
-        ell_sum = l0 + l1 + l2
-        if ell_sum + 3 <= k <= r0 + r1 + r2 - 3:
-            # From ell + 1, axes 0 and 1 rise toward r - 1 in order; axis 2 takes the rest.
-            rest = k - ell_sum - 3
-            step = r0 - l0 - 2 if r0 - l0 - 2 < rest else rest
-            q0, rest = l0 + 1 + step, rest - step
-            step = r1 - l1 - 2 if r1 - l1 - 2 < rest else rest
-            q = (q0, l1 + 1 + step, l2 + 1 + rest - step)
-            res = self._apply_query(state, q, self._query(q))
-        else:
-            s, (c0, c1, c2) = (1, view.ell) if ell_sum + 3 > k else (-1, view.r)
-            # ell and r are attained in S and every diameter is >= 2, so c0 + c1 + c2 == k - 2s.
-            res = state
-            probes = []
-            for axis, q in enumerate(((c0, c1 + s, c2 + s), (c0 + s, c1, c2 + s), (c0 + s, c1 + s, c2))):
-                fq = self._query(q)
-                probes.append((q, fq))
-                # A probe taking its bound moves one other at most, to corner + s: the next stays in S.
-                res = self._apply_query(res, q, fq)
-                if isinstance(res, LevelOutcome):
-                    break
-                if (res.up if s > 0 else res.down)[axis] != (q, fq):
-                    break
-            else:
-                res = self._certify(
-                    LevelOutcome(_kind(s), (c0 + s, c1 + s, c2 + s)), tuple(probes)
-                )
-        if self.observer is not None:
-            self.observer("small", _step_payload(state, view, res))
-        return res
 
     # -- configuration resolution -----------------------------------------
 

@@ -16,8 +16,18 @@ from tarski.oracle import (
 from tarski.rng import SplitMix64
 
 
+class _CappedCallLog(CallLog):
+    """CallLog that refuses its 17th query call, so that a bisection that
+    stops narrowing its bracket fails at once instead of running on."""
+
+    def query(self, x):
+        if len(self.calls) == 16:
+            raise RuntimeError("more than 16 query calls")
+        return super().query(x)
+
+
 def test_dqy_1d_binary_search():
-    o = CountedOracle(gen_target((8,), (5,)))
+    o = _CappedCallLog(gen_target((8,), (5,)))
     assert dqy_solve(o).fixed_point == (5,)
     assert o.distinct_queries <= 4
 

@@ -453,28 +453,51 @@ def test_shrink_strictly_decreases_phi():
 )
 @given(strategies.data())
 def test_shrink_probe_is_central_inside_the_sixth_step_bounds(data):
-    # On a random bounding state that search_space lets shrink_once probe,
-    # the probe lies on level k a sixth of each diameter inside both bounds
-    # of S, and it is central_level_point of those pulled-in bounds.
+    # On a random box [a, b] and level k whose S, the whole level, takes a
+    # shrink step, the level's first shrink probe lies on level k a sixth of
+    # each diameter inside both bounds of S, and it is central_level_point of
+    # those pulled-in bounds. F rotates the coordinates relative to a, clamped
+    # to the box: a monotone map, so the init searches end in bounds or in an
+    # outcome, and the example counts only when they end in bounds.
     def above(point):
         return tuple(c + data.draw(strategies.integers(0, 80)) for c in point)
 
-    lo = tuple(data.draw(strategies.integers(1, 1 << 20)) for _ in range(3))
-    a = above(lo)
+    a = tuple(data.draw(strategies.integers(1, 1 << 20)) for _ in range(3))
     b = above(a)
-    hi = above(b)
     k = data.draw(strategies.integers(sum(a), sum(b)))
-    state = state_from_coords(Box(lo, hi), k, a, b)
-    view = search_space(state)
+    view = search_space(state_from_coords(Box(a, b), k, a, b))
     assume(min(view.dia) >= 2 and max(view.dia) >= 6)
-    oracle = _ScriptedOracle({}, fallback=lambda q: q)
-    LevelsetSolver(oracle).shrink_once(state, view)
-    (q,) = oracle.order
+
+    def rotate(q):
+        return tuple(
+            a[i] + min(max(q[(i + 1) % 3] - a[(i + 1) % 3], 0), b[i] - a[i]) for i in range(3)
+        )
+
+    shrinks = []
+
+    def observe(event, payload):
+        if event == "shrink":
+            shrinks.append(payload)
+            raise _FirstShrink
+
+    oracle = _ScriptedOracle({}, fallback=rotate)
+    try:
+        LevelsetSolver(oracle, observer=observe)._solve_level(a, b, k)
+    except _FirstShrink:
+        pass
+    assume(shrinks)
+    (payload,) = shrinks
+    q = payload["q"]
+    assert payload["view"] == view and oracle.order[-1] == q
     step = tuple(-(-d // 6) for d in view.dia)
     lower = tuple(c + s for c, s in zip(view.ell, step))
     upper = tuple(c - s for c, s in zip(view.r, step))
     assert norm1(q) == k and leq(lower, q) and leq(q, upper)
     assert q == central_level_point(lower, upper, k)
+
+
+class _FirstShrink(Exception):
+    """Raised by a test observer to stop a level at its first shrink step."""
 
 
 def test_small_case_progress():
@@ -491,34 +514,99 @@ def test_small_case_progress():
     assert seen > 20
 
 
+# The first probes of the six init searches of level 12 in (1,1,1)..(7,7,7),
+# each answered so that its search ends there: F lowers the axis of the top
+# face the point lies on and raises the axis of its bottom face.
+_INIT_12 = {
+    (7, 1, 4): (6, 2, 4),
+    (1, 7, 4): (2, 6, 4),
+    (1, 4, 7): (2, 4, 6),
+    (7, 4, 1): (6, 4, 2),
+}
+
+
+def _scripted_level(lo, hi, k, script, fallback=lambda q: q):
+    """Run one level on a scripted oracle with an observer and a trace:
+    its outcome, query order, events and trace phases."""
+    oracle = _ScriptedOracle(script, fallback=fallback)
+    events, buf = [], io.StringIO()
+    solver = LevelsetSolver(oracle, trace=buf, observer=lambda ev, p: events.append((ev, p)))
+    out = solver._solve_level(lo, hi, k)
+    phases = [line.split("\t")[0] for line in buf.getvalue().splitlines()]
+    return out, oracle.order, events, phases
+
+
+def _states_after(events, event):
+    """The state each event of the given kind left: the snapshot of the
+    next step or configuration event, or None when the level ended first."""
+    snaps = []
+    for i, (ev, _) in enumerate(events):
+        if ev == event:
+            nxt = [p for e, p in events[i + 1:] if e in ("shrink", "small", "config")]
+            snaps.append((nxt[0].get("state_before") or nxt[0]["state"]) if nxt else None)
+    return snaps
+
+
+def test_level_of_diameter_6_opens_with_the_init_searches():
+    # level 12 of (1,1,1)..(7,7,7) has S of diameters (6,6,6), the least for
+    # which the six init searches run first: the level opens with the axis-0
+    # search's extreme vertex, and all six searches are traced as init
+    from tarski.lattice import extreme_level_point
+
+    box = full_box((7, 7, 7))
+    assert search_space(state_from_coords(box, 12, box.lo, box.hi)).dia == (6, 6, 6)
+    out, order, _, phases = _scripted_level(box.lo, box.hi, 12, _INIT_12)
+    assert order[0] == extreme_level_point(box, 12, 0, 1) == (7, 1, 4)
+    assert order == [(7, 1, 4), (1, 7, 4), (1, 7, 4), (7, 1, 4), (1, 4, 7), (7, 4, 1), (4, 4, 4)]
+    assert phases == ["init"] * 6 + ["shrink"]
+    assert out == LevelOutcome(FIXED, (4, 4, 4), (4, 4, 4))
+
+
 def test_shrink_probe_spec_example():
-    # bounds (1,1,1)..(7,7,7) with dia (6,6,6) at level 12: the probe is the
-    # central level point (4,4,4) of the shrunken bounds [2..6]^3; their
-    # greedy level point (6,4,2) would sit on the bounds of axes 0 and 2
+    # bounds (1,1,1)..(7,7,7) with dia (6,6,6) at level 12: after the init
+    # searches the probe is the central level point (4,4,4) of the shrunken
+    # bounds [2..6]^3; their greedy level point (6,4,2) would sit on the
+    # bounds of axes 0 and 2
     assert level_point((2, 2, 2), (6, 6, 6), 12) == (6, 4, 2)
     assert central_level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
-    box = full_box((7, 7, 7))
-    st = state_from_coords(box, 12, (1, 1, 1), (7, 7, 7))
-    oracle = _ScriptedOracle({(4, 4, 4): (5, 4, 3)}, fallback=lambda q: q)
-    solver = LevelsetSolver(oracle)
-    res = solver.shrink_once(st, search_space(st))
-    assert oracle.order == [(4, 4, 4)]
-    assert isinstance(res, LevelState)
+    q, fq = (4, 4, 4), (5, 4, 3)
+    _, order, events, _ = _scripted_level((1, 1, 1), (7, 7, 7), 12, {**_INIT_12, q: fq})
+    assert order[6] == q
+    shrinks = [p for ev, p in events if ev == "shrink"]
+    assert (shrinks[0]["q"], shrinks[0]["fq"], shrinks[0]["outcome"]) == (q, fq, None)
     # the probe was 1-upward (and 3-downward), so both bounds moved
-    assert res.up[0][0] == (4, 4, 4)
-    assert res.down[2][0] == (4, 4, 4)
-    assert search_space(res).dia[0] <= 5
+    after = _states_after(events, "shrink")[0]
+    assert after["up"][0] == (q, fq) and after["down"][2] == (q, fq)
+    assert shrinks[0]["dia_after"] == shrinks[1]["view"].dia == (3, 6, 3)
 
 
 def test_small_case_interior_probe_spec_example():
-    # bounds (2,2,2)..(4,4,4) at level 9 have the interior point (3,3,3)
-    box = full_box((5, 5, 5))
-    st = state_from_coords(box, 9, (2, 2, 2), (4, 4, 4))
-    oracle = _ScriptedOracle({(3, 3, 3): (4, 3, 2)}, fallback=lambda q: q)
-    solver = LevelsetSolver(oracle)
-    res = solver.small_case_step(st, search_space(st))
-    assert oracle.order == [(3, 3, 3)]
-    assert isinstance(res, LevelState)
+    # bounds (2,2,2)..(4,4,4) at level 9 have the interior point (3,3,3); the
+    # level's S has diameters (2,2,2), so it opens with that probe, not with
+    # an init vertex
+    _, order, events, phases = _scripted_level((2, 2, 2), (4, 4, 4), 9, {(3, 3, 3): (4, 3, 2)})
+    assert order[0] == (3, 3, 3) and phases[0] == "small"
+    assert [ev for ev, _ in events][:3] == ["level_start", "init_done", "small"]
+
+
+def test_lazy_level_searches_exactly_the_bounds_its_probes_left_unset():
+    # level 9 of (2,2,2)..(4,4,4) opens with (3,3,3), which F makes 1-upward
+    # and 3-downward; that leaves a diameter of 1, so the level searches the
+    # four other bounds, in axis order and i-downward first, traced as init.
+    # F is (3,3,3) elsewhere, so each search ends on its first vertex.
+    q, fq = (3, 3, 3), (4, 3, 2)
+    _, order, events, phases = _scripted_level(
+        (2, 2, 2), (4, 4, 4), 9, {q: fq}, fallback=lambda x: (3, 3, 3)
+    )
+    # down(0), down(1), up(1), up(2); up(0) and down(2) are the probe's
+    assert order == [q, (4, 2, 3), (2, 4, 3), (4, 2, 3), (4, 3, 2)]
+    assert phases == ["small"] + ["init"] * 4
+    init = next(p for ev, p in events if ev == "init_done")
+    assert init["up"] == (((2, 2, 2), None),) * 3 and init["down"] == (((4, 4, 4), None),) * 3
+    config = next(p for ev, p in events if ev == "config")["state"]
+    center = (3, 3, 3)
+    assert config["up"] == ((q, fq), ((4, 2, 3), center), ((4, 3, 2), center))
+    assert config["down"] == (((4, 2, 3), center), ((2, 4, 3), center), (q, fq))
 
 
 def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds():
@@ -526,13 +614,8 @@ def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds()
     # level has a point of S strictly inside every bound
     # (sum(ell) + 3 <= k <= sum(r) - 3), the step's first query is
     # level_point(ell + 1, r - 1, k) of its view; both ends of that range
-    # of k occur.
+    # of k occur. A step's queries are the calls after the event before it.
     from _families import CallLog, raw_random_table, rotation_batch
-
-    class ProbeLog(LevelsetSolver):
-        def small_case_step(self, state, view):
-            steps.append((state.k, view, len(self.oracle.calls)))
-            return super().small_case_step(state, view)
 
     instances = rotation_batch(60, 25) + [
         raw_random_table((3 + seed % 6,) * 3, seed) for seed in range(120)
@@ -540,13 +623,21 @@ def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds()
     seen, ends = 0, set()
     for inst in instances:
         for verify in (False, True):
-            steps = []
             oracle = CallLog(inst)
+            marks = []
+            solver = LevelsetSolver(
+                oracle,
+                verify_certificates=verify,
+                observer=lambda ev, p: marks.append((ev, p, len(oracle.calls))),
+            )
             try:
-                ProbeLog(oracle, verify_certificates=verify).solve()
+                solver.solve()
             except MonotonicityViolation:
                 pass
-            for k, view, mark in steps:
+            for (_, _, mark), (ev, payload, _) in zip(marks, marks[1:]):
+                if ev != "small":
+                    continue
+                view, k = payload["view"], payload["state_before"]["k"]
                 low, high = sum(view.ell) + 3, sum(view.r) - 3
                 if not low <= k <= high:
                     continue
@@ -560,10 +651,9 @@ def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds()
 
 def test_small_case_probe_branch_all_upward_spec_example():
     # bounds (2,2,2)..(4,4,4) at level 8: no interior point; the three corner
-    # probes are all i-upward, certifying (3,3,3) as an upward point. Its
-    # order dual at level 10 probes one step below the upper corner; all
-    # three i-downward certify (3,3,3) as a downward point.
-    box = full_box((5, 5, 5))
+    # probes are all i-upward, certifying (3,3,3) as an upward point with no
+    # other query. Its order dual at level 10 probes one step below the upper
+    # corner; all three i-downward certify (3,3,3) as a downward point.
     cases = (
         (8, UPWARD, {
             (2, 3, 3): (3, 3, 2),  # 1-upward (and 3-downward)
@@ -577,37 +667,42 @@ def test_small_case_probe_branch_all_upward_spec_example():
         }),
     )
     for k, kind, script in cases:
-        st = state_from_coords(box, k, (2, 2, 2), (4, 4, 4))
-        oracle = _ScriptedOracle(script, fallback=lambda q: q)
-        solver = LevelsetSolver(oracle)
-        out = solver.small_case_step(st, search_space(st))
-        assert oracle.order == list(script), kind
-        assert out.kind == kind
-        assert out.point == (3, 3, 3)
+        out, order, events, phases = _scripted_level((2, 2, 2), (4, 4, 4), k, script)
+        assert order == list(script), kind
+        assert phases == ["small"] * 3
+        assert out == LevelOutcome(kind, (3, 3, 3))
         assert norm1(out.point) >= k if kind == UPWARD else norm1(out.point) <= k
+        assert [ev for ev, _ in events][-3:] == ["certificate", "small", "level_done"]
 
 
-def test_apply_query_moves_the_bounds_classify_selects():
-    # for each of the 27 sign patterns of F(q) - q: a fixed, upward or
-    # downward q is the outcome; otherwise exactly the up(i) slots of q's
-    # i-upward labels and the down(i) slots of its i-downward labels move
-    box, q = full_box((9, 9, 9)), (5, 5, 5)
-    state = state_from_coords(box, 15, (2, 2, 2), (8, 8, 8))
-    up, down = list(state.up), list(state.down)
-    solver = LevelsetSolver(_ScriptedOracle({}, fallback=lambda x: x))
+def test_probe_moves_the_bounds_classify_selects():
+    # for each of the 27 sign patterns of F(q) - q at the shrink probe
+    # q = (4,4,4) of the scripted level 12 above: a fixed, upward or downward
+    # q is the level's outcome; otherwise exactly the up(i) slots of q's
+    # i-upward labels and the down(i) slots of its i-downward labels move,
+    # and the next step's S is the one the moved bounds give
+    q = (4, 4, 4)
+    moved = 0
     for signs in itertools.product((-1, 0, 1), repeat=3):
         fq = tuple(c + d for c, d in zip(q, signs))
+        out, order, events, _ = _scripted_level((1, 1, 1), (7, 7, 7), 12, {**_INIT_12, q: fq})
+        assert order[6] == q, signs
         _, labels = classify(q, fq)
-        res = solver._apply_query(state, q, fq)
         if labels.is_upward or labels.is_downward:
             kind = FIXED if labels.is_fixed else UPWARD if labels.is_upward else DOWNWARD
-            assert res == LevelOutcome(kind, q, fq), signs
+            assert out == LevelOutcome(kind, q, fq) and len(order) == 7, signs
             continue
-        assert (res.box, res.k) == (box, 15), signs
+        init = next(p for ev, p in events if ev == "init_done")
+        after = _states_after(events, "shrink")[0]
         for i in range(3):
-            assert res.up[i] == ((q, fq) if i in labels.i_upward else up[i]), signs
-            assert res.down[i] == ((q, fq) if i in labels.i_downward else down[i]), signs
-        assert (state.up, state.down) == (up, down), signs
+            assert after["up"][i] == ((q, fq) if i in labels.i_upward else init["up"][i]), signs
+            assert after["down"][i] == ((q, fq) if i in labels.i_downward else init["down"][i]), signs
+        step = next(p for ev, p in events if ev in ("shrink", "small") and p["state_before"] is after)
+        state = LevelState(after["box"], after["k"], list(after["up"]), list(after["down"]))
+        assert step["view"] == search_space(state), signs
+        moved += 1
+    # 27 patterns less the 8 with no axis falling and the 8 with none rising, (0, 0, 0) in both
+    assert moved == 12
 
 
 # -- configurations ----------------------------------------------------------

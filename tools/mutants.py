@@ -37,15 +37,14 @@ TIMEOUT_S = 120.0
 
 class Mutant(NamedTuple):
     """One replacement and the tests that must fail on it. A mutant that
-    hangs costs its whole timeout, so it names a quick test and a short
-    timeout."""
+    hangs costs the whole timeout, so it names tests whose oracles cap
+    their query calls."""
 
     name: str
     path: str
     old: str
     new: str
     tests: tuple[str, ...]
-    timeout: float = TIMEOUT_S
 
 
 def _clamp(line: str) -> Mutant:
@@ -87,10 +86,10 @@ MUTANTS = (
     Mutant(
         "the shrink probe is the greedy level point, not the central one",
         "src/tarski/levelset.py",
-        "        q0 = a0 + deficit * (b0 - a0) // width\n"
-        "        q1 = a1 + deficit * (b1 - a1) // width\n"
-        "        q2 = a2 + deficit * (b2 - a2) // width\n",
-        "        q0, q1, q2 = a0, a1, a2\n",
+        "                    q0 = u0 + deficit * (v0 - u0) // width\n"
+        "                    q1 = u1 + deficit * (v1 - u1) // width\n"
+        "                    q2 = u2 + deficit * (v2 - u2) // width\n",
+        "                    q0, q1, q2 = u0, u1, u2\n",
         (
             "tests/test_levelset.py::test_shrink_probe_spec_example",
             "tests/test_levelset.py::test_shrink_probe_is_central_inside_the_sixth_step_bounds",
@@ -118,7 +117,6 @@ MUTANTS = (
         "            a = m + 1\n",
         "            a = m\n",
         ("tests/test_baseline.py::test_dqy_1d_binary_search",),
-        timeout=5.0,
     ),
     Mutant(
         "a violation keeps every implicated pair, duplicate points included",
@@ -143,14 +141,14 @@ MUTANTS = (
     Mutant(
         "the small step's interior probe raises axis 1 before axis 0",
         "src/tarski/levelset.py",
-        "            step = r0 - l0 - 2 if r0 - l0 - 2 < rest else rest\n"
-        "            q0, rest = l0 + 1 + step, rest - step\n"
-        "            step = r1 - l1 - 2 if r1 - l1 - 2 < rest else rest\n"
-        "            q = (q0, l1 + 1 + step, l2 + 1 + rest - step)\n",
-        "            step = r1 - l1 - 2 if r1 - l1 - 2 < rest else rest\n"
-        "            q1, rest = l1 + 1 + step, rest - step\n"
-        "            step = r0 - l0 - 2 if r0 - l0 - 2 < rest else rest\n"
-        "            q = (l0 + 1 + step, q1, l2 + 1 + rest - step)\n",
+        "                    step = r0 - e0 - 2 if r0 - e0 - 2 < rest else rest\n"
+        "                    q0, rest = e0 + 1 + step, rest - step\n"
+        "                    step = r1 - e1 - 2 if r1 - e1 - 2 < rest else rest\n"
+        "                    probes = ((q0, e1 + 1 + step, e2 + 1 + rest - step),)\n",
+        "                    step = r1 - e1 - 2 if r1 - e1 - 2 < rest else rest\n"
+        "                    q1, rest = e1 + 1 + step, rest - step\n"
+        "                    step = r0 - e0 - 2 if r0 - e0 - 2 < rest else rest\n"
+        "                    probes = ((e0 + 1 + step, q1, e2 + 1 + rest - step),)\n",
         ("tests/test_levelset.py::test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds",),
     ),
     Mutant(
@@ -260,24 +258,48 @@ MUTANTS = (
         ("tests/test_levelset.py::test_resolve_third_bisects_past_a_low_midpoint_to_the_meet_when_f_high_keeps_p",),
     ),
     Mutant(
-        "_apply_query moves up(0) without the sign test of axis 2",
+        "a probe moves up(0) without the sign test of axis 2",
         "src/tarski/levelset.py",
-        "if d1 <= 0 and d2 <= 0:\n            up[0]",
-        "if d1 <= 0:\n            up[0]",
+        "if m1 <= 0 and m2 <= 0:\n                        up[0]",
+        "if m1 <= 0:\n                        up[0]",
         (
-            "tests/test_levelset.py::test_apply_query_moves_the_bounds_classify_selects",
+            "tests/test_levelset.py::test_probe_moves_the_bounds_classify_selects",
             "tests/test_levelset.py::test_shrink_strictly_decreases_phi",
         ),
     ),
     Mutant(
-        "_apply_query moves down(0) without the sign test of axis 2",
+        "a probe moves down(0) without the sign test of axis 2",
         "src/tarski/levelset.py",
-        "if d1 >= 0 and d2 >= 0:\n            down[0]",
-        "if d1 >= 0:\n            down[0]",
+        "if m1 >= 0 and m2 >= 0:\n                        down[0]",
+        "if m1 >= 0:\n                        down[0]",
         (
-            "tests/test_levelset.py::test_apply_query_moves_the_bounds_classify_selects",
+            "tests/test_levelset.py::test_probe_moves_the_bounds_classify_selects",
             "tests/test_levelset.py::test_find_configuration_definitions_hold",
         ),
+    ),
+    Mutant(
+        "a probe stores its down(2) pair without moving the bound b2 of S",
+        "src/tarski/levelset.py",
+        "down[2], b2 = pair, q2",
+        "down[2] = pair",
+        (
+            "tests/test_levelset.py::test_probe_moves_the_bounds_classify_selects",
+            "tests/test_levelset.py::test_shrink_probe_spec_example",
+        ),
+    ),
+    Mutant(
+        "a level whose largest starting diameter is 6 puts its init searches off",
+        "src/tarski/levelset.py",
+        "lazy = d0 < 6 and d1 < 6 and d2 < 6",
+        "lazy = d0 < 7 and d1 < 7 and d2 < 7",
+        ("tests/test_levelset.py::test_level_of_diameter_6_opens_with_the_init_searches",),
+    ),
+    Mutant(
+        "the init searches skip the up bounds, late ones too",
+        "src/tarski/levelset.py",
+        "for s, pairs in ((1, down), (-1, up)):",
+        "for s, pairs in ((1, down),):",
+        ("tests/test_levelset.py::test_lazy_level_searches_exactly_the_bounds_its_probes_left_unset",),
     ),
     Mutant(
         "_corner_pairs queries past the trace",
@@ -296,8 +318,8 @@ MUTANTS = (
     Mutant(
         "the level state's box is built from swapped corners",
         "src/tarski/levelset.py",
-        "state = LevelState(_box(lo, hi), k, ups, downs)",
-        "state = LevelState(_box(hi, lo), k, ups, downs)",
+        "state = LevelState(_box(lo, hi), k, up, down)",
+        "state = LevelState(_box(hi, lo), k, up, down)",
         (
             "tests/test_levelset.py::test_unchecked_boxes_equal_their_checked_twins",
             "tests/test_levelset.py::test_solve_exhaustive_targets_sides_up_to_5",
@@ -397,7 +419,7 @@ def main() -> int:
                 for pyc in glob.glob(os.path.join(os.path.dirname(path), "__pycache__", stem + ".*")):
                     os.remove(pyc)
                 t0 = time.perf_counter()
-                code = _exit_code(_pytest(root, m.tests), m.timeout)
+                code = _exit_code(_pytest(root, m.tests), TIMEOUT_S)
                 seconds = time.perf_counter() - t0
                 killed = code != 0
                 shutil.rmtree(root)
