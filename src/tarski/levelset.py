@@ -163,8 +163,9 @@ def search_space(state: LevelState) -> SearchSpaceView:
     return tuple.__new__(SearchSpaceView, ((e0, e1, e2), (r0, r1, r2), (r0 - e0, r1 - e1, r2 - e2)))
 
 
-def find_configuration(state: LevelState) -> Config:
-    """Scan the six bounding points for a configuration, cheapest kind first.
+def find_configuration(up, down) -> Config:
+    """Scan the six bounding points, the (point, value) pairs up(i) and
+    down(i) of a level, for a configuration, cheapest kind first.
 
     first: an i-upward x and j-upward y with x_i >= y_i and x_j <= y_j (or
     the downward mirror); meet/join resolves it with zero queries. second:
@@ -174,7 +175,7 @@ def find_configuration(state: LevelState) -> Config:
     points in the box with up(i)_i <= down(i)_i, a nonempty S and some
     diameter of S <= 1.
     """
-    flavors = ((1, state.up), (-1, state.down))
+    flavors = ((1, up), (-1, down))
     for i in range(3):
         for j in range(3):
             if i == j:
@@ -190,8 +191,8 @@ def find_configuration(state: LevelState) -> Config:
                 return Config("second", _kind(s), (pairs[i], pairs[j], pairs[p]))
     # No fall-through in the domain: the lemma test_configuration_lemma checks.
     for i in range(3):
-        if state.down[i][0][i] - state.up[i][0][i] <= 1:
-            return Config("third", None, (state.up[i], state.down[i]), axis=i)
+        if down[i][0][i] - up[i][0][i] <= 1:
+            return Config("third", None, (up[i], down[i]), axis=i)
 
 
 def _kind(s: int) -> str:
@@ -354,7 +355,7 @@ class LevelsetSolver:
         at-or-below it, inside the box [lo, hi] with certified corners. The
         caller holds k strictly inside the box and every side >= 2, as the
         outer loop does by construction; neither is checked. No Box is built
-        unless an observer is attached or the level gets past init.
+        unless an observer is attached.
 
         The bounds start on the box faces, where S is the whole level. When
         some diameter of that S is >= 6 the six init searches run first;
@@ -398,8 +399,9 @@ class LevelsetSolver:
                         out = self._init_searches(lo, hi, k, up, down)
                         if out is not None:
                             return out
-                    state = LevelState(_box(lo, hi), k, up, down)  # shares the two lists
                     if observer is not None:
+                        # Its snapshots read the two lists as they stand.
+                        state = LevelState(box, k, up, down)
                         observer("init_done", state.snapshot())
                 if d0 <= 1 or d1 <= 1 or d2 <= 1:
                     break
@@ -504,7 +506,7 @@ class LevelsetSolver:
                 out = self._init_searches(lo, hi, k, up, down)
                 if out is not None:
                     return out
-            cfg = find_configuration(state)
+            cfg = find_configuration(up, down)
             if observer is not None:
                 observer("config", {"config": cfg, "state": state.snapshot()})
             if cfg.kind != "third":

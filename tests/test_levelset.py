@@ -776,7 +776,7 @@ def test_configuration_lemma():
         state = LevelState(box, k, [(u, u) for u in ups], [(d, d) for d in downs])
         if not 0 <= min(search_space(state).dia) <= 1:
             return False
-        assert isinstance(find_configuration(state), Config), state.snapshot()
+        assert isinstance(find_configuration(state.up, state.down), Config), state.snapshot()
         return True
 
     def level(box, k):

@@ -177,7 +177,7 @@ def _states():
 def test_configuration_scan_is_pinned():
     sha = hashlib.sha256()
     for state in _states():
-        sha.update(f"{find_configuration(state)!r}\n".encode())
+        sha.update(f"{find_configuration(state.up, state.down)!r}\n".encode())
     assert sha.hexdigest() == CONFIG_DIGEST
 
 
