@@ -22,6 +22,16 @@ second, or third configuration, and each of those resolves into the
 required upward/downward point, the first two by pure meet/join reasoning,
 the third by one more binary search.
 
+The bounds start on the box faces, where S is the whole level. Six init
+searches find the level's extreme i-upward and i-downward point of each
+axis. Such a point's own coordinate is the level's extreme on that axis,
+which already bounds S, so the searches never shrink S: they supply the
+points the configuration scan needs. They run first only when some
+diameter of the whole level's S is >= 6, the threshold between shrink and
+small steps. On a smaller level the small steps set most bounds themselves,
+and once some diameter is <= 1 the searches run for the bounds that no
+probe has set.
+
 Monotonicity is only ever used locally. The bounds of S and the
 configuration scan read coordinates only, hold for every F and check
 nothing. When a case analysis that is exhaustive for monotone F falls
@@ -35,14 +45,15 @@ reads its comparisons as written, s = -1 reads them in the order dual, which
 swaps upward with downward, i-upward with i-downward, and meet with join.
 
 A level has one path, the one solve runs: _solve_level on bare corners
-and a level the outer loop holds strictly inside its box, which makes the
-six init searches, then the shrink and small steps, then the configuration
-resolution. It checks neither its level nor its box sides, which the outer
-loop meets by construction, and it builds a Box only for a level that gets
-past init, for observer payloads and for the baselines. Each of those boxes
-spans corners the solver holds, which always form a box, so it is built by
-the unchecked lattice._box. No step checks its arguments: _solve_level tests
-the diameters that pick the shrink or the small step before it calls either.
+and a level the outer loop holds strictly inside its box. One loop holds
+the six bounds and S's bound coordinates as locals and runs the shrink and
+small steps inline, with the init searches before or after it, and then the
+configuration resolution. It checks neither its level nor its box sides,
+which the outer loop meets by construction, and it builds a Box only for
+observer payloads and for the baselines. Each of those boxes spans corners
+the solver holds, which always form a box, so it is built by the unchecked
+lattice._box. No step checks its inputs: the loop tests the diameters that
+pick the shrink or the small step before it takes either.
 """
 
 from __future__ import annotations
@@ -93,7 +104,9 @@ class LevelOutcome:
 
 @dataclass
 class LevelState:
-    """The six bounding points of one level run, with their cached F-values."""
+    """The six bounding points of one level run, with their cached
+    F-values. A bound that no probe or search has set yet is the box corner
+    lo (for up) or hi (for down), with the value None."""
 
     box: Box
     k: int
@@ -134,8 +147,8 @@ def search_space(state: LevelState) -> SearchSpaceView:
     the coordinate bounds follow from the per-axis constraints plus the fixed
     coordinate sum, clamped to the box. Both bounds are attained by points
     of S whenever S is nonempty, which holds for any F on every state the
-    solver builds and is not checked: init makes S the whole level, and
-    every later probe lies in S and moves a bound only to itself.
+    solver builds and is not checked: a level starts with S the whole level,
+    and every later probe lies in S and moves a bound only to itself.
     """
     (lo0, lo1, lo2), (hi0, hi1, hi2) = state.box.lo, state.box.hi
     k = state.k

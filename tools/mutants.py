@@ -316,13 +316,13 @@ MUTANTS = (
         ("tests/test_levelset.py::test_tighten_confirms_image_as_outer_query_in_verify_mode",),
     ),
     Mutant(
-        "the level state's box is built from swapped corners",
+        "a level's observer box is built from swapped corners",
         "src/tarski/levelset.py",
-        "state = LevelState(_box(lo, hi), k, up, down)",
-        "state = LevelState(_box(hi, lo), k, up, down)",
+        "            box = _box(lo, hi)\n            before =",
+        "            box = _box(hi, lo)\n            before =",
         (
             "tests/test_levelset.py::test_unchecked_boxes_equal_their_checked_twins",
-            "tests/test_levelset.py::test_solve_exhaustive_targets_sides_up_to_5",
+            "tests/test_levelset.py::test_solve_tightens_queried_corner_before_the_next_level",
         ),
     ),
     Mutant(
