@@ -390,9 +390,25 @@ class LevelsetSolver:
             # the bound coordinates a_i = up(i)_i and b_i = down(i)_i of S. Only probes move the
             # latter: an init search's point has the whole level's extreme coordinate on its axis,
             # which already bounds S.
-            up, down = [(lo, None)] * 3, [(hi, None)] * 3
+            unset_up, unset_down = (lo, None), (hi, None)
+            up, down = [unset_up, unset_up, unset_up], [unset_down, unset_down, unset_down]
             (a0, a1, a2), (b0, b1, b2) = lo, hi
-            lazy = None  # whether the init searches wait, decided on the first S: the whole level
+            # With the bounds on the faces S is the whole level, whose diameter on axis i is
+            # min(side_i, m, n, m + n - side_i) for m = k - sum(lo) and n = sum(hi) - k. The init
+            # searches go first when one of those is >= 6, the shrink step's threshold.
+            m, n = k - a0 - a1 - a2, b0 + b1 + b2 - k
+            top = m + n - 6
+            searches_first = m >= 6 and n >= 6 and (
+                6 <= b0 - a0 <= top or 6 <= b1 - a1 <= top or 6 <= b2 - a2 <= top
+            )
+            if searches_first:
+                out = self._init_searches(lo, hi, k, up, down)
+                if out is not None:
+                    return out
+            if observer is not None:
+                # Its snapshots read the two lists as they stand.
+                state = LevelState(box, k, up, down)
+                observer("init_done", state.snapshot())
             shrink, small = (PHASE_SHRINK, k), (PHASE_SMALL, k)
             while True:
                 # S's bounds ell = e and r, as search_space computes them; a0..b2 lie in the box.
@@ -406,16 +422,6 @@ class LevelsetSolver:
                 r1 = r1 if r1 < b1 else b1
                 r2 = r2 if r2 < b2 else b2
                 d0, d1, d2 = r0 - e0, r1 - e1, r2 - e2
-                if lazy is None:
-                    lazy = d0 < 6 and d1 < 6 and d2 < 6
-                    if not lazy:
-                        out = self._init_searches(lo, hi, k, up, down)
-                        if out is not None:
-                            return out
-                    if observer is not None:
-                        # Its snapshots read the two lists as they stand.
-                        state = LevelState(box, k, up, down)
-                        observer("init_done", state.snapshot())
                 if d0 <= 1 or d1 <= 1 or d2 <= 1:
                     break
                 if observer is not None:
@@ -514,7 +520,7 @@ class LevelsetSolver:
                     })
                 if out is not None:
                     return out
-            if lazy:
+            if not searches_first:
                 self._context = (PHASE_INIT, k)
                 out = self._init_searches(lo, hi, k, up, down)
                 if out is not None:
@@ -541,10 +547,11 @@ class LevelsetSolver:
         """Set each bound of the level no probe has set to the extreme point
         _extreme_search finds, axis by axis and the i-downward one first, so
         up(i)_i <= down(i)_i; None, or the first search's early outcome."""
+        extreme_search, flavors = self._extreme_search, ((1, down), (-1, up))
         for axis in range(3):
-            for s, pairs in ((1, down), (-1, up)):
+            for s, pairs in flavors:
                 if pairs[axis][1] is None:
-                    pair = self._extreme_search(lo, hi, k, axis, s)
+                    pair = extreme_search(lo, hi, k, axis, s)
                     if type(pair) is LevelOutcome:
                         return pair
                     pairs[axis] = pair

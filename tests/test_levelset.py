@@ -536,15 +536,12 @@ def _scripted_level(lo, hi, k, script, fallback=lambda q: q):
     return out, oracle.order, events, phases
 
 
-def _states_after(events, event):
-    """The state each event of the given kind left: the snapshot of the
-    next step or configuration event, or None when the level ended first."""
-    snaps = []
-    for i, (ev, _) in enumerate(events):
-        if ev == event:
-            nxt = [p for e, p in events[i + 1:] if e in ("shrink", "small", "config")]
-            snaps.append((nxt[0].get("state_before") or nxt[0]["state"]) if nxt else None)
-    return snaps
+def _state_after_first_shrink(events):
+    """The state a level's first shrink step left: the snapshot that the
+    next step or the configuration starts from."""
+    at = next(i for i, (ev, _) in enumerate(events) if ev == "shrink")
+    payload = next(p for ev, p in events[at + 1:] if ev in ("shrink", "small", "config"))
+    return payload.get("state_before") or payload["state"]
 
 
 def test_level_of_diameter_6_opens_with_the_init_searches():
@@ -562,6 +559,30 @@ def test_level_of_diameter_6_opens_with_the_init_searches():
     assert out == LevelOutcome(FIXED, (4, 4, 4), (4, 4, 4))
 
 
+def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_6():
+    # The level decides from the box and k alone whether its init searches go
+    # first; that must agree with search_space's diameters of the whole
+    # level. A level that puts them off reports init_done before any query;
+    # one that runs them first reports it after its searches, or not at all
+    # when a search ends the level.
+    rng = SplitMix64(41)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        lo = tuple(1 + rng.below(3) for _ in range(3))
+        hi = tuple(c + 1 + rng.below(10) for c in lo)
+        k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
+        inst = gen_target(hi, tuple(a + rng.below(b - a + 1) for a, b in zip(lo, hi)))
+        oracle = CountedOracle(inst)
+        marks = []
+        solver = LevelsetSolver(oracle, observer=lambda ev, p: marks.append((ev, oracle.distinct_queries)))
+        solver._solve_level(lo, hi, k)
+        lazy = ("init_done", 0) in marks
+        dia = search_space(state_from_coords(Box(lo, hi), k, lo, hi)).dia
+        assert lazy == (max(dia) < 6), (lo, hi, k, dia)
+        seen[lazy] += 1
+    assert min(seen.values()) > 300, seen
+
+
 def test_shrink_probe_spec_example():
     # bounds (1,1,1)..(7,7,7) with dia (6,6,6) at level 12: after the init
     # searches the probe is the central level point (4,4,4) of the shrunken
@@ -575,7 +596,7 @@ def test_shrink_probe_spec_example():
     shrinks = [p for ev, p in events if ev == "shrink"]
     assert (shrinks[0]["q"], shrinks[0]["fq"], shrinks[0]["outcome"]) == (q, fq, None)
     # the probe was 1-upward (and 3-downward), so both bounds moved
-    after = _states_after(events, "shrink")[0]
+    after = _state_after_first_shrink(events)
     assert after["up"][0] == (q, fq) and after["down"][2] == (q, fq)
     assert shrinks[0]["dia_after"] == shrinks[1]["view"].dia == (3, 6, 3)
 
@@ -693,7 +714,7 @@ def test_probe_moves_the_bounds_classify_selects():
             assert out == LevelOutcome(kind, q, fq) and len(order) == 7, signs
             continue
         init = next(p for ev, p in events if ev == "init_done")
-        after = _states_after(events, "shrink")[0]
+        after = _state_after_first_shrink(events)
         for i in range(3):
             assert after["up"][i] == ((q, fq) if i in labels.i_upward else init["up"][i]), signs
             assert after["down"][i] == ((q, fq) if i in labels.i_downward else init["down"][i]), signs

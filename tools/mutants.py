@@ -290,15 +290,22 @@ MUTANTS = (
     Mutant(
         "a level whose largest starting diameter is 6 puts its init searches off",
         "src/tarski/levelset.py",
-        "lazy = d0 < 6 and d1 < 6 and d2 < 6",
-        "lazy = d0 < 7 and d1 < 7 and d2 < 7",
-        ("tests/test_levelset.py::test_level_of_diameter_6_opens_with_the_init_searches",),
+        "            top = m + n - 6\n"
+        "            searches_first = m >= 6 and n >= 6 and (\n"
+        "                6 <= b0 - a0 <= top or 6 <= b1 - a1 <= top or 6 <= b2 - a2 <= top\n",
+        "            top = m + n - 7\n"
+        "            searches_first = m >= 7 and n >= 7 and (\n"
+        "                7 <= b0 - a0 <= top or 7 <= b1 - a1 <= top or 7 <= b2 - a2 <= top\n",
+        (
+            "tests/test_levelset.py::test_level_of_diameter_6_opens_with_the_init_searches",
+            "tests/test_levelset.py::test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_6",
+        ),
     ),
     Mutant(
         "the init searches skip the up bounds, late ones too",
         "src/tarski/levelset.py",
-        "for s, pairs in ((1, down), (-1, up)):",
-        "for s, pairs in ((1, down),):",
+        "flavors = self._extreme_search, ((1, down), (-1, up))",
+        "flavors = self._extreme_search, ((1, down),)",
         ("tests/test_levelset.py::test_lazy_level_searches_exactly_the_bounds_its_probes_left_unset",),
     ),
     Mutant(
