@@ -446,7 +446,8 @@ class LevelsetSolver:
                     q0 = u0 + deficit * (v0 - u0) // width
                     q1 = u1 + deficit * (v1 - u1) // width
                     q2 = u2 + deficit * (v2 - u2) // width
-                    # What the rounding left goes up to each bound in axis order; the last axis takes the rest.
+                    # What the rounding left goes up to each bound in axis order; the last axis
+                    # takes the rest.
                     rest = k - q0 - q1 - q2
                     step = v0 - q0 if v0 - q0 < rest else rest
                     q0, rest = q0 + step, rest - step
