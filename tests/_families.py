@@ -1,6 +1,7 @@
 """Instance families and brute-force helpers shared by the test suite."""
 
 import itertools
+from types import SimpleNamespace
 
 from tarski.lattice import classify, full_box, iter_box, norm1
 from tarski.oracle import CountedOracle, Instance, gen_target
@@ -34,6 +35,32 @@ def rotation_instance(n, deltas, rot=1):
         fx = tuple(min(n, max(1, x[(i + rot) % 3] + deltas[i])) for i in range(3))
         vals.append(fx)
     return Instance(shape=shape, kind="table", table=tuple(vals))
+
+
+class LazyRotation:
+    """rotation_instance's F on the n-cube, worked out per query instead of
+    read from a table, so that sides no table fits can be solved. It has
+    the surface the solvers read: instance.shape, query, distinct_queries
+    and cache."""
+
+    def __init__(self, n, deltas, rot):
+        self.instance = SimpleNamespace(shape=(n, n, n))
+        self.cache = {}
+        self._n, self._deltas, self._rot = n, deltas, rot
+
+    @property
+    def distinct_queries(self):
+        return len(self.cache)
+
+    def query(self, x):
+        fx = self.cache.get(x)
+        if fx is None:
+            n = self._n
+            if len(x) != 3 or not all(1 <= c <= n for c in x):
+                raise ValueError(f"query {x} outside grid {self.instance.shape}")
+            fx = tuple(min(n, max(1, x[(i + self._rot) % 3] + self._deltas[i])) for i in range(3))
+            self.cache[x] = fx
+        return fx
 
 
 def rotation_batch(count, seed, n_lo=5, n_hi=9):

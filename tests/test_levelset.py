@@ -1112,6 +1112,44 @@ def test_solve_on_every_3x3x3_target_is_dqy_cheap():
     assert max(counts) == 6
 
 
+# Mean distinct queries of solve and of dqy_solve per side of the lazy
+# rotations: 100 instances per side from SplitMix64(5), each drawing its
+# three deltas in -2..2, then its rotation 1 or 2.
+LAZY_ROTATION_QUERIES = {
+    3: (13.16, 7.84),
+    8: (64.15, 52.88),
+    12: (119.82, 119.64),
+    16: (186.09, 213.60),
+    20: (265.56, 334.76),
+}
+
+
+def test_lazy_rotation_query_counts_are_pinned():
+    # The lazy oracle first matches rotation_instance on every point at n = 7.
+    from _families import LazyRotation, rotation_instance
+
+    for deltas in itertools.product(range(-2, 3), repeat=3):
+        for rot in (1, 2):
+            inst = rotation_instance(7, deltas, rot)
+            lazy = LazyRotation(7, deltas, rot)
+            assert all(lazy.query(x) == inst.value(x) for x in iter_box(full_box((7, 7, 7))))
+            assert lazy.instance.shape == inst.shape and lazy.distinct_queries == 7**3
+    means = {}
+    for bits in LAZY_ROTATION_QUERIES:
+        rng, n = SplitMix64(5), 1 << bits
+        totals = [0, 0]
+        for _ in range(100):
+            deltas = tuple(rng.below(5) - 2 for _ in range(3))
+            rot = 1 + rng.below(2)
+            for at, run in enumerate((solve, lambda o: dqy_solve(o).fixed_point)):
+                oracle = LazyRotation(n, deltas, rot)
+                answer = run(oracle)
+                totals[at] += oracle.distinct_queries
+                assert oracle.query(answer) == answer, (bits, deltas, rot)
+        means[bits] = (totals[0] / 100, totals[1] / 100)
+    assert means == LAZY_ROTATION_QUERIES
+
+
 def test_solve_degenerate_and_odd_shapes():
     for shape, t in [
         ((7, 3, 9), (2, 3, 8)),
