@@ -13,14 +13,16 @@ O(log^2 N), N being the sum of the side lengths.
 The level procedure maintains six bounding points on the levelset: for each
 axis i an i-upward point up(i) and an i-downward point down(i) with
 up(i)_i <= down(i)_i. They induce a remaining search space S (the levelset
-points between the bounds) which shrinks geometrically: while some diameter
-is large, one query at the centre of the bounds pulled in by a sixth of each
-diameter makes every label it can receive move a bound by at least that
-sixth; once S is constant-sized, single probes keep making progress; once
-some diameter is <= 1, the six bounding points must contain a first,
-second, or third configuration, and each of those resolves into the
-required upward/downward point, the first two by pure meet/join reasoning,
-the third by one more binary search.
+points between the bounds). Each step pulls S's bounds in by a sixth of
+each diameter, rounded up, and queries the central level point between
+them, so every label it can receive moves a bound by at least that sixth:
+S shrinks geometrically while some diameter is >= 6 (shrink steps), and
+by at least one per step once S is constant-sized (small steps). A small
+step with no such point probes the three points just inside the corner of
+S's bounds that S hugs. Once some diameter is <= 1, the six bounding
+points must contain a first, second, or third configuration, and each of
+those resolves into the required upward/downward point, the first two by
+pure meet/join reasoning, the third by one more binary search.
 
 The bounds start on the box faces, where S is the whole level. Six init
 searches find the level's extreme i-upward and i-downward point of each
@@ -52,8 +54,8 @@ configuration resolution. It checks neither its level nor its box sides,
 which the outer loop meets by construction, and it builds a Box only for
 observer payloads and for the baselines. Each of those boxes spans corners
 the solver holds, which always form a box, so it is built by the unchecked
-lattice._box. No step checks its inputs: the loop tests the diameters that
-pick the shrink or the small step before it takes either.
+lattice._box. No step checks its inputs: the loop computes the pulled-in
+bounds that pick the central probe or the corner triple before either.
 """
 
 from __future__ import annotations
@@ -373,10 +375,11 @@ class LevelsetSolver:
         The bounds start on the box faces, where S is the whole level. When
         some diameter of that S is >= 6 the six init searches run first;
         otherwise the small steps set most bounds themselves, and the
-        searches run last, for the bounds no probe has set. Either way the
-        shrink and small steps follow, one probe each (three at a corner of
-        S), each probe's labels moving the bounds it selects, until some
-        diameter is <= 1 and a configuration resolves the level.
+        searches run last, for the bounds no probe has set. Either way each
+        step probes the central level point of S's bounds pulled in by a
+        sixth of each diameter (three points at a corner of S when there is
+        none), its labels moving the bounds they select, until some diameter
+        is <= 1 and a configuration resolves the level.
         """
         self._context = (PHASE_INIT, k)
         observer = self.observer
@@ -427,22 +430,24 @@ class LevelsetSolver:
                 if observer is not None:
                     before_step = state.snapshot()
                     view = tuple.__new__(SearchSpaceView, ((e0, e1, e2), (r0, r1, r2), (d0, d1, d2)))
-                e_sum = e0 + e1 + e2
+                # Each step pulls S's bounds in by a sixth s_i = ceil(dia_i/6) of each diameter, to
+                # u = ell + s and v = r - s; dia_i >= 2s_i gives u <= v.
+                s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
+                u0, u1, u2 = e0 + s0, e1 + s1, e2 + s2
+                v0, v1, v2 = r0 - s0, r1 - s1, r2 - s2
+                u_sum = u0 + u1 + u2
+                width, deficit = v0 + v1 + v2 - u_sum, k - u_sum
                 bounds = None  # at a corner of S, the bounds its three probes aim to take
-                if d0 >= 6 or d1 >= 6 or d2 >= 6:
-                    # The shrink probe sits at least a sixth s_i = ceil(dia_i/6) inside both bounds
-                    # on every axis, so whatever per-axis label it gets moves that bound by at least
-                    # s_i. Among those points it takes the central one, which keeps every axis about
-                    # equally far from both bounds: central_level_point(u, v, k) written out, where
-                    # u = ell + s and v = r - s. S attains ell and r, so k - sum(ell) and
-                    # sum(r) - k are >= max(dia) >= sum(s), and dia_i >= 2s_i gives u <= v.
-                    phase = shrink
-                    s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)
-                    u0, u1, u2 = e0 + s0, e1 + s1, e2 + s2
-                    v0, v1, v2 = r0 - s0, r1 - s1, r2 - s2
-                    u_sum = u0 + u1 + u2
-                    # A diameter >= 6 keeps width > 0.
-                    width, deficit = v0 + v1 + v2 - u_sum, k - u_sum
+                if 0 <= deficit <= width:
+                    # Level k has a point between u and v, at least s_i inside both bounds on every
+                    # axis, so whatever per-axis label it gets moves that bound by at least s_i. The
+                    # probe is the central one, which keeps every axis about equally far from both
+                    # bounds: central_level_point(u, v, k) written out. Some diameter >= 6 always
+                    # takes this branch, as S attains ell and r, so k - sum(ell) and sum(r) - k are
+                    # >= max(dia) >= sum(s); the step is a shrink step then, a small one otherwise.
+                    phase = shrink if d0 >= 6 or d1 >= 6 or d2 >= 6 else small
+                    # Every diameter 2 makes width 0 and u = v the one point, each numerator 0.
+                    width = width or 1
                     q0 = u0 + deficit * (v0 - u0) // width
                     q1 = u1 + deficit * (v1 - u1) // width
                     q2 = u2 + deficit * (v2 - u2) // width
@@ -453,26 +458,15 @@ class LevelsetSolver:
                     q0, rest = q0 + step, rest - step
                     step = v1 - q1 if v1 - q1 < rest else rest
                     probes = ((q0, q1 + step, q2 + rest - step),)
-                elif e_sum + 3 <= k <= r0 + r1 + r2 - 3:
-                    # Every diameter is in 2..5 and S has a point strictly inside every bound;
-                    # probing it shrinks some diameter. It is level_point(ell + 1, r - 1, k) written
-                    # out: every diameter >= 2 gives ell + 1 <= r - 1, and the branch test puts k
-                    # between their sums. From ell + 1, axes 0 and 1 rise toward r - 1 in order;
-                    # axis 2 takes the rest.
-                    phase = small
-                    rest = k - e_sum - 3
-                    step = r0 - e0 - 2 if r0 - e0 - 2 < rest else rest
-                    q0, rest = e0 + 1 + step, rest - step
-                    step = r1 - e1 - 2 if r1 - e1 - 2 < rest else rest
-                    probes = ((q0, e1 + 1 + step, e2 + 1 + rest - step),)
                 else:
-                    # Otherwise S hugs one corner of its bounding ranges, the lower one (s = +1) or
-                    # the upper one (s = -1), and c0 + c1 + c2 == k - 2s. Probing the three points
-                    # one step inside that corner either makes progress through an unexpected label
-                    # or proves (all three i-upward, resp. i-downward) that the corner plus s is an
-                    # upward, resp. downward, point with no further query.
+                    # Otherwise every diameter is in 2..5 and S hugs one corner of its bounding
+                    # ranges, the lower one (s = +1) or the upper one (s = -1), and
+                    # c0 + c1 + c2 == k - 2s. Probing the three points one step inside that corner
+                    # either makes progress through an unexpected label or proves (all three
+                    # i-upward, resp. i-downward) that the corner plus s is an upward, resp.
+                    # downward, point with no further query.
                     phase = small
-                    s, c0, c1, c2 = (1, e0, e1, e2) if e_sum + 3 > k else (-1, r0, r1, r2)
+                    s, c0, c1, c2 = (1, e0, e1, e2) if deficit < 0 else (-1, r0, r1, r2)
                     probes = ((c0, c1 + s, c2 + s), (c0 + s, c1, c2 + s), (c0 + s, c1 + s, c2))
                     bounds = up if s > 0 else down
                 self._context = phase

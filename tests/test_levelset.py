@@ -630,12 +630,13 @@ def test_lazy_level_searches_exactly_the_bounds_its_probes_left_unset():
     assert config["down"] == (((4, 2, 3), center), ((2, 4, 3), center), (q, fq))
 
 
-def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds():
+def test_small_case_interior_probe_is_the_central_level_point_inside_the_bounds():
     # On every small step of rotation and raw solves, in both modes, whose
     # level has a point of S strictly inside every bound
     # (sum(ell) + 3 <= k <= sum(r) - 3), the step's first query is
-    # level_point(ell + 1, r - 1, k) of its view; both ends of that range
-    # of k occur. A step's queries are the calls after the event before it.
+    # central_level_point(ell + 1, r - 1, k) of its view, the shrink step's
+    # probe with every sixth step 1; both ends of that range of k occur. A
+    # step's queries are the calls after the event before it.
     from _families import CallLog, raw_random_table, rotation_batch
 
     instances = rotation_batch(60, 25) + [
@@ -664,7 +665,7 @@ def test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds()
                     continue
                 lower = tuple(c + 1 for c in view.ell)
                 upper = tuple(c - 1 for c in view.r)
-                assert oracle.calls[mark][0] == level_point(lower, upper, k), (view, k)
+                assert oracle.calls[mark][0] == central_level_point(lower, upper, k), (view, k)
                 seen += 1
                 ends.update(end for end, at in (("low", low), ("high", high)) if k == at)
     assert seen > 100 and ends == {"low", "high"}, (seen, ends)
@@ -1116,11 +1117,11 @@ def test_solve_on_every_3x3x3_target_is_dqy_cheap():
 # rotations: 100 instances per side from SplitMix64(5), each drawing its
 # three deltas in -2..2, then its rotation 1 or 2.
 LAZY_ROTATION_QUERIES = {
-    3: (13.16, 7.84),
-    8: (64.15, 52.88),
-    12: (119.82, 119.64),
-    16: (186.09, 213.60),
-    20: (265.56, 334.76),
+    3: (13.09, 7.84),
+    8: (64.00, 52.88),
+    12: (118.56, 119.64),
+    16: (184.45, 213.60),
+    20: (264.28, 334.76),
 }
 
 
@@ -1321,9 +1322,10 @@ def test_violations_escape_solve_unchained():
         return raw_random_table((6, 6, 6), seed)
 
     cases = (
-        # _extreme_search; on raw(45) the second level's S has a diameter of 1 from the
-        # start, so its searches all run after the (empty) step loop, and the first raises
-        (raw(45), False, "endpoint .* impossible sign pattern", False),
+        # _extreme_search; on raw(34) the second level, (1,1,1)..(2,2,6) at 7, has S of
+        # diameters (1,1,2) from the start, so its searches all run after the (empty) step
+        # loop, and the first raises
+        (raw(34), False, "endpoint .* impossible sign pattern", False),
         (raw(79), False, "endpoint .* impossible sign pattern", True),
         (perturbed_target_table(10, 114), True, "single-point init segment .* did not resolve", True),
         (perturbed_target_table(24, 509), True, "segment point .* impossible sign pattern", True),

@@ -95,6 +95,33 @@ MUTANTS = (
             "tests/test_levelset.py::test_shrink_probe_is_central_inside_the_sixth_step_bounds",
         ),
     ),
+    Mutant(
+        "the single probe hands its remainder to axis 1 before axis 0",
+        "src/tarski/levelset.py",
+        "                    step = v0 - q0 if v0 - q0 < rest else rest\n"
+        "                    q0, rest = q0 + step, rest - step\n"
+        "                    step = v1 - q1 if v1 - q1 < rest else rest\n"
+        "                    probes = ((q0, q1 + step, q2 + rest - step),)\n",
+        "                    step = v1 - q1 if v1 - q1 < rest else rest\n"
+        "                    q1, rest = q1 + step, rest - step\n"
+        "                    step = v0 - q0 if v0 - q0 < rest else rest\n"
+        "                    probes = ((q0 + step, q1, q2 + rest - step),)\n",
+        ("tests/test_levelset.py::test_shrink_probe_is_central_inside_the_sixth_step_bounds",),
+    ),
+    Mutant(
+        "a level whose pulled-in bounds meet in one point takes the corner triple",
+        "src/tarski/levelset.py",
+        "if 0 <= deficit <= width:",
+        "if 0 < deficit <= width:",
+        ("tests/test_levelset.py::test_small_case_interior_probe_spec_example",),
+    ),
+    Mutant(
+        "a step whose largest diameter is 6 is labelled small",
+        "src/tarski/levelset.py",
+        "phase = shrink if d0 >= 6 or d1 >= 6 or d2 >= 6 else small",
+        "phase = shrink if d0 >= 7 or d1 >= 7 or d2 >= 7 else small",
+        ("tests/test_levelset.py::test_level_of_diameter_6_opens_with_the_init_searches",),
+    ),
     _clamp("    a0 = a0 if a0 > lo0 else lo0"),
     _clamp("    a1 = a1 if a1 > lo1 else lo1"),
     _clamp("    a2 = a2 if a2 > lo2 else lo2"),
@@ -137,19 +164,6 @@ MUTANTS = (
             "tests/test_baseline.py::test_brute_solve_queries_in_iter_box_order",
             "tests/test_baseline.py::test_brute_solve_examples",
         ),
-    ),
-    Mutant(
-        "the small step's interior probe raises axis 1 before axis 0",
-        "src/tarski/levelset.py",
-        "                    step = r0 - e0 - 2 if r0 - e0 - 2 < rest else rest\n"
-        "                    q0, rest = e0 + 1 + step, rest - step\n"
-        "                    step = r1 - e1 - 2 if r1 - e1 - 2 < rest else rest\n"
-        "                    probes = ((q0, e1 + 1 + step, e2 + 1 + rest - step),)\n",
-        "                    step = r1 - e1 - 2 if r1 - e1 - 2 < rest else rest\n"
-        "                    q1, rest = e1 + 1 + step, rest - step\n"
-        "                    step = r0 - e0 - 2 if r0 - e0 - 2 < rest else rest\n"
-        "                    probes = ((e0 + 1 + step, q1, e2 + 1 + rest - step),)\n",
-        ("tests/test_levelset.py::test_small_case_interior_probe_is_the_greedy_level_point_inside_the_bounds",),
     ),
     Mutant(
         "the 3D table evaluator lets the first coordinate be 0",
