@@ -12,7 +12,6 @@ a CountedOracle is single-owner.
 from __future__ import annotations
 
 import re
-import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -20,7 +19,7 @@ from math import prod
 
 from .errors import CapacityError, InstanceFormatError, Violation
 from .lattice import Point, _check_shape, full_box, iter_box
-from .rng import SplitMix64
+from .rng import SplitMix64, _little
 
 MAX_DENSE_POINTS = 10**6
 
@@ -252,13 +251,6 @@ class _Lanes:
         """The rows of packed columns, as an iterator of tuples."""
         nbytes = self.volume * self.size
         return zip(*[_little(array(self.code, x.to_bytes(nbytes, "little"))) for x in cols])
-
-
-def _little(words: array) -> array:
-    """words, in place, from the host's byte order to little-endian or back."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
 
 
 def _is_point(x) -> bool:

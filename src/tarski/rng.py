@@ -89,11 +89,16 @@ class SplitMix64:
                 z = states
                 z = ((z ^ (z >> 30)) & low) * _MIX1 & low
                 z = ((z ^ (z >> 27)) & low) * _MIX2 & low
-                words = array("Q", (z ^ (z >> 31)).to_bytes(16 * width, "little"))
-                if sys.byteorder == "big":
-                    words.byteswap()
+                words = _little(array("Q", (z ^ (z >> 31)).to_bytes(16 * width, "little")))
                 col += [1 + w % n for w in words[: 2 * min(width, count - done) : 2]]
                 states = (states + advance) & low
             cols.append(col)
         self._state = (self._state + count * step) & _MASK64
         return cols
+
+
+def _little(words: array) -> array:
+    """words, in place, from the host's byte order to little-endian or back."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
