@@ -32,19 +32,21 @@ def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
     """
     if box is None:
         box = full_box(oracle.instance.shape)
-    axes = [a for a in range(len(box.lo)) if box.lo[a] < box.hi[a]]
-    point = (
-        _solve_rec(oracle, box.lo, box.hi, axes, (box.lo, None), (box.hi, None))
-        if axes
-        else box.lo
-    )
+    return BaselineReport(_dqy_point(oracle, box.lo, box.hi))
+
+
+def _dqy_point(oracle, lo: Point, hi: Point) -> Point:
+    """dqy_solve's fixed point of the box [lo, hi] with certified corners,
+    for callers that hold bare corners and want the bare point."""
+    axes = [a for a in range(len(lo)) if lo[a] < hi[a]]
+    point = _solve_rec(oracle, lo, hi, axes, (lo, None), (hi, None)) if axes else lo
     fp = oracle.query(point)
     if fp != point:
         raise MonotonicityViolation(
             f"candidate {point} is not fixed",
-            implicated=((point, fp), (box.lo, oracle.query(box.lo)), (box.hi, oracle.query(box.hi))),
+            implicated=((point, fp), (lo, oracle.query(lo)), (hi, oracle.query(hi))),
         )
-    return BaselineReport(point)
+    return point
 
 
 def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:

@@ -52,9 +52,9 @@ the six bounds and S's bound coordinates as locals and runs the shrink and
 small steps inline, with the init searches before or after it, and then the
 configuration resolution. It checks neither its level nor its box sides,
 which the outer loop meets by construction, and it builds a Box only for
-observer payloads and for the baselines. Each of those boxes spans corners
-the solver holds, which always form a box, so it is built by the unchecked
-lattice._box. No step checks its inputs: the loop computes the pulled-in
+observer payloads; the baseline it delegates to takes bare corners too.
+Each of those boxes spans corners the solver holds, which always form a
+box, so it is built by the unchecked lattice._box. No step checks its inputs: the loop computes the pulled-in
 bounds that pick the central probe or the corner triple before either.
 """
 
@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baseline import dqy_solve
+from .baseline import _dqy_point
 from .errors import MonotonicityViolation
 from .lattice import (
     Box,
@@ -297,7 +297,7 @@ class LevelsetSolver:
         3D goes to the binary search baseline on the full box."""
         shape = self.oracle.instance.shape
         if len(shape) != 3:
-            return dqy_solve(self._oracle, _box((1,) * len(shape), shape)).fixed_point
+            return _dqy_point(self._oracle, (1,) * len(shape), shape)
         # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
         lo, hi = (1, 1, 1), shape
         lo_sum, hi_sum = 3, shape[0] + shape[1] + shape[2]
@@ -309,7 +309,7 @@ class LevelsetSolver:
                     # and a box of span <= 6 (at most 27 points) costs dqy a few queries per
                     # axis, where a scan's worst case is one query per point.
                     self._context = _OUTER
-                    return dqy_solve(self._oracle, _box(lo, hi)).fixed_point
+                    return _dqy_point(self._oracle, lo, hi)
                 if pending is not None:
                     out, pending = pending, None
                     lo, hi = self._tighten(lo, hi, out)
@@ -701,7 +701,7 @@ class LevelsetSolver:
 class _TracingOracle:
     """The oracle of a traced solve: writes one record per query call,
     tagged with the solver's current phase and level, so the boxes the
-    solver delegates to dqy show up in the trace too. dqy_solve given a box
+    solver delegates to dqy show up in the trace too. dqy given its corners
     never reads an instance, so it carries none."""
 
     def __init__(self, solver: LevelsetSolver, trace):

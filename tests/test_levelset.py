@@ -1377,7 +1377,8 @@ def test_unchecked_boxes_equal_their_checked_twins(monkeypatch):
     instances = [raw_random_table((n, n, n), seed) for n in range(3, 9) for seed in range(12)]
     instances += [perturbed_target_table(n, seed) for n in (12, 16) for seed in range(6)]
     instances += [jump_target_table(12, seed) for seed in range(6)]
-    instances += rotation_batch(24, 3)
+    # Only observer payloads build boxes: the dqy delegation takes bare corners.
+    instances += rotation_batch(72, 3)
     outcomes = {"fixed": 0, "violation": 0}
     for inst in instances:
         for verify, observer in itertools.product((False, True), (None, lambda ev, p: None)):

@@ -222,8 +222,8 @@ MUTANTS = (
     Mutant(
         "solve runs the level path on grids of more than 3 dimensions",
         "src/tarski/levelset.py",
-        "if len(shape) != 3:\n            return dqy_solve",
-        "if len(shape) < 3:\n            return dqy_solve",
+        "if len(shape) != 3:\n            return _dqy_point",
+        "if len(shape) < 3:\n            return _dqy_point",
         ("tests/test_levelset.py::test_solve_is_dqy_call_for_call_above_3d_and_on_span_6_grids",),
     ),
     Mutant(
