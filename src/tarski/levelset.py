@@ -29,10 +29,10 @@ searches find the level's extreme i-upward and i-downward point of each
 axis. Such a point's own coordinate is the level's extreme on that axis,
 which already bounds S, so the searches never shrink S: they supply the
 points the configuration scan needs. They run first only when some
-diameter of the whole level's S is >= 6, the threshold between shrink and
-small steps. On a smaller level the small steps set most bounds themselves,
-and once some diameter is <= 1 the searches run for the bounds that no
-probe has set.
+diameter of the whole level's S is >= 10. On a smaller level the steps,
+shrink steps from diameter 6 and small ones below, set most bounds
+themselves, a single central probe often ends the level, and once some
+diameter is <= 1 the searches run for the bounds that no probe has set.
 
 Monotonicity is only ever used locally. The bounds of S and the
 configuration scan read coordinates only, hold for every F and check
@@ -90,6 +90,11 @@ _OUTER = (PHASE_OUTER, -1)
 
 # The two axes other than each axis, in increasing order.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+
+# A level runs its six init searches first only when some diameter of its whole-level S is at
+# least this. A smaller level opens with its steps, one central probe often ends it, and it
+# searches only the bounds its probes left unset.
+_SEARCHES_FIRST = 10
 
 
 @dataclass(slots=True)
@@ -373,9 +378,10 @@ class LevelsetSolver:
         unless an observer is attached.
 
         The bounds start on the box faces, where S is the whole level. When
-        some diameter of that S is >= 6 the six init searches run first;
-        otherwise the small steps set most bounds themselves, and the
-        searches run last, for the bounds no probe has set. Either way each
+        some diameter of that S is >= _SEARCHES_FIRST (10) the six init
+        searches run first; otherwise the steps set most bounds themselves,
+        and the searches run last, for the bounds no probe has set. Either
+        way each
         step probes the central level point of S's bounds pulled in by a
         sixth of each diameter (three points at a corner of S when there is
         none), its labels moving the bounds they select, until some diameter
@@ -398,11 +404,11 @@ class LevelsetSolver:
             (a0, a1, a2), (b0, b1, b2) = lo, hi
             # With the bounds on the faces S is the whole level, whose diameter on axis i is
             # min(side_i, m, n, m + n - side_i) for m = k - sum(lo) and n = sum(hi) - k. The init
-            # searches go first when one of those is >= 6, the shrink step's threshold.
-            m, n = k - a0 - a1 - a2, b0 + b1 + b2 - k
-            top = m + n - 6
-            searches_first = m >= 6 and n >= 6 and (
-                6 <= b0 - a0 <= top or 6 <= b1 - a1 <= top or 6 <= b2 - a2 <= top
+            # searches go first when one of those is >= t.
+            m, n, t = k - a0 - a1 - a2, b0 + b1 + b2 - k, _SEARCHES_FIRST
+            top = m + n - t
+            searches_first = m >= t and n >= t and (
+                t <= b0 - a0 <= top or t <= b1 - a1 <= top or t <= b2 - a2 <= top
             )
             if searches_first:
                 out = self._init_searches(lo, hi, k, up, down)

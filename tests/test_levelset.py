@@ -514,14 +514,14 @@ def test_small_case_progress():
     assert seen > 20
 
 
-# The first probes of the six init searches of level 12 in (1,1,1)..(7,7,7),
+# The first probes of the six init searches of level 18 in (1,1,1)..(11,11,11),
 # each answered so that its search ends there: F lowers the axis of the top
 # face the point lies on and raises the axis of its bottom face.
-_INIT_12 = {
-    (7, 1, 4): (6, 2, 4),
-    (1, 7, 4): (2, 6, 4),
-    (1, 4, 7): (2, 4, 6),
-    (7, 4, 1): (6, 4, 2),
+_INIT_18 = {
+    (11, 1, 6): (10, 2, 6),
+    (1, 11, 6): (2, 10, 6),
+    (1, 6, 11): (2, 6, 10),
+    (11, 6, 1): (10, 6, 2),
 }
 
 
@@ -544,22 +544,38 @@ def _state_after_first_shrink(events):
     return payload.get("state_before") or payload["state"]
 
 
-def test_level_of_diameter_6_opens_with_the_init_searches():
-    # level 12 of (1,1,1)..(7,7,7) has S of diameters (6,6,6), the least for
-    # which the six init searches run first: the level opens with the axis-0
-    # search's extreme vertex, and all six searches are traced as init
+def test_level_of_diameter_10_opens_with_the_init_searches():
+    # level 18 of (1,1,1)..(11,11,11) has S of diameters (10,10,10), the
+    # least for which the six init searches run first: the level opens with
+    # the axis-0 search's extreme vertex, and all six searches are traced as
+    # init
     from tarski.lattice import extreme_level_point
 
-    box = full_box((7, 7, 7))
-    assert search_space(state_from_coords(box, 12, box.lo, box.hi)).dia == (6, 6, 6)
-    out, order, _, phases = _scripted_level(box.lo, box.hi, 12, _INIT_12)
-    assert order[0] == extreme_level_point(box, 12, 0, 1) == (7, 1, 4)
-    assert order == [(7, 1, 4), (1, 7, 4), (1, 7, 4), (7, 1, 4), (1, 4, 7), (7, 4, 1), (4, 4, 4)]
+    box = full_box((11, 11, 11))
+    assert search_space(state_from_coords(box, 18, box.lo, box.hi)).dia == (10, 10, 10)
+    out, order, _, phases = _scripted_level(box.lo, box.hi, 18, _INIT_18)
+    assert order[0] == extreme_level_point(box, 18, 0, 1) == (11, 1, 6)
+    assert order == [(11, 1, 6), (1, 11, 6), (1, 11, 6), (11, 1, 6), (1, 6, 11), (11, 6, 1), (6, 6, 6)]
     assert phases == ["init"] * 6 + ["shrink"]
-    assert out == LevelOutcome(FIXED, (4, 4, 4), (4, 4, 4))
+    assert out == LevelOutcome(FIXED, (6, 6, 6), (6, 6, 6))
 
 
-def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_6():
+def test_levels_of_diameter_6_to_9_open_with_their_central_shrink_probe():
+    # level 12 of (1,1,1)..(7,7,7) has S of diameters (6,6,6), and level 16
+    # of (1,1,1)..(10,10,10) has (9,9,9), the largest that puts the init
+    # searches off: each level's first query is its central probe, a shrink
+    # step a sixth of each diameter inside S, which here ends the level
+    for side, k, dia, q in ((7, 12, 6, (4, 4, 4)), (10, 16, 9, (6, 5, 5))):
+        box = full_box((side,) * 3)
+        assert search_space(state_from_coords(box, k, box.lo, box.hi)).dia == (dia,) * 3
+        step = -(-dia // 6)
+        assert q == central_level_point((1 + step,) * 3, (side - step,) * 3, k)
+        out, order, _, phases = _scripted_level(box.lo, box.hi, k, {})
+        assert order == [q] and phases == ["shrink"], side
+        assert out == LevelOutcome(FIXED, q, q)
+
+
+def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_10():
     # The level decides from the box and k alone whether its init searches go
     # first; that must agree with search_space's diameters of the whole
     # level. A level that puts them off reports init_done before any query;
@@ -569,7 +585,7 @@ def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_6():
     seen = {True: 0, False: 0}
     for _ in range(1500):
         lo = tuple(1 + rng.below(3) for _ in range(3))
-        hi = tuple(c + 1 + rng.below(10) for c in lo)
+        hi = tuple(c + 1 + rng.below(16) for c in lo)
         k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
         inst = gen_target(hi, tuple(a + rng.below(b - a + 1) for a, b in zip(lo, hi)))
         oracle = CountedOracle(inst)
@@ -578,27 +594,27 @@ def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_6():
         solver._solve_level(lo, hi, k)
         lazy = ("init_done", 0) in marks
         dia = search_space(state_from_coords(Box(lo, hi), k, lo, hi)).dia
-        assert lazy == (max(dia) < 6), (lo, hi, k, dia)
+        assert lazy == (max(dia) < 10), (lo, hi, k, dia)
         seen[lazy] += 1
     assert min(seen.values()) > 300, seen
 
 
 def test_shrink_probe_spec_example():
-    # bounds (1,1,1)..(7,7,7) with dia (6,6,6) at level 12: after the init
-    # searches the probe is the central level point (4,4,4) of the shrunken
-    # bounds [2..6]^3; their greedy level point (6,4,2) would sit on the
-    # bounds of axes 0 and 2
-    assert level_point((2, 2, 2), (6, 6, 6), 12) == (6, 4, 2)
-    assert central_level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
-    q, fq = (4, 4, 4), (5, 4, 3)
-    _, order, events, _ = _scripted_level((1, 1, 1), (7, 7, 7), 12, {**_INIT_12, q: fq})
+    # bounds (1,1,1)..(11,11,11) with dia (10,10,10) at level 18: after the
+    # init searches the probe is the central level point (6,6,6) of the
+    # shrunken bounds [3..9]^3; their greedy level point (9,6,3) would sit on
+    # the bounds of axes 0 and 2
+    assert level_point((3, 3, 3), (9, 9, 9), 18) == (9, 6, 3)
+    assert central_level_point((3, 3, 3), (9, 9, 9), 18) == (6, 6, 6)
+    q, fq = (6, 6, 6), (7, 6, 5)
+    _, order, events, _ = _scripted_level((1, 1, 1), (11, 11, 11), 18, {**_INIT_18, q: fq})
     assert order[6] == q
     shrinks = [p for ev, p in events if ev == "shrink"]
     assert (shrinks[0]["q"], shrinks[0]["fq"], shrinks[0]["outcome"]) == (q, fq, None)
     # the probe was 1-upward (and 3-downward), so both bounds moved
     after = _state_after_first_shrink(events)
     assert after["up"][0] == (q, fq) and after["down"][2] == (q, fq)
-    assert shrinks[0]["dia_after"] == shrinks[1]["view"].dia == (3, 6, 3)
+    assert shrinks[0]["dia_after"] == shrinks[1]["view"].dia == (5, 10, 5)
 
 
 def test_small_case_interior_probe_spec_example():
@@ -699,15 +715,15 @@ def test_small_case_probe_branch_all_upward_spec_example():
 
 def test_probe_moves_the_bounds_classify_selects():
     # for each of the 27 sign patterns of F(q) - q at the shrink probe
-    # q = (4,4,4) of the scripted level 12 above: a fixed, upward or downward
+    # q = (6,6,6) of the scripted level 18 above: a fixed, upward or downward
     # q is the level's outcome; otherwise exactly the up(i) slots of q's
     # i-upward labels and the down(i) slots of its i-downward labels move,
     # and the next step's S is the one the moved bounds give
-    q = (4, 4, 4)
+    q = (6, 6, 6)
     moved = 0
     for signs in itertools.product((-1, 0, 1), repeat=3):
         fq = tuple(c + d for c, d in zip(q, signs))
-        out, order, events, _ = _scripted_level((1, 1, 1), (7, 7, 7), 12, {**_INIT_12, q: fq})
+        out, order, events, _ = _scripted_level((1, 1, 1), (11, 11, 11), 18, {**_INIT_18, q: fq})
         assert order[6] == q, signs
         _, labels = classify(q, fq)
         if labels.is_upward or labels.is_downward:
@@ -1117,11 +1133,11 @@ def test_solve_on_every_3x3x3_target_is_dqy_cheap():
 # rotations: 100 instances per side from SplitMix64(5), each drawing its
 # three deltas in -2..2, then its rotation 1 or 2.
 LAZY_ROTATION_QUERIES = {
-    3: (13.09, 7.84),
-    8: (64.00, 52.88),
-    12: (118.56, 119.64),
-    16: (184.45, 213.60),
-    20: (264.28, 334.76),
+    3: (7.46, 7.84),
+    8: (59.18, 52.88),
+    12: (113.76, 119.64),
+    16: (179.59, 213.60),
+    20: (259.36, 334.76),
 }
 
 

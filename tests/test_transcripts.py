@@ -36,9 +36,9 @@ from tarski.levelset import LevelsetSolver, LevelState, find_configuration, sear
 from tarski.oracle import CountedOracle, gen_target
 from tarski.rng import SplitMix64
 
-DIGEST = "886ff01e1177e76d809e1cd4e2694c4e0a54280ae628c241f3b65f94a59f4baa"
+DIGEST = "17dc3cfab4a1727e88925a936b45266e06a63cfc5f368af8d2b99bd13788945d"
 CONFIG_DIGEST = "2997209a8565d8f2603fc11e7126b0eccaebc446d8e714bcf5567d62c0a0390e"
-SOLVE_DIGEST = "a2f34080c0335ad9da2481d341469e4ca048bef50f10887a01507e43d3f81d61"
+SOLVE_DIGEST = "f41add7ca29e0659a6020be5e2774cbda2df395238135e17a57ae5ab52ac6fff"
 DQY_CALLS_DIGEST = "d7f76e95c3284ed88538f75b2f61c004ecf2d861f1f42f40a56f353fed2cbc3c"
 
 

@@ -120,7 +120,7 @@ MUTANTS = (
         "src/tarski/levelset.py",
         "phase = shrink if d0 >= 6 or d1 >= 6 or d2 >= 6 else small",
         "phase = shrink if d0 >= 7 or d1 >= 7 or d2 >= 7 else small",
-        ("tests/test_levelset.py::test_level_of_diameter_6_opens_with_the_init_searches",),
+        ("tests/test_levelset.py::test_levels_of_diameter_6_to_9_open_with_their_central_shrink_probe",),
     ),
     _clamp("    a0 = a0 if a0 > lo0 else lo0"),
     _clamp("    a1 = a1 if a1 > lo1 else lo1"),
@@ -302,17 +302,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a level whose largest starting diameter is 6 puts its init searches off",
+        "a level whose largest starting diameter is 10 puts its init searches off",
         "src/tarski/levelset.py",
-        "            top = m + n - 6\n"
-        "            searches_first = m >= 6 and n >= 6 and (\n"
-        "                6 <= b0 - a0 <= top or 6 <= b1 - a1 <= top or 6 <= b2 - a2 <= top\n",
-        "            top = m + n - 7\n"
-        "            searches_first = m >= 7 and n >= 7 and (\n"
-        "                7 <= b0 - a0 <= top or 7 <= b1 - a1 <= top or 7 <= b2 - a2 <= top\n",
+        "_SEARCHES_FIRST = 10\n",
+        "_SEARCHES_FIRST = 11\n",
         (
-            "tests/test_levelset.py::test_level_of_diameter_6_opens_with_the_init_searches",
-            "tests/test_levelset.py::test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_6",
+            "tests/test_levelset.py::test_level_of_diameter_10_opens_with_the_init_searches",
+            "tests/test_levelset.py::test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_10",
+        ),
+    ),
+    Mutant(
+        "a level whose largest starting diameter is 9 runs its init searches first",
+        "src/tarski/levelset.py",
+        "_SEARCHES_FIRST = 10\n",
+        "_SEARCHES_FIRST = 9\n",
+        (
+            "tests/test_levelset.py::test_levels_of_diameter_6_to_9_open_with_their_central_shrink_probe",
+            "tests/test_levelset.py::test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_10",
         ),
     ),
     Mutant(
