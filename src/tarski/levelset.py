@@ -54,8 +54,9 @@ configuration resolution. It checks neither its level nor its box sides,
 which the outer loop meets by construction, and it builds a Box only for
 observer payloads; the baseline it delegates to takes bare corners too.
 Each of those boxes spans corners the solver holds, which always form a
-box, so it is built by the unchecked lattice._box. No step checks its inputs: the loop computes the pulled-in
-bounds that pick the central probe or the corner triple before either.
+box, so it is built by the unchecked lattice._box. No step checks its
+inputs: the loop computes the pulled-in bounds that pick the central probe
+or the corner triple before either.
 """
 
 from __future__ import annotations
@@ -381,11 +382,10 @@ class LevelsetSolver:
         some diameter of that S is >= _SEARCHES_FIRST (10) the six init
         searches run first; otherwise the steps set most bounds themselves,
         and the searches run last, for the bounds no probe has set. Either
-        way each
-        step probes the central level point of S's bounds pulled in by a
-        sixth of each diameter (three points at a corner of S when there is
-        none), its labels moving the bounds they select, until some diameter
-        is <= 1 and a configuration resolves the level.
+        way each step probes the central level point of S's bounds pulled in
+        by a sixth of each diameter (three points at a corner of S when
+        there is none), its labels moving the bounds they select, until some
+        diameter is <= 1 and a configuration resolves the level.
         """
         self._context = (PHASE_INIT, k)
         observer = self.observer
