@@ -12,10 +12,9 @@ is kept, cache hits included, as traces record each call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import MonotonicityViolation
-from .lattice import Box, Point, full_box
+from .lattice import Box, Point, full_box, iter_box
 from .oracle import _check_dense
 
 
@@ -106,20 +105,13 @@ def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:
 
 
 def brute_solve(oracle, box: Box | None = None) -> Point:
-    """First fixed point of the box in lexicographic order.
-
-    The scan is itertools.product over each side's range, in the order
-    iter_box yields. The box has passed _check_dense, so its ranges are
-    small to materialize; iter_box stays lazy for boxes with huge sides,
-    which costs a chain of generators and a tuple concatenation per axis
-    for every point.
-    """
+    """First fixed point of the box in lexicographic order."""
     if box is None:
         box = full_box(oracle.instance.shape)
     _check_dense(box.volume, "brute_solve")
     query = oracle.query
     scanned = []
-    for x in product(*[range(a, b + 1) for a, b in zip(box.lo, box.hi)]):
+    for x in iter_box(box):
         fx = query(x)
         if fx == x:
             return x

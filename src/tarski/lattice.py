@@ -79,16 +79,6 @@ class Box:
         return math.prod(self.sides)
 
 
-def _box(lo: Point, hi: Point) -> Box:
-    """The Box [lo, hi], built without Box's check. The caller guarantees
-    what that check tests: lo and hi have the same dimension and lo <= hi
-    componentwise."""
-    box = object.__new__(Box)
-    object.__setattr__(box, "lo", lo)
-    object.__setattr__(box, "hi", hi)
-    return box
-
-
 def _check_shape(shape: tuple[int, ...]) -> None:
     """ValueError unless shape is a tuple of at least one side and every
     side is a positive int: the one shape check of full_box and of the
@@ -203,10 +193,7 @@ def _raise_in_axis_order(q: list[int], upper: Point, deficit: int) -> Point:
     for i in range(len(q)):
         if deficit == 0:
             break
-        step = upper[i] - q[i]
-        # Not min(): a two-argument builtin min costs a call on CPython.
-        if step > deficit:
-            step = deficit
+        step = min(upper[i] - q[i], deficit)
         q[i] += step
         deficit -= step
     return tuple(q)

@@ -53,10 +53,8 @@ small steps inline, with the init searches before or after it, and then the
 configuration resolution. It checks neither its level nor its box sides,
 which the outer loop meets by construction, and it builds a Box only for
 observer payloads; the baseline it delegates to takes bare corners too.
-Each of those boxes spans corners the solver holds, which always form a
-box, so it is built by the unchecked lattice._box. No step checks its
-inputs: the loop computes the pulled-in bounds that pick the central probe
-or the corner triple before either.
+No step checks its inputs: the loop computes the pulled-in bounds that
+pick the central probe or the corner triple before either.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ from .lattice import (
     Box,
     LabelSet,
     Point,
-    _box,
     classify,
     glb,
     lub,
@@ -158,30 +155,14 @@ def search_space(state: LevelState) -> SearchSpaceView:
     solver builds and is not checked: a level starts with S the whole level,
     and every later probe lies in S and moves a bound only to itself.
     """
-    (lo0, lo1, lo2), (hi0, hi1, hi2) = state.box.lo, state.box.hi
-    k = state.k
-    up, down = state.up, state.down
-    # Every min and max written out: a two-argument builtin min or max costs a call on CPython.
+    (lo, hi), k = (state.box.lo, state.box.hi), state.k
     # The per-axis bounds a_i = up(i)_i and b_i = down(i)_i, clamped to the box.
-    a0, a1, a2 = up[0][0][0], up[1][0][1], up[2][0][2]
-    b0, b1, b2 = down[0][0][0], down[1][0][1], down[2][0][2]
-    a0 = a0 if a0 > lo0 else lo0
-    a1 = a1 if a1 > lo1 else lo1
-    a2 = a2 if a2 > lo2 else lo2
-    b0 = b0 if b0 < hi0 else hi0
-    b1 = b1 if b1 < hi1 else hi1
-    b2 = b2 if b2 < hi2 else hi2
+    a = [max(state.up[i][0][i], lo[i]) for i in range(3)]
+    b = [min(state.down[i][0][i], hi[i]) for i in range(3)]
     # Then each bound as far as the other two axes' bounds and the level sum allow.
-    e0, e1, e2 = k - b1 - b2, k - b0 - b2, k - b0 - b1
-    r0, r1, r2 = k - a1 - a2, k - a0 - a2, k - a0 - a1
-    e0 = e0 if e0 > a0 else a0
-    e1 = e1 if e1 > a1 else a1
-    e2 = e2 if e2 > a2 else a2
-    r0 = r0 if r0 < b0 else b0
-    r1 = r1 if r1 < b1 else b1
-    r2 = r2 if r2 < b2 else b2
-    # tuple.__new__ builds the same SearchSpaceView without the NamedTuple's Python-level __new__.
-    return tuple.__new__(SearchSpaceView, ((e0, e1, e2), (r0, r1, r2), (r0 - e0, r1 - e1, r2 - e2)))
+    ell = tuple(max(a[i], k - b[j] - b[p]) for i, (j, p) in enumerate(_OTHERS))
+    r = tuple(min(b[i], k - a[j] - a[p]) for i, (j, p) in enumerate(_OTHERS))
+    return SearchSpaceView(ell, r, tuple(y - x for x, y in zip(ell, r)))
 
 
 def find_configuration(up, down) -> Config:
@@ -328,7 +309,7 @@ class LevelsetSolver:
                     if self.observer is not None:
                         after = (out.point, hi) if out.kind == UPWARD else (lo, out.point)
                         self.observer(
-                            "recurse", {"before": _box(lo, hi), "after": _box(*after), "outcome": out}
+                            "recurse", {"before": Box(lo, hi), "after": Box(*after), "outcome": out}
                         )
                     if out.kind == UPWARD:
                         lo = out.point
@@ -390,7 +371,7 @@ class LevelsetSolver:
         self._context = (PHASE_INIT, k)
         observer = self.observer
         if observer is not None:
-            box = _box(lo, hi)
+            box = Box(lo, hi)
             before = self.oracle.distinct_queries
             observer("level_start", {"box": box, "k": k, "queries": before})
         try:
@@ -435,7 +416,7 @@ class LevelsetSolver:
                     break
                 if observer is not None:
                     before_step = state.snapshot()
-                    view = tuple.__new__(SearchSpaceView, ((e0, e1, e2), (r0, r1, r2), (d0, d1, d2)))
+                    view = SearchSpaceView((e0, e1, e2), (r0, r1, r2), (d0, d1, d2))
                 # Each step pulls S's bounds in by a sixth s_i = ceil(dia_i/6) of each diameter, to
                 # u = ell + s and v = r - s; dia_i >= 2s_i gives u <= v.
                 s0, s1, s2 = -(-d0 // 6), -(-d1 // 6), -(-d2 // 6)

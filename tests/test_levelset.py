@@ -1366,13 +1366,11 @@ def test_violations_escape_solve_unchained():
             assert leq(w.x, w.y) and not leq(inst.value(w.x), inst.value(w.y)), message
 
 
-def test_unchecked_boxes_equal_their_checked_twins(monkeypatch):
-    # The solver builds its boxes with lattice._box, which skips Box's
-    # check. Here each one is rebuilt through the checked Box: on monotone
-    # and raw inputs, in both modes, with and without an observer, no box
-    # is empty or mixes dimensions, and every solve ends in a fixed point or
-    # a MonotonicityViolation, never in a ValueError.
-    import tarski.levelset
+def test_observed_solves_end_in_a_fixed_point_or_a_violation():
+    # The observer payloads' boxes go through Box's check. On monotone and
+    # raw inputs, in both modes, with and without an observer, every solve
+    # ends in a fixed point or a MonotonicityViolation, never in a
+    # ValueError of an empty box or of mixed dimensions.
     from _families import (
         jump_target_table,
         perturbed_target_table,
@@ -1380,32 +1378,28 @@ def test_unchecked_boxes_equal_their_checked_twins(monkeypatch):
         rotation_batch,
     )
 
-    unchecked = tarski.levelset._box
-    built = []
-
-    def checked(lo, hi):
-        box = unchecked(lo, hi)
-        assert box == Box(lo, hi)
-        built.append(box)
-        return box
-
-    monkeypatch.setattr(tarski.levelset, "_box", checked)
     instances = [raw_random_table((n, n, n), seed) for n in range(3, 9) for seed in range(12)]
     instances += [perturbed_target_table(n, seed) for n in (12, 16) for seed in range(6)]
     instances += [jump_target_table(12, seed) for seed in range(6)]
     # Only observer payloads build boxes: the dqy delegation takes bare corners.
     instances += rotation_batch(72, 3)
+    boxes = []
+
+    def observer(event, payload):
+        if event == "level_start":
+            boxes.append(payload["box"])
+
     outcomes = {"fixed": 0, "violation": 0}
     for inst in instances:
-        for verify, observer in itertools.product((False, True), (None, lambda ev, p: None)):
+        for verify, watch in itertools.product((False, True), (None, observer)):
             try:
-                point = solve(CountedOracle(inst), verify_certificates=verify, observer=observer)
+                point = solve(CountedOracle(inst), verify_certificates=verify, observer=watch)
             except MonotonicityViolation:
                 outcomes["violation"] += 1
             else:
                 assert inst.value(point) == point
                 outcomes["fixed"] += 1
-    assert min(outcomes.values()) > 50 and len(built) > 1000, (outcomes, len(built))
+    assert min(outcomes.values()) > 50 and len(boxes) > 300, (outcomes, len(boxes))
 
 
 def test_witness_is_scanned_only_when_read(monkeypatch):

@@ -129,23 +129,36 @@ def test_hook_free_solves_match_hooked_solves():
 
 def test_hook_free_solves_build_no_observer_payloads(monkeypatch):
     # Observer payloads are built only for an attached observer; with none,
-    # not a single state snapshot may be taken.
-    def refuse(self):
-        raise RuntimeError("state snapshot built with no observer attached")
+    # not a single state snapshot, search space view or Box may be built.
+    # Their code is written plainly on that premise, so a solve that builds
+    # one on the way to a fixed point or to a violation fails here.
+    import tarski.levelset
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("observer payload built with no observer attached")
 
     monkeypatch.setattr(LevelState, "snapshot", refuse)
+    monkeypatch.setattr(tarski.levelset, "search_space", refuse)
+    monkeypatch.setattr(tarski.levelset, "Box", refuse)
     rng = SplitMix64(3)
     targets = [
         gen_target((n, n, n), tuple(1 + rng.below(n) for _ in range(3)))
         for n in (1 << 8, 1 << 20, 1 << 40)
         for _ in range(5)
     ]
-    for inst in targets + rotation_batch(30, 11):
+    raw = [raw_random_table((n, n, n), seed) for n in range(3, 7) for seed in range(25)]
+    outcomes = {"fixed": 0, "violation": 0}
+    for inst in targets + rotation_batch(30, 11) + raw:
         for verify_certificates in (False, True):
-            point = LevelsetSolver(
-                CountedOracle(inst), verify_certificates=verify_certificates
-            ).solve()
-            assert inst.value(point) == point
+            solver = LevelsetSolver(CountedOracle(inst), verify_certificates=verify_certificates)
+            try:
+                point = solver.solve()
+            except MonotonicityViolation:
+                outcomes["violation"] += 1
+            else:
+                assert inst.value(point) == point
+                outcomes["fixed"] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def _states():

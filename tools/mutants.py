@@ -15,7 +15,8 @@ timeout; a mutant whose run times out, such as a binary search that no
 longer narrows its bracket, counts as killed. It exits 1 when a mutant
 survives, when a mutant's old text is not found exactly once (a refactor
 that moves the text must update the list here), or when the unmutated copy
-fails or times out. Stdlib only; pytest runs in a subprocess with the
+fails or times out; it then prints pytest's FAILED lines of that copy, or
+that it timed out. Stdlib only; pytest runs in a subprocess with the
 interpreter that runs this script.
 """
 
@@ -47,13 +48,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-def _clamp(line: str) -> Mutant:
-    """search_space without one of its six clamps of a bound to the box."""
+def _unclamped(what: str, clamped: str, bare: str) -> Mutant:
+    """search_space without one of its four clamps, each of which covers
+    all three axes."""
     return Mutant(
-        f"search_space without the clamp {line.strip()!r}",
+        f"search_space does not clamp {what}",
         "src/tarski/levelset.py",
-        line + "\n",
-        "",
+        clamped,
+        bare,
         ("tests/test_levelset.py::test_search_space_matches_bruteforce",),
     )
 
@@ -122,12 +124,10 @@ MUTANTS = (
         "phase = shrink if d0 >= 7 or d1 >= 7 or d2 >= 7 else small",
         ("tests/test_levelset.py::test_levels_of_diameter_6_to_9_open_with_their_central_shrink_probe",),
     ),
-    _clamp("    a0 = a0 if a0 > lo0 else lo0"),
-    _clamp("    a1 = a1 if a1 > lo1 else lo1"),
-    _clamp("    a2 = a2 if a2 > lo2 else lo2"),
-    _clamp("    b0 = b0 if b0 < hi0 else hi0"),
-    _clamp("    b1 = b1 if b1 < hi1 else hi1"),
-    _clamp("    b2 = b2 if b2 < hi2 else hi2"),
+    _unclamped("a to the box's lo", "max(state.up[i][0][i], lo[i])", "state.up[i][0][i]"),
+    _unclamped("b to the box's hi", "min(state.down[i][0][i], hi[i])", "state.down[i][0][i]"),
+    _unclamped("ell to a", "max(a[i], k - b[j] - b[p])", "k - b[j] - b[p]"),
+    _unclamped("r to b", "min(b[i], k - a[j] - a[p])", "k - a[j] - a[p]"),
     Mutant(
         "dqy's bisection raises its floor without updating the floor evidence",
         "src/tarski/baseline.py",
@@ -156,13 +156,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "brute_solve's scan stops each side's range short of its upper bound",
-        "src/tarski/baseline.py",
-        "product(*[range(a, b + 1) for",
-        "product(*[range(a, b) for",
+        "iter_box stops each side's range short of its upper bound",
+        "src/tarski/lattice.py",
+        "range(a, b + 1)",
+        "range(a, b)",
         (
-            "tests/test_baseline.py::test_brute_solve_queries_in_iter_box_order",
             "tests/test_baseline.py::test_brute_solve_examples",
+            "tests/test_baseline.py::test_brute_solve_finds_point_in_certified_subbox",
         ),
     ),
     Mutant(
@@ -345,10 +345,10 @@ MUTANTS = (
     Mutant(
         "a level's observer box is built from swapped corners",
         "src/tarski/levelset.py",
-        "            box = _box(lo, hi)\n            before =",
-        "            box = _box(hi, lo)\n            before =",
+        "            box = Box(lo, hi)\n            before =",
+        "            box = Box(hi, lo)\n            before =",
         (
-            "tests/test_levelset.py::test_unchecked_boxes_equal_their_checked_twins",
+            "tests/test_levelset.py::test_observed_solves_end_in_a_fixed_point_or_a_violation",
             "tests/test_levelset.py::test_solve_tightens_queried_corner_before_the_next_level",
         ),
     ),
@@ -391,16 +391,15 @@ def _compile(root: str, tests) -> None:
                     "-p", "no:hypothesispytest", *tests], cwd=root, env=env, capture_output=True)
 
 
-def _pytest(root: str, tests) -> subprocess.Popen:
+def _pytest(root: str, tests, out=subprocess.DEVNULL) -> subprocess.Popen:
     """Start a run of the given test node IDs under root with root/src on
-    the path. The hypothesis plugin stays unloaded: importing it costs
-    most of a run's start-up, and the property tests set their own
-    settings without it."""
+    the path, its output going to out. The hypothesis plugin stays
+    unloaded: importing it costs most of a run's start-up, and the
+    property tests set their own settings without it."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-p", "no:hypothesispytest", *tests]
-    return subprocess.Popen(cmd, cwd=root, env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return subprocess.Popen(cmd, cwd=root, env=env, stdout=out, stderr=subprocess.STDOUT)
 
 
 def _exit_code(run: subprocess.Popen, timeout: float) -> int | None:
@@ -423,8 +422,10 @@ def main() -> int:
         _copy(base)
         _compile(base, tests)
         shutil.copytree(base, clean)
+        clean_log = os.path.join(tmp, "clean.log")
         clean_start = time.perf_counter()
-        clean_run = _pytest(clean, tests)
+        with open(clean_log, "w", encoding="utf-8") as out:
+            clean_run = _pytest(clean, tests, out)
         try:
             for i, m in enumerate(MUTANTS):
                 if clean_run.poll() not in (None, 0):
@@ -459,8 +460,14 @@ def main() -> int:
             clean_run.kill()  # a no-op once the run has ended
             clean_run.wait()
         if code != 0:
-            failed = "time out" if code is None else "fail"
-            print(f"the named tests {failed} on the unmutated code, so no verdict above holds")
+            if code is None:
+                print("the named tests timed out on the unmutated code, so no verdict above holds")
+            else:
+                print("the named tests fail on the unmutated code, so no verdict above holds:")
+                with open(clean_log, encoding="utf-8") as fh:
+                    for line in fh:
+                        if line.startswith(("FAILED", "ERROR")):
+                            print(f"  {line.rstrip()}")
             return 1
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
     for p in problems:
