@@ -155,7 +155,7 @@ def search_space(state: LevelState) -> SearchSpaceView:
     solver builds and is not checked: a level starts with S the whole level,
     and every later probe lies in S and moves a bound only to itself.
     """
-    (lo, hi), k = (state.box.lo, state.box.hi), state.k
+    lo, hi, k = state.box.lo, state.box.hi, state.k
     # The per-axis bounds a_i = up(i)_i and b_i = down(i)_i, clamped to the box.
     a = [max(state.up[i][0][i], lo[i]) for i in range(3)]
     b = [min(state.down[i][0][i], hi[i]) for i in range(3)]
