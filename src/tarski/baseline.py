@@ -4,9 +4,9 @@ dqy_solve is the classic O(log^d N)-query scheme: binary search the last
 free axis, solving each slice as a (d-1)-dimensional sub-instance. It serves
 as a correctness oracle, as the scaling comparison for the levelset solver,
 and inside that solver for grids that are not 3D, for boxes with pinched
-sides and for the constant-size tail of a solve. The innermost axis
-bisects in its caller's loop, and every query call of the plain recursion
-is kept, cache hits included, as traces record each call.
+sides and for the constant-size tail of a solve. Each solver here returns
+a point that its own last query answered with itself: for dqy the probe
+that found the point, for brute_solve the scan's query that reached it.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
 
 def _dqy_point(oracle, lo: Point, hi: Point) -> Point:
     """dqy_solve's fixed point of the box [lo, hi] with certified corners,
-    for callers that hold bare corners and want the bare point."""
+    for callers that hold bare corners and want the bare point. Its check
+    reads F of the point from the pair the search returns."""
     axes = [a for a in range(len(lo)) if lo[a] < hi[a]]
-    point = _solve_rec(oracle, lo, hi, axes, (lo, None), (hi, None)) if axes else lo
-    fp = oracle.query(point)
+    point, fp = _solve_rec(oracle, lo, hi, axes, (lo, None), (hi, None)) if axes else (lo, oracle.query(lo))
     if fp != point:
         raise MonotonicityViolation(
             f"candidate {point} is not fixed",
@@ -48,21 +48,19 @@ def _dqy_point(oracle, lo: Point, hi: Point) -> Point:
     return point
 
 
-def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:
-    """Point fixed in every coordinate of ``axes`` within [lo, hi].
+def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> tuple[Point, Point]:
+    """Pair (y, F(y)) with y fixed in every coordinate of ``axes`` within [lo, hi].
 
     Invariant: coordinates outside ``axes`` agree between lo and hi, and the
     corners bracket the restriction (F(lo)_a >= lo_a and F(hi)_a <= hi_a for
     a in axes). Binary search on the last axis; at each midpoint solve the
-    slice recursively, then step toward the side its value points to.
+    slice recursively, then step toward the side that F of the slice's
+    answer, returned with it, points to. So no point is queried twice on
+    the way to an answer.
     ``axes`` is never empty. The innermost axis bisects in its caller's
     loop: with no axis left in ``rest``, the probe is the slice's lower
     corner itself, where a plain recursion would spend one frame per step
     on a slice with no free axis only to return that corner.
-
-    Every query call of that plain recursion is kept, in the same order,
-    cache hits included (each step re-queries the answer its slice has
-    already queried), as a levelset trace writes one record per call.
 
     floor_ev / ceil_ev are (point, value) pairs backing the current corner
     certificates (value None for a root corner, queried on failure). When the
@@ -77,14 +75,12 @@ def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> Point:
     while a <= b:
         m = (a + b) // 2
         y = cur_lo[:axis] + (m,) + cur_lo[axis + 1 :]
-        if rest:
-            y = _solve_rec(
-                oracle, y, cur_hi[:axis] + (m,) + cur_hi[axis + 1 :], rest, floor_ev, ceil_ev
-            )
-        fy = query(y)
+        y, fy = _solve_rec(
+            oracle, y, cur_hi[:axis] + (m,) + cur_hi[axis + 1 :], rest, floor_ev, ceil_ev
+        ) if rest else (y, query(y))
         v = fy[axis]
         if v == m:
-            return y
+            return y, fy
         if v > m:
             cur_lo = y
             floor_ev = (y, fy)

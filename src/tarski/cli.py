@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage, parse or capacity error, 3 monotonicity
 violation.
-Each solver confirms its answer with one final oracle query, so every
-printed fixed point has been checked.
+Each solver returns a point that its own last oracle query answered with
+itself, so every printed fixed point has been checked.
 """
 
 from __future__ import annotations

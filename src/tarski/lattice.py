@@ -17,11 +17,6 @@ Point = tuple[int, ...]
 SignVector = tuple[int, ...]
 
 
-def norm1(x: Point) -> int:
-    """Coordinate sum of a point."""
-    return sum(x)
-
-
 def _same_dim(x: Point, y: Point) -> None:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
@@ -150,7 +145,7 @@ def classify(x: Point, fx: Point) -> tuple[SignVector, LabelSet]:
 
 
 def level_point(lower: Point, upper: Point, k: int) -> Point:
-    """A point q with lower <= q <= upper and norm1(q) == k.
+    """A point q with lower <= q <= upper and sum(q) == k.
 
     Deterministic greedy construction: start at lower and raise coordinates to
     their upper bounds in axis order until the deficit is consumed.
@@ -160,10 +155,10 @@ def level_point(lower: Point, upper: Point, k: int) -> Point:
 
 
 def central_level_point(lower: Point, upper: Point, k: int) -> Point:
-    """The point q with norm1(q) == k on the segment from lower to upper.
+    """The point q with sum(q) == k on the segment from lower to upper.
 
-    Every coordinate covers the same share (k - norm1(lower)) /
-    (norm1(upper) - norm1(lower)) of its range, rounded down; the rounding
+    Every coordinate covers the same share (k - sum(lower)) /
+    (sum(upper) - sum(lower)) of its range, rounded down; the rounding
     remainder is handed out greedily in axis order, as in level_point.
     """
     lo_sum, hi_sum = _check_level(lower, upper, k)

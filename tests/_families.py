@@ -3,7 +3,7 @@
 import itertools
 from types import SimpleNamespace
 
-from tarski.lattice import classify, full_box, iter_box, norm1
+from tarski.lattice import classify, full_box, iter_box
 from tarski.oracle import CountedOracle, Instance, gen_target
 from tarski.rng import SplitMix64
 
@@ -134,7 +134,7 @@ def jump_target_table(n, seed):
 
 
 def levelset_points(inst, k):
-    return [p for p in iter_box(full_box(inst.shape)) if norm1(p) == k]
+    return [p for p in iter_box(full_box(inst.shape)) if sum(p) == k]
 
 
 def labels_on_level(inst, k):

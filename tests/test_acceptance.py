@@ -18,7 +18,7 @@ from _families import (
 from tarski.baseline import brute_solve, dqy_solve
 from tarski.cli import main as cli_main
 from tarski.errors import MonotonicityViolation
-from tarski.lattice import full_box, iter_box, leq, norm1
+from tarski.lattice import full_box, iter_box, leq
 from tarski.levelset import LevelsetSolver, solve
 from tarski.oracle import (
     CountedOracle,
@@ -163,7 +163,7 @@ def test_criterion_5_shrink_and_configuration_invariants():
         return [
             x
             for x in iter_box(box)
-            if norm1(x) == k and all(lo <= c <= hi for lo, c, hi in zip(a, x, b))
+            if sum(x) == k and all(lo <= c <= hi for lo, c, hi in zip(a, x, b))
         ]
 
     shrink_events = []

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from _families import CallLog, raw_random_table
+from _families import CallLog, raw_random_table, rotation_batch
 from tarski.baseline import brute_solve, dqy_solve
 from tarski.errors import CapacityError, MonotonicityViolation
 from tarski.lattice import Box, full_box, iter_box, leq
@@ -81,6 +81,65 @@ def test_dqy_growth_consistent_with_cubic_log_model():
     measured = mean_queries(big) / mean_queries(small)
     predicted = (math.log2(3 * big) / math.log2(3 * small)) ** 3
     assert abs(measured / predicted - 1) <= 0.30, (measured, predicted)
+
+
+def _dqy_instances():
+    """Targets on cubes of sides 2^8 to 2^40 and on 1-D, 2-D and 4-D grids,
+    rotation tables, and random monotone cubes of sides 12 to 24."""
+    rng = SplitMix64(5)
+    shapes = [(1 << s,) * 3 for s in (8, 16, 20, 40) for _ in range(20)]
+    shapes += [shape for shape in ((1 << 40,), (1 << 20,) * 2, (1 << 10,) * 4) for _ in range(5)]
+    for shape in shapes:
+        yield gen_target(shape, tuple(1 + rng.below(n) for n in shape))
+    yield from rotation_batch(40, 7)
+    for seed in range(6):
+        yield gen_random_monotone((12 + 3 * (seed % 5),) * 3, seed)
+
+
+def _asks_once(calls):
+    points = [x for x, _ in calls]
+    return len(points) == len(set(points))
+
+
+def test_dqy_asks_for_no_point_twice():
+    # Each bisection step reads F of its slice's answer from the pair the
+    # slice returns, and the final check reads the same pair, so a solve
+    # that finds its point makes no cache hit on the way.
+    calls = 0
+    for inst in _dqy_instances():
+        o = CallLog(inst)
+        point = dqy_solve(o).fixed_point
+        assert inst.value(point) == point
+        assert o.calls[-1] == (point, point)
+        assert _asks_once(o.calls), inst.shape
+        calls += len(o.calls)
+    assert calls > 10_000, calls
+
+
+def test_levelset_delegations_to_dqy_ask_for_no_point_twice(monkeypatch):
+    # The same holds for the dqy runs a levelset solve hands its tail, its
+    # pinched boxes and its grids that are not 3D, in both modes. Points the
+    # solve queried before the delegation may come up again; within one dqy
+    # run none does.
+    import tarski.levelset
+    from tarski.levelset import solve
+
+    dqy_point = tarski.levelset._dqy_point
+    runs = []
+
+    def checked(oracle, lo, hi):
+        start = len(oracle.calls)
+        point = dqy_point(oracle, lo, hi)
+        assert _asks_once(oracle.calls[start:]), (lo, hi)
+        runs.append(len(oracle.calls) - start)
+        return point
+
+    monkeypatch.setattr(tarski.levelset, "_dqy_point", checked)
+    for inst in _dqy_instances():
+        for verify_certificates in (False, True):
+            point = solve(CallLog(inst), verify_certificates=verify_certificates)
+            assert inst.value(point) == point
+    assert len(runs) > 200 and sum(runs) > 3000, (len(runs), sum(runs))
 
 
 def test_brute_solve_examples():

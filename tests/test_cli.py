@@ -31,6 +31,20 @@ def test_solve_algo_choices():
         assert "fixed_point = (2,5,3)" in res.output
 
 
+def test_solve_query_counts_on_small_target_cubes():
+    # Levels whose diameters are all below 10 probe before any init search:
+    # on 5x5x5 the first small step's central probe (3,3,3) maps to the
+    # target, and on 7x7x7 the first shrink probe is the target itself. The
+    # 3x3x3 grid has span 6, so the whole solve is dqy's.
+    for shape, target, queries in (("5,5,5", "4,4,4", 2), ("7,7,7", "4,4,4", 1),
+                                   ("3,3,3", "2,3,1", 5)):
+        res = run("solve", "--shape", shape, "--target", target)
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines() == [f"fixed_point = ({target})", f"queries = {queries}"]
+    dqy = run("solve", "--shape", "3,3,3", "--target", "2,3,1", "--algo", "dqy")
+    assert dqy.output == res.output
+
+
 def test_solve_usage_errors_exit_2():
     assert run("solve").exit_code == 2
     assert run("solve", "--shape", "4,4,4").exit_code == 2

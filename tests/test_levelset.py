@@ -18,7 +18,6 @@ from tarski.lattice import (
     leq,
     level_point,
     lub,
-    norm1,
 )
 from tarski.levelset import (
     DOWNWARD,
@@ -46,7 +45,7 @@ def enumerate_space(box, k, a, b):
     """All levelset points with a_i <= x_i <= b_i; the brute-force S."""
     pts = []
     for x in iter_box(box):
-        if norm1(x) == k and all(lo <= c <= hi for lo, c, hi in zip(a, x, b)):
+        if sum(x) == k and all(lo <= c <= hi for lo, c, hi in zip(a, x, b)):
             pts.append(x)
     return pts
 
@@ -72,8 +71,8 @@ def outcome_is_valid(inst, out, k):
     if out.kind == FIXED:
         return labels.is_fixed
     if out.kind == UPWARD:
-        return labels.is_upward and norm1(out.point) >= k
-    return labels.is_downward and norm1(out.point) <= k
+        return labels.is_upward and sum(out.point) >= k
+    return labels.is_downward and sum(out.point) <= k
 
 
 def log_ratio_ceil(d):
@@ -129,7 +128,7 @@ def test_search_space_matches_bruteforce():
     while checked < 400:
         sides = tuple(2 + rng.below(5) for _ in range(3))
         box = full_box(sides)
-        k = norm1(box.lo) + 1 + rng.below(max(1, norm1(box.hi) - norm1(box.lo) - 1))
+        k = sum(box.lo) + 1 + rng.below(max(1, sum(box.hi) - sum(box.lo) - 1))
         a = tuple(1 + rng.below(s) for s in sides)
         b = tuple(ai + rng.below(s - ai + 1) for ai, s in zip(a, sides))
         checked += matches(box, k, a, b)
@@ -139,7 +138,7 @@ def test_search_space_matches_bruteforce():
     while checked < 400:
         lo = tuple(2 + rng.below(4) for _ in range(3))
         box = Box(lo, tuple(c + 1 + rng.below(5) for c in lo))
-        k = norm1(box.lo) + 1 + rng.below(max(1, norm1(box.hi) - norm1(box.lo) - 1))
+        k = sum(box.lo) + 1 + rng.below(max(1, sum(box.hi) - sum(box.lo) - 1))
         a = tuple(c - 2 + rng.below(h - c + 3) for c, h in zip(box.lo, box.hi))
         b = tuple(ai + rng.below(h + 3 - ai) for ai, h in zip(a, box.hi))
         checked += matches(box, k, a, b)
@@ -148,7 +147,7 @@ def test_search_space_matches_bruteforce():
 # -- initialization --------------------------------------------------------
 
 
-def test_init_direction_endpoint_example():
+def test_extreme_search_endpoint_example():
     # the first probe of the axis-0 search on this instance is the
     # coordinate-extreme point (8,1,3)
     from tarski.lattice import extreme_level_point
@@ -170,7 +169,7 @@ def test_init_search_starts_at_the_extreme_level_point():
         lo = tuple(1 + rng.below(1 << 20) for _ in range(3))
         hi = tuple(a + 2 + rng.below(1 << 20) for a in lo)
         box = Box(lo, hi)
-        k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
+        k = sum(lo) + 1 + rng.below(sum(hi) - sum(lo) - 1)
         inst = gen_target(hi, tuple(a + rng.below(b - a + 1) for a, b in zip(lo, hi)))
         for axis in range(3):
             o = CountedOracle(inst, record_transcript=True)
@@ -232,7 +231,7 @@ def test_init_direction_endpoints_with_impossible_sign_patterns():
         assert info.value.implicated == tuple(script.items())
 
 
-def test_init_direction_downward_orientation_bisects_to_adjacent_ends():
+def test_extreme_search_downward_orientation_bisects_to_adjacent_ends():
     # s = -1 on level 14 of (2,2,2)..(7,7,7): the axis-0 segment's low end
     # (2,7,5) and high end (2,5,7) bracket it with a = 7 > b = 5; the probe
     # at 6 moves one end next to the other, and the join of the two ends
@@ -264,7 +263,7 @@ def test_init_direction_postconditions():
     assert 0 in lab_up.i_upward
     assert 0 in lab_down.i_downward
     assert up[0] <= down[0]
-    level_pts = [p for p in iter_box(box) if norm1(p) == k]
+    level_pts = [p for p in iter_box(box) if sum(p) == k]
     assert up[0] == min(p[0] for p in level_pts)
     assert down[0] == max(p[0] for p in level_pts)
 
@@ -277,12 +276,12 @@ def test_init_direction_early_exit_all_up():
     for s in (1, -1):
         res = LevelsetSolver(o)._extreme_search(box.lo, box.hi, 12, 0, s)
         assert res.kind == UPWARD
-        assert norm1(res.point) >= 12
+        assert sum(res.point) >= 12
         assert outcome_is_valid(o.instance, res, 12)
     assert o.distinct_queries == 2
 
 
-def test_init_direction_sweep_small_grids():
+def test_extreme_search_sweep_small_grids():
     rng = SplitMix64(21)
     for trial in range(120):
         n = 4 + rng.below(3)
@@ -292,8 +291,8 @@ def test_init_direction_sweep_small_grids():
         else:
             inst = gen_random_monotone(shape, rng.next_u64())
         box = full_box(shape)
-        k = norm1(box.lo) + 1 + rng.below(norm1(box.hi) - norm1(box.lo) - 1)
-        level_pts = [p for p in iter_box(box) if norm1(p) == k]
+        k = sum(box.lo) + 1 + rng.below(sum(box.hi) - sum(box.lo) - 1)
+        level_pts = [p for p in iter_box(box) if sum(p) == k]
         for axis in range(3):
             # s = +1 finds the extreme i-downward point, s = -1 the i-upward one
             for s in (1, -1):
@@ -325,7 +324,7 @@ def test_solve_level_spec_examples():
         assert outcome_is_valid(inst, out, 12)
     inst = gen_target((8, 8, 8), (1, 1, 1))
     out = LevelsetSolver(CountedOracle(inst))._solve_level(box.lo, box.hi, 12)
-    assert out.kind == DOWNWARD and norm1(out.point) <= 12
+    assert out.kind == DOWNWARD and sum(out.point) <= 12
 
 
 def test_solve_level_valid_outcome_many_instances():
@@ -346,9 +345,9 @@ def test_solve_level_on_certified_subboxes():
         lo = tuple(1 + rng.below(c) for c in t)
         hi = tuple(c + rng.below(n - c + 1) for c in t)
         box = Box(lo, hi)
-        if any(s < 2 for s in box.sides) or norm1(hi) - norm1(lo) < 2:
+        if any(s < 2 for s in box.sides) or sum(hi) - sum(lo) < 2:
             continue
-        k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
+        k = sum(lo) + 1 + rng.below(sum(hi) - sum(lo) - 1)
         inst = gen_target((n, n, n), t)
         out = LevelsetSolver(CountedOracle(inst))._solve_level(lo, hi, k)
         assert outcome_is_valid(inst, out, k)
@@ -492,7 +491,7 @@ def test_shrink_probe_is_central_inside_the_sixth_step_bounds(data):
     step = tuple(-(-d // 6) for d in view.dia)
     lower = tuple(c + s for c, s in zip(view.ell, step))
     upper = tuple(c - s for c, s in zip(view.r, step))
-    assert norm1(q) == k and leq(lower, q) and leq(q, upper)
+    assert sum(q) == k and leq(lower, q) and leq(q, upper)
     assert q == central_level_point(lower, upper, k)
 
 
@@ -586,7 +585,7 @@ def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_10():
     for _ in range(1500):
         lo = tuple(1 + rng.below(3) for _ in range(3))
         hi = tuple(c + 1 + rng.below(16) for c in lo)
-        k = norm1(lo) + 1 + rng.below(norm1(hi) - norm1(lo) - 1)
+        k = sum(lo) + 1 + rng.below(sum(hi) - sum(lo) - 1)
         inst = gen_target(hi, tuple(a + rng.below(b - a + 1) for a, b in zip(lo, hi)))
         oracle = CountedOracle(inst)
         marks = []
@@ -709,7 +708,7 @@ def test_small_case_probe_branch_all_upward_spec_example():
         assert order == list(script), kind
         assert phases == ["small"] * 3
         assert out == LevelOutcome(kind, (3, 3, 3))
-        assert norm1(out.point) >= k if kind == UPWARD else norm1(out.point) <= k
+        assert sum(out.point) >= k if kind == UPWARD else sum(out.point) <= k
         assert [ev for ev, _ in events][-3:] == ["certificate", "small", "level_done"]
 
 
@@ -818,12 +817,12 @@ def test_configuration_lemma():
         return True
 
     def level(box, k):
-        return [p for p in iter_box(box) if norm1(p) == k]
+        return [p for p in iter_box(box) if sum(p) == k]
 
     checked = 0
     for sides in itertools.product((2, 3), repeat=3):
         box = full_box(sides)
-        for k in range(norm1(box.lo) + 1, norm1(box.hi)):
+        for k in range(sum(box.lo) + 1, sum(box.hi)):
             pts = level(box, k)
             # up(i)_i <= down(i)_i holds on every state with a nonempty S.
             bounds = [[(u, d) for u in pts for d in pts if u[i] <= d[i]] for i in range(3)]
@@ -836,7 +835,7 @@ def test_configuration_lemma():
     for _ in range(600):
         lo = tuple(1 + rng.below(4) for _ in range(3))
         box = Box(lo, tuple(c + 3 + rng.below(4) for c in lo))
-        k = norm1(box.lo) + 1 + rng.below(norm1(box.hi) - norm1(box.lo) - 1)
+        k = sum(box.lo) + 1 + rng.below(sum(box.hi) - sum(box.lo) - 1)
         pts = level(box, k)
         for _ in range(20):
             ups, downs = [], []
@@ -866,7 +865,7 @@ def test_resolve_first_example():
     out = solver.resolve_meet_join(cfg)
     assert out.kind == DOWNWARD
     assert out.point == (3, 2, 5)
-    assert norm1(out.point) <= 12
+    assert sum(out.point) <= 12
 
 
 def test_resolve_second_mirrored_flavor():
@@ -1189,8 +1188,8 @@ def test_recursion_halves_the_size_measure():
                 continue
             before = payload["before"]
             after = payload["after"]
-            m_before = norm1(before.hi) - norm1(before.lo)
-            m_after = norm1(after.hi) - norm1(after.lo)
+            m_before = sum(before.hi) - sum(before.lo)
+            m_after = sum(after.hi) - sum(after.lo)
             assert m_after <= -(-m_before // 2)
             # the recursed corner carries the outcome point
             out = payload["outcome"]
@@ -1217,7 +1216,7 @@ def test_solve_tightens_queried_corner_before_the_next_level():
         assert point == t
         for payload, cert_at in _tightened(events):
             out, box = payload["outcome"], payload["after"]
-            terminal = min(box.sides) == 1 or norm1(box.hi) - norm1(box.lo) <= 6
+            terminal = min(box.sides) == 1 or sum(box.hi) - sum(box.lo) <= 6
             # a terminal box goes on exactly as the level certified it
             assert (cert_at is None) == terminal
             if terminal:

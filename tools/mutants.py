@@ -139,6 +139,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "dqy's bisection asks for its slice's answer again after the slice returned it",
+        "src/tarski/baseline.py",
+        ") if rest else (y, query(y))\n",
+        ") if rest else (y, query(y))\n        fy = query(y) if rest else fy\n",
+        ("tests/test_baseline.py::test_dqy_asks_for_no_point_twice",),
+    ),
+    Mutant(
+        "dqy asks for its answer again to check it",
+        "src/tarski/baseline.py",
+        "    if fp != point:\n",
+        "    fp = oracle.query(point)\n    if fp != point:\n",
+        (
+            "tests/test_baseline.py::test_dqy_asks_for_no_point_twice",
+            "tests/test_baseline.py::test_levelset_delegations_to_dqy_ask_for_no_point_twice",
+        ),
+    ),
+    Mutant(
         "dqy's bisection does not step past a midpoint below the answer",
         "src/tarski/baseline.py",
         "            a = m + 1\n",
@@ -238,7 +255,7 @@ MUTANTS = (
         "src/tarski/levelset.py",
         "if si <= 0 and sj <= 0 and sp <= 0:",
         "if si < 0 and sj <= 0 and sp <= 0:",
-        ("tests/test_levelset.py::test_init_direction_sweep_small_grids",),
+        ("tests/test_levelset.py::test_extreme_search_sweep_small_grids",),
     ),
     Mutant(
         "an s = -1 init bracket reads as adjacent as soon as both ends are placed",
@@ -246,8 +263,8 @@ MUTANTS = (
         "if -1 <= b - a <= 1:",
         "if b - a <= 1:",
         (
-            "tests/test_levelset.py::test_init_direction_downward_orientation_bisects_to_adjacent_ends",
-            "tests/test_levelset.py::test_init_direction_sweep_small_grids",
+            "tests/test_levelset.py::test_extreme_search_downward_orientation_bisects_to_adjacent_ends",
+            "tests/test_levelset.py::test_extreme_search_sweep_small_grids",
         ),
     ),
     Mutant(
