@@ -36,8 +36,7 @@ def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
 
 def _dqy_point(oracle, lo: Point, hi: Point) -> Point:
     """dqy_solve's fixed point of the box [lo, hi] with certified corners,
-    for callers that hold bare corners and want the bare point. Its check
-    reads F of the point from the pair the search returns."""
+    for callers that hold bare corners and want the bare point."""
     axes = [a for a in range(len(lo)) if lo[a] < hi[a]]
     point, fp = _solve_rec(oracle, lo, hi, axes, (lo, None), (hi, None)) if axes else (lo, oracle.query(lo))
     if fp != point:
