@@ -4,9 +4,12 @@ dqy_solve is the classic O(log^d N)-query scheme: binary search the last
 free axis, solving each slice as a (d-1)-dimensional sub-instance. It serves
 as a correctness oracle, as the scaling comparison for the levelset solver,
 and inside that solver for grids that are not 3D, for boxes with pinched
-sides and for the constant-size tail of a solve. Each solver here returns
-a point that its own last query answered with itself: for dqy the probe
-that found the point, for brute_solve the scan's query that reached it.
+sides and for the constant-size tail of a solve. Its core, _dqy_point,
+takes a bare query function and bare corners: that solver hands it the one
+query function its solve runs on, which writes the trace when there is one.
+Each solver here returns a point that its own last query answered with
+itself: for dqy the probe that found the point, for brute_solve the scan's
+query that reached it.
 """
 
 from __future__ import annotations
@@ -23,31 +26,28 @@ class BaselineReport:
     fixed_point: Point
 
 
-def dqy_solve(oracle, box: Box | None = None) -> BaselineReport:
-    """Fixed point of F restricted to a box with certified corners.
-
-    With no box, solves the full grid (whose corners are certified for free:
-    F maps the grid into itself).
-    """
-    if box is None:
-        box = full_box(oracle.instance.shape)
-    return BaselineReport(_dqy_point(oracle, box.lo, box.hi))
+def dqy_solve(oracle) -> BaselineReport:
+    """Fixed point of F on the oracle's full grid, whose corners are
+    certified for free: F maps the grid into itself."""
+    shape = oracle.instance.shape
+    return BaselineReport(_dqy_point(oracle.query, (1,) * len(shape), shape))
 
 
-def _dqy_point(oracle, lo: Point, hi: Point) -> Point:
+def _dqy_point(query, lo: Point, hi: Point) -> Point:
     """dqy_solve's fixed point of the box [lo, hi] with certified corners,
-    for callers that hold bare corners and want the bare point."""
+    asking F through the function query, for callers that hold bare corners
+    and want the bare point."""
     axes = [a for a in range(len(lo)) if lo[a] < hi[a]]
-    point, fp = _solve_rec(oracle, lo, hi, axes, (lo, None), (hi, None)) if axes else (lo, oracle.query(lo))
+    point, fp = _solve_rec(query, lo, hi, axes, (lo, None), (hi, None)) if axes else (lo, query(lo))
     if fp != point:
         raise MonotonicityViolation(
             f"candidate {point} is not fixed",
-            implicated=((point, fp), (lo, oracle.query(lo)), (hi, oracle.query(hi))),
+            implicated=((point, fp), (lo, query(lo)), (hi, query(hi))),
         )
     return point
 
 
-def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> tuple[Point, Point]:
+def _solve_rec(query, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> tuple[Point, Point]:
     """Pair (y, F(y)) with y fixed in every coordinate of ``axes`` within [lo, hi].
 
     Invariant: coordinates outside ``axes`` agree between lo and hi, and the
@@ -66,7 +66,6 @@ def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> tuple[P
     bracket runs empty, which cannot happen for monotone F, the two evidence
     pairs contain an explicit violating pair.
     """
-    query = oracle.query
     axis = axes[-1]
     rest = axes[:-1]
     a, b = lo[axis], hi[axis]
@@ -75,7 +74,7 @@ def _solve_rec(oracle, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> tuple[P
         m = (a + b) // 2
         y = cur_lo[:axis] + (m,) + cur_lo[axis + 1 :]
         y, fy = _solve_rec(
-            oracle, y, cur_hi[:axis] + (m,) + cur_hi[axis + 1 :], rest, floor_ev, ceil_ev
+            query, y, cur_hi[:axis] + (m,) + cur_hi[axis + 1 :], rest, floor_ev, ceil_ev
         ) if rest else (y, query(y))
         v = fy[axis]
         if v == m:

@@ -55,6 +55,11 @@ which the outer loop meets by construction, and it builds a Box only for
 observer payloads; the baseline it delegates to takes bare corners too.
 No step checks its inputs: the loop computes the pulled-in bounds that
 pick the central probe or the corner triple before either.
+
+A solve reaches F through one query function, which the solver binds once:
+the oracle's own, or with a trace a closure around it that writes one
+record per call. The level path, the outer loop and both dqy delegations
+all call it.
 """
 
 from __future__ import annotations
@@ -238,7 +243,10 @@ class LevelsetSolver:
     without one spends nothing on them.
 
     Every query, the solver's own and its baselines', goes through one
-    oracle picked here: the given one, or with a trace a wrapper writing it.
+    query function bound here: the oracle's own, or with a trace a closure
+    around it that writes the record, tagged with the solver's current
+    phase and level, so the boxes the solver delegates to dqy show up in the
+    trace too.
     """
 
     def __init__(self, oracle, *, verify_certificates: bool = False,
@@ -246,10 +254,22 @@ class LevelsetSolver:
         self.oracle = oracle
         self.verify_certificates = verify_certificates
         self.observer = observer
-        self._oracle = oracle if trace is None else _TracingOracle(self, trace)
-        self._query = self._oracle.query
         self._context = _OUTER  # (phase, level) of a traced query
         self._evidence: list[tuple[Point, Point]] = []
+        query = self._query = oracle.query
+        if trace is not None:
+
+            def traced(x: Point) -> Point:
+                fx = query(x)
+                _, labels = classify(x, fx)
+                phase, level = self._context
+                trace.write(
+                    f"{phase}\t{level}\t{_fmt_point(x)}\t"
+                    f"{_fmt_point(fx)}\t{_label_tokens(labels)}\n"
+                )
+                return fx
+
+            self._query = traced
 
     # -- plumbing ---------------------------------------------------------
 
@@ -284,25 +304,26 @@ class LevelsetSolver:
         3D goes to the binary search baseline on the full box."""
         shape = self.oracle.instance.shape
         if len(shape) != 3:
-            return _dqy_point(self._oracle, (1,) * len(shape), shape)
-        # The current box is [lo, hi], with corner sums lo_sum and hi_sum.
-        lo, hi = (1, 1, 1), shape
-        lo_sum, hi_sum = 3, shape[0] + shape[1] + shape[2]
+            return _dqy_point(self._query, (1,) * len(shape), shape)
+        # The current box [lo, hi] is corners, with coordinate sums sums. A certificate of kind
+        # DOWNWARD moves the corner at index 1 (hi), any other the one at index 0 (lo).
+        corners, sums = [(1, 1, 1), shape], [3, shape[0] + shape[1] + shape[2]]
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
-                if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2] or hi_sum - lo_sum <= 6:
+                lo, hi = corners
+                if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2] or sums[1] - sums[0] <= 6:
                     # A pinched side has no i-upward or i-downward point for a level to grab,
                     # and a box of span <= 6 (at most 27 points) costs dqy a few queries per
                     # axis, where a scan's worst case is one query per point.
                     self._context = _OUTER
-                    return _dqy_point(self._oracle, lo, hi)
+                    return _dqy_point(self._query, lo, hi)
                 if pending is not None:
                     out, pending = pending, None
-                    lo, hi = self._tighten(lo, hi, out)
+                    corner = self._tighten(lo, hi, out)
                 else:
                     # span >= 7 and no pinched side: k lies strictly inside
-                    out = self._solve_level(lo, hi, (lo_sum + hi_sum + 1) // 2)
+                    out = self._solve_level(lo, hi, (sums[0] + sums[1] + 1) // 2)
                     if out.kind == FIXED:
                         # Only a query makes a FIXED outcome, and F of its point is the point.
                         return out.point
@@ -311,24 +332,19 @@ class LevelsetSolver:
                         self.observer(
                             "recurse", {"before": Box(lo, hi), "after": Box(*after), "outcome": out}
                         )
-                    if out.kind == UPWARD:
-                        lo = out.point
-                    else:
-                        hi = out.point
+                    corner = out.point
                     if out.fvalue is not None:
                         pending = out
                 # Both steps move only the corner out.kind names.
-                if out.kind == UPWARD:
-                    lo_sum = lo[0] + lo[1] + lo[2]
-                else:
-                    hi_sum = hi[0] + hi[1] + hi[2]
+                side = out.kind == DOWNWARD
+                corners[side], sums[side] = corner, corner[0] + corner[1] + corner[2]
         except MonotonicityViolation as mv:
             mv.extend(self._evidence)
             raise
 
-    def _tighten(self, lo: Point, hi: Point, out: LevelOutcome) -> tuple[Point, Point]:
-        """The corners of the half [lo, hi] that a level's queried
-        certificate selected, with that corner moved on to its image.
+    def _tighten(self, lo: Point, hi: Point, out: LevelOutcome) -> Point:
+        """The new corner of the half [lo, hi] that a level's queried
+        certificate selected: that corner moved on to its image.
 
         F(u) >= u for a queried upward point u = lo, so F(F(u)) >= F(u) by
         monotonicity: F(u) is upward as well, and u <= F(u) <= F(hi) <= hi
@@ -348,7 +364,7 @@ class LevelsetSolver:
         self._evidence.append((u, fu))
         if self.verify_certificates or self.observer is not None:
             self._certify(LevelOutcome(out.kind, fu), ((u, fu),))
-        return (fu, hi) if out.kind == UPWARD else (lo, fu)
+        return fu
 
     # -- one level --------------------------------------------------------
 
@@ -683,27 +699,6 @@ class LevelsetSolver:
                     out = LevelOutcome(UPWARD, lub(low[0], high[0]))
                 return self._certify(out, (low, high))
             cj = (a + b) // 2
-
-
-class _TracingOracle:
-    """The oracle of a traced solve: writes one record per query call,
-    tagged with the solver's current phase and level, so the boxes the
-    solver delegates to dqy show up in the trace too. dqy given its corners
-    never reads an instance, so it carries none."""
-
-    def __init__(self, solver: LevelsetSolver, trace):
-        self._solver = solver
-        self._trace = trace
-
-    def query(self, x: Point) -> Point:
-        fx = self._solver.oracle.query(x)
-        _, labels = classify(x, fx)
-        phase, level = self._solver._context
-        self._trace.write(
-            f"{phase}\t{level}\t{_fmt_point(x)}\t"
-            f"{_fmt_point(fx)}\t{_label_tokens(labels)}\n"
-        )
-        return fx
 
 
 def solve(oracle, *, verify_certificates: bool = False, trace=None, observer=None) -> Point:

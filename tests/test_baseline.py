@@ -3,7 +3,7 @@ import math
 import pytest
 
 from _families import CallLog, raw_random_table, rotation_batch
-from tarski.baseline import brute_solve, dqy_solve
+from tarski.baseline import _dqy_point, brute_solve, dqy_solve
 from tarski.errors import CapacityError, MonotonicityViolation
 from tarski.lattice import Box, full_box, iter_box, leq
 from tarski.oracle import (
@@ -50,8 +50,7 @@ def test_dqy_2d_and_degenerate_boxes():
     # sub-box with a pinched side; corners certified because target is inside
     inst = gen_target((8, 8, 8), (5, 5, 4))
     o = CountedOracle(inst)
-    report = dqy_solve(o, Box((2, 5, 3), (7, 5, 6)))
-    assert report.fixed_point == (5, 5, 4)
+    assert _dqy_point(o.query, (2, 5, 3), (7, 5, 6)) == (5, 5, 4)
 
 
 def test_dqy_report_counts_only_this_call():
@@ -127,17 +126,23 @@ def test_levelset_delegations_to_dqy_ask_for_no_point_twice(monkeypatch):
     dqy_point = tarski.levelset._dqy_point
     runs = []
 
-    def checked(oracle, lo, hi):
-        start = len(oracle.calls)
-        point = dqy_point(oracle, lo, hi)
-        assert _asks_once(oracle.calls[start:]), (lo, hi)
-        runs.append(len(oracle.calls) - start)
+    def checked(query, lo, hi):
+        calls = []
+
+        def logged(x):
+            fx = query(x)
+            calls.append((x, fx))
+            return fx
+
+        point = dqy_point(logged, lo, hi)
+        assert _asks_once(calls), (lo, hi)
+        runs.append(len(calls))
         return point
 
     monkeypatch.setattr(tarski.levelset, "_dqy_point", checked)
     for inst in _dqy_instances():
         for verify_certificates in (False, True):
-            point = solve(CallLog(inst), verify_certificates=verify_certificates)
+            point = solve(CountedOracle(inst), verify_certificates=verify_certificates)
             assert inst.value(point) == point
     assert len(runs) > 200 and sum(runs) > 3000, (len(runs), sum(runs))
 

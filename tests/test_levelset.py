@@ -178,7 +178,7 @@ def test_init_search_starts_at_the_extreme_level_point():
             assert o.transcript[0][0] == extreme_level_point(box, k, axis, middle)
 
 
-def test_init_direction_single_point_segment_that_does_not_resolve():
+def test_extreme_search_single_point_segment_that_does_not_resolve():
     # at level 10 in (3,3,3)..(6,6,6) the axis-0 segment is the one point
     # (4,3,3); F = (4,4,2) neither certifies it nor lets it bracket anything
     oracle = _ScriptedOracle({(4, 3, 3): (4, 4, 2)}, fallback=lambda q: q)
@@ -190,7 +190,7 @@ def test_init_direction_single_point_segment_that_does_not_resolve():
     assert info.value.implicated == (((4, 3, 3), (4, 4, 2)),)
 
 
-def test_init_direction_segment_point_with_impossible_sign_pattern():
+def test_extreme_search_segment_point_with_impossible_sign_pattern():
     # the axis-0 segment of level 12 runs from (7,1,4) to (7,4,1); both ends
     # bracket it, and the bisection probe (7,2,3) rises on the pinned axis
     script = {
@@ -207,7 +207,7 @@ def test_init_direction_segment_point_with_impossible_sign_pattern():
     assert info.value.implicated == tuple(script.items())
 
 
-def test_init_direction_endpoints_with_impossible_sign_patterns():
+def test_extreme_search_endpoints_with_impossible_sign_patterns():
     # on level 14 of (2,2,2)..(7,7,7) the axis-0 segment runs from its low
     # end (7,2,5) to its high end (7,5,2) for s = +1, and from (2,7,5) to
     # (2,5,7) for s = -1; each case gives one end the other end's type: F
@@ -250,7 +250,7 @@ def test_extreme_search_downward_orientation_bisects_to_adjacent_ends():
         assert events == [("certificate", {"kind": UPWARD, "point": out.point, "verified": False})]
 
 
-def test_init_direction_postconditions():
+def test_extreme_search_postconditions():
     box = full_box((8, 8, 8))
     k = 12
     solver = LevelsetSolver(CountedOracle(gen_target((8, 8, 8), (4, 4, 4))))
@@ -268,7 +268,7 @@ def test_init_direction_postconditions():
     assert down[0] == max(p[0] for p in level_pts)
 
 
-def test_init_direction_early_exit_all_up():
+def test_extreme_search_early_exit_all_up():
     # every point below the target (8,8,8) is upward, so each search ends
     # at its first probe
     box = full_box((8, 8, 8))
@@ -1239,9 +1239,9 @@ def test_tighten_moves_corner_to_image_without_a_query():
     solver = LevelsetSolver(oracle, observer=lambda ev, p: events.append((ev, p)))
     lo, hi = (3, 3, 3), (7, 7, 7)
     up = LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3))
-    assert solver._tighten(lo, hi, up) == ((4, 5, 3), (7, 7, 7))
+    assert solver._tighten(lo, hi, up) == (4, 5, 3)
     down = LevelOutcome(DOWNWARD, (7, 7, 7), (7, 6, 5))
-    assert solver._tighten(lo, hi, down) == ((3, 3, 3), (7, 6, 5))
+    assert solver._tighten(lo, hi, down) == (7, 6, 5)
     assert oracle.order == []
     assert events == [
         ("certificate", {"kind": UPWARD, "point": (4, 5, 3), "verified": False}),
@@ -1261,7 +1261,7 @@ def test_tighten_confirms_image_as_outer_query_in_verify_mode():
     )
     solver._context = ("third", 12)  # left over from the level
     up = LevelOutcome(UPWARD, (3, 3, 3), (4, 5, 3))
-    assert solver._tighten((3, 3, 3), (7, 7, 7), up) == ((4, 5, 3), (7, 7, 7))
+    assert solver._tighten((3, 3, 3), (7, 7, 7), up) == (4, 5, 3)
     assert oracle.order == [(4, 5, 3)]
     assert buf.getvalue().split("\t")[:4] == ["outer", "-1", "4,5,3", "4,6,4"]
     assert events == [

@@ -13,8 +13,10 @@ the run's seconds. Alongside that loop, in a second process, every named
 test runs on an unmutated copy, where it must pass. Each pytest run has a
 timeout; a mutant whose run times out, such as a binary search that no
 longer narrows its bracket, counts as killed. It exits 1 when a mutant
-survives, when a mutant's old text is not found exactly once (a refactor
-that moves the text must update the list here), or when the unmutated copy
+survives, when every test that fails on a mutant fails by a NameError (its
+new text names something the code no longer has, so no assertion judged
+it), when a mutant's old text is not found exactly once (a refactor that
+moves the text must update the list here), or when the unmutated copy
 fails or times out; it then prints pytest's FAILED lines of that copy, or
 that it timed out. Stdlib only; pytest runs in a subprocess with the
 interpreter that runs this script.
@@ -149,7 +151,7 @@ MUTANTS = (
         "dqy asks for its answer again to check it",
         "src/tarski/baseline.py",
         "    if fp != point:\n",
-        "    fp = oracle.query(point)\n    if fp != point:\n",
+        "    fp = query(point)\n    if fp != point:\n",
         (
             "tests/test_baseline.py::test_dqy_asks_for_no_point_twice",
             "tests/test_baseline.py::test_levelset_delegations_to_dqy_ask_for_no_point_twice",
@@ -246,8 +248,8 @@ MUTANTS = (
     Mutant(
         "solve runs a level on boxes of coordinate-sum span 6",
         "src/tarski/levelset.py",
-        "hi_sum - lo_sum <= 6:",
-        "hi_sum - lo_sum <= 5:",
+        "sums[1] - sums[0] <= 6:",
+        "sums[1] - sums[0] <= 5:",
         ("tests/test_levelset.py::test_solve_on_every_3x3x3_target_is_dqy_cheap",),
     ),
     Mutant(
@@ -353,6 +355,13 @@ MUTANTS = (
         ("tests/test_levelset.py::test_trace_has_one_record_per_query_call",),
     ),
     Mutant(
+        "the tail delegation asks F past the trace",
+        "src/tarski/levelset.py",
+        "_dqy_point(self._query, lo, hi)",
+        "_dqy_point(self.oracle.query, lo, hi)",
+        ("tests/test_levelset.py::test_trace_has_one_record_per_query_call",),
+    ),
+    Mutant(
         "_tighten traces its queries under the context the last level left",
         "src/tarski/levelset.py",
         "        self._context = _OUTER\n        u, fu = out.point, out.fvalue\n",
@@ -419,6 +428,12 @@ def _pytest(root: str, tests, out=subprocess.DEVNULL) -> subprocess.Popen:
     return subprocess.Popen(cmd, cwd=root, env=env, stdout=out, stderr=subprocess.STDOUT)
 
 
+def _failed_lines(log: str) -> list[str]:
+    """pytest's FAILED and ERROR summary lines in the run output at log."""
+    with open(log, encoding="utf-8") as fh:
+        return [line.rstrip() for line in fh if line.startswith(("FAILED", "ERROR"))]
+
+
 def _exit_code(run: subprocess.Popen, timeout: float) -> int | None:
     """The run's exit code, or None when it outlasts timeout more seconds
     and is stopped."""
@@ -463,15 +478,21 @@ def main() -> int:
                 stem = os.path.splitext(os.path.basename(path))[0]
                 for pyc in glob.glob(os.path.join(os.path.dirname(path), "__pycache__", stem + ".*")):
                     os.remove(pyc)
+                log = os.path.join(tmp, "mutant.log")
                 t0 = time.perf_counter()
-                code = _exit_code(_pytest(root, m.tests), TIMEOUT_S)
+                with open(log, "w", encoding="utf-8") as out:
+                    code = _exit_code(_pytest(root, m.tests, out), TIMEOUT_S)
                 seconds = time.perf_counter() - t0
-                killed = code != 0
                 shutil.rmtree(root)
-                verdict = "SURVIVED" if not killed else "killed (timeout)" if code is None else "killed"
+                failed = _failed_lines(log) if code else []
+                name_error = bool(failed) and all("NameError" in line for line in failed)
+                verdict = ("SURVIVED" if code == 0 else "killed (timeout)" if code is None
+                           else "NameError" if name_error else "killed")
                 print(f"{verdict:16} {seconds:5.1f} s  {m.name}")
-                if not killed:
+                if code == 0:
                     problems.append(f"{m.name}: survives {', '.join(m.tests)}")
+                elif name_error:
+                    problems.append(f"{m.name}: killed only by a NameError: {failed[0]}")
             code = _exit_code(clean_run, TIMEOUT_S - (time.perf_counter() - clean_start))
         finally:
             clean_run.kill()  # a no-op once the run has ended
