@@ -305,8 +305,8 @@ class LevelsetSolver:
         shape = self.oracle.instance.shape
         if len(shape) != 3:
             return _dqy_point(self._query, (1,) * len(shape), shape)
-        # The current box [lo, hi] is corners, with coordinate sums sums. A certificate of kind
-        # DOWNWARD moves the corner at index 1 (hi), any other the one at index 0 (lo).
+        # The current box [lo, hi] is corners, with coordinate sums sums. An upward certificate
+        # moves the corner at index 0 (lo), a downward one the corner at index 1 (hi).
         corners, sums = [(1, 1, 1), shape], [3, shape[0] + shape[1] + shape[2]]
         pending = None  # the last level's queried outcome, not yet tightened
         try:
