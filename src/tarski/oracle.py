@@ -12,6 +12,7 @@ a CountedOracle is single-owner.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -19,7 +20,7 @@ from math import prod
 
 from .errors import CapacityError, InstanceFormatError, Violation
 from .lattice import Point, _check_shape, full_box, iter_box
-from .rng import SplitMix64, _little
+from .rng import SplitMix64
 
 MAX_DENSE_POINTS = 10**6
 
@@ -198,6 +199,13 @@ def _strides(shape) -> list[int]:
     return strides
 
 
+def _little(words: array) -> array:
+    """words, in place, from the host's byte order to little-endian or back."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 class _Lanes:
     """Columns of a grid's points packed into one int each, one lane per
     point, lowest lane first.
@@ -238,8 +246,11 @@ class _Lanes:
             return bytes(values)
         return _little(array(self.code, values))
 
-    def pack(self, values) -> int:
-        return int.from_bytes(self._words(values), "little")
+    def draws(self, col: bytes) -> int:
+        """The packed column of a column from SplitMix64.grid_columns,
+        whose 128-bit little-endian lanes hold values that fit this width:
+        each lane's low size bytes, taken as they sit."""
+        return int.from_bytes(memoryview(col).cast(self.code)[:: 16 // self.size], "little")
 
     def columns(self, rows) -> list[int]:
         """The packed columns of rows of len(shape) values each."""
@@ -324,18 +335,22 @@ def _running_max(lanes: _Lanes, cols: list[int]) -> None:
 def gen_random_monotone(shape, seed: int) -> Instance:
     """Seeded random monotone table.
 
-    Draws a uniform random raw table from a splitmix64 stream (one draw per
-    coordinate, points in lexicographic order), then monotonizes it with
-    running maxima. Same seed, same instance, on any platform. Every draw
-    lies in 1..n for its axis and a running max keeps it there, so the
-    table is in the grid without a check.
+    Draws a uniform random raw table from a splitmix64 stream (one draw
+    1 + below(n) per coordinate, points in lexicographic order), then
+    monotonizes it with running maxima. Same seed, same instance, on any
+    platform. The draws come from SplitMix64.grid_columns as one packed
+    column per axis, which _Lanes narrows to its lane width and
+    _running_max monotonizes in place, so no coordinate becomes a Python
+    int before the rows are read out. Every draw lies in 1..n for its axis
+    and a running max keeps it there, so the table is in the grid without
+    a check.
     """
     shape = tuple(shape)
     _check_shape(shape)
     volume = prod(shape)
     _check_dense(volume, "gen_random_monotone")
     lanes = _Lanes(shape)
-    cols = list(map(lanes.pack, SplitMix64(seed).grid_columns(shape, volume)))
+    cols = list(map(lanes.draws, SplitMix64(seed).grid_columns(shape, volume)))
     _running_max(lanes, cols)
     return _checked_table(shape, tuple(lanes.rows(cols)))
 

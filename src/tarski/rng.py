@@ -5,17 +5,26 @@ splitmix64: the state advances by the golden-ratio increment
 multiply-xorshift rounds (multipliers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB, shifts 30/27/31). A bounded draw below n <= 2^64
 reduces next_u64() modulo n, and one below a larger n reduces enough words
-for every value to be reachable. grid_columns makes draws of the first kind
-in bulk, with the states of up to _CHUNK draws packed into one integer, one
-128-bit lane each, so that every shift, multiply and mask of the two rounds
-acts on all lanes at once.
+for every value to be reachable.
+
+grid_columns makes draws of the first kind in bulk, with up to _CHUNK draws
+packed into one integer, one 128-bit lane each, so that every shift,
+multiply and mask acts on all lanes at once: the two mixing rounds, and
+then the reduction modulo n, which is Granlund and Montgomery's division by
+an invariant integer ("Division by invariant integers using
+multiplication", PLDI 1994). With l = (n-1).bit_length(), so that
+2^(l-1) < n <= 2^l, and m = ceil(2^(64+l) / n), floor(w/n) equals
+floor(m*w / 2^(64+l)) for every w < 2^64, as m*n exceeds 2^(64+l) by less
+than n <= 2^l. Then 2^64 <= m < 2^65, so m*w >> 64 is w + ((m - 2^64)*w >> 64),
+and m - 2^64 is m's low 64 bits: below 2^64, like every other multiplier,
+which keeps each product inside its lane.
+
 The sequence depends only on the seed, never on the platform.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+from functools import lru_cache
 
 _WORD = 1 << 64
 _MASK64 = _WORD - 1
@@ -24,6 +33,17 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # Draws per packed integer in grid_columns.
 _CHUNK = 1024
+
+
+@lru_cache(maxsize=8)
+def _lane_constants(width: int) -> tuple[int, int, int]:
+    """For width 128-bit lanes: low (2^64 - 1 in every lane), ones (1 in
+    every lane) and ramp (k in lane k). grid_columns asks for _CHUNK lanes,
+    or for its count if that is smaller."""
+    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * width, "little")
+    ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
+    ramp = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(width)), "little")
+    return low, ones, ramp
 
 
 class SplitMix64:
@@ -54,51 +74,51 @@ class SplitMix64:
             x |= self.next_u64() << shift
         return x % n
 
-    def grid_columns(self, shape, count: int) -> list[list[int]]:
-        """Draw count grid points, one column per axis.
+    def grid_columns(self, shape, count: int) -> list[bytes]:
+        """Draw count grid points, one packed column per axis.
 
         Each side n must be at most 2^64, as it is on any grid that a table
         fits on. The stream is the one of count * d calls 1 + below(n) in
         point order (axis fastest); axis a's draws are every d-th state from
         the a-th on, so each column is drawn on its own.
 
-        A column's states are packed _CHUNK at a time into one integer, one
-        per 128-bit lane, lowest lane first. A lane holds its 64-bit value in
-        its low half and is masked back to it before each multiply, so a
-        product (under 128 bits) and a right shift (whose spill from the lane
-        above lands only in the high half) never change a lane's low 64
-        bits: each lane ends with exactly next_u64()'s output. The lanes are
-        read back as little-endian 64-bit words, so the stream does not
-        depend on the host's byte order.
+        A column comes back as count little-endian 128-bit lanes, one per
+        point: lane k holds the k-th point's 1 + below(n), from 1 to n.
+
+        The states are packed _CHUNK at a time, one per lane, lowest lane
+        first. A lane holds its 64-bit value in its low half and is masked
+        back to it after each right shift and before each multiply. So a
+        right shift (by at most 64, whose spill from the lane above lands
+        only in the high half) and a product (of two factors below 2^64, or
+        q*n <= w) never change a lane's low 64 bits, and each lane ends the
+        mixing rounds with exactly next_u64()'s output w. The reduction (see
+        the module docstring) then takes t = (m - 2^64)*w >> 64 and
+        q = (t + w) >> l = floor(w/n), masked to 64 bits each, and keeps
+        w - q*n + 1, where no lane borrows.
         """
         if any(n <= 0 for n in shape):
             raise ValueError("below() needs a positive bound")
         d = len(shape)
         step = d * _GAMMA & _MASK64
         width = max(min(count, _CHUNK), 1)
-        low = int.from_bytes((b"\xff" * 8 + bytes(8)) * width, "little")
-        ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
-        ramp = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(width)), "little")
+        low, ones, ramp = _lane_constants(width)
         advance = width * step * ones
         cols = []
         for axis, n in enumerate(shape):
-            col = []
+            ell = (n - 1).bit_length()
+            magic = ((1 << (64 + ell)) + n - 1) // n & _MASK64
             first = (self._state + (axis + 1) * _GAMMA) & _MASK64
             states = (first * ones + step * ramp) & low
+            chunks = []
             for done in range(0, count, width):
                 z = states
                 z = ((z ^ (z >> 30)) & low) * _MIX1 & low
                 z = ((z ^ (z >> 27)) & low) * _MIX2 & low
-                words = _little(array("Q", (z ^ (z >> 31)).to_bytes(16 * width, "little")))
-                col += [1 + w % n for w in words[: 2 * min(width, count - done) : 2]]
+                w = (z ^ (z >> 31)) & low
+                t = ((w * magic) >> 64) & low
+                q = ((t + w) >> ell) & low
+                chunks.append((w - q * n + ones).to_bytes(16 * width, "little")[: 16 * (count - done)])
                 states = (states + advance) & low
-            cols.append(col)
+            cols.append(b"".join(chunks))
         self._state = (self._state + count * step) & _MASK64
         return cols
-
-
-def _little(words: array) -> array:
-    """words, in place, from the host's byte order to little-endian or back."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words

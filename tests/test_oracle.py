@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import operator
@@ -555,19 +556,44 @@ def test_monotonize_matches_reference_on_raw_tables():
             assert monotonize_table(shape, raw) == _monotonize_reference(shape, raw), shape
 
 
+def test_gen_values_match_the_reference_stream_at_every_lane_width():
+    # gen's table is the stream of 1 + below(n) per coordinate, in point
+    # order, monotonized tuple by tuple; REFERENCE_SHAPES take 1-, 2- and
+    # 4-byte lanes
+    for shape in REFERENCE_SHAPES:
+        for seed in (0, 7, 2**64 - 1):
+            rng = SplitMix64(seed)
+            raw = [tuple(1 + rng.below(n) for n in shape) for _ in range(full_box(shape).volume)]
+            want = _monotonize_reference(shape, raw)
+            assert list(gen_random_monotone(shape, seed).table) == want, (shape, seed)
+
+
+# The sides at which the packed reduction modulo n changes its shift or
+# its multiplier's top bit: 2, 3 and 2^k - 1, 2^k and 2^k + 1 around the
+# one-, two-, four- and eight-byte limits, up to the largest side, 2^64.
+EDGE_SIDES = [2, 3] + [2**k + e for k in (7, 8, 31, 32, 63) for e in (-1, 0, 1)] + [2**64 - 1, 2**64]
+
+
 def test_grid_columns_match_repeated_below_calls():
     # counts at and around one and two packed chunks of draws, and a seed
-    # whose state wraps to exactly 0 within the first chunk
+    # whose state wraps to exactly 0 within the first chunk. Each count's
+    # columns, 16-byte little-endian lanes, are compared with the first
+    # count points of one stream of below calls, and the next draw with the
+    # one after them.
     edges = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
     wrap = -(_CHUNK // 2) * 0x9E3779B97F4A7C15 % 2**64
+    shapes = [(1,), (97,), (1, 1, 1), (5, 1, 4), (3, 4, 2, 5), (2**40, 7, 1), (24, 24, 24)]
+    shapes += [tuple(EDGE_SIDES[i : i + 5]) for i in range(0, len(EDGE_SIDES), 5)]
     for seed in (0, 1, 2**64 - 1, 0x5EED, wrap):
-        for shape in [(1,), (97,), (1, 1, 1), (5, 1, 4), (3, 4, 2, 5), (2**40, 7, 1), (24, 24, 24)]:
+        for shape in shapes:
+            single, rows = SplitMix64(seed), []
             for count in (0, 1, 9, 500) + edges:
-                bulk, single = SplitMix64(seed), SplitMix64(seed)
+                rows += [tuple(1 + single.below(n) for n in shape) for _ in range(count - len(rows))]
+                bulk = SplitMix64(seed)
                 cols = bulk.grid_columns(shape, count)
-                rows = [tuple(1 + single.below(n) for n in shape) for _ in range(count)]
-                assert cols == [[row[axis] for row in rows] for axis in range(len(shape))]
-                assert bulk.next_u64() == single.next_u64()
+                want = [b"".join(row[axis].to_bytes(16, "little") for row in rows) for axis in range(len(shape))]
+                assert cols == want, (seed, shape, count)
+                assert bulk.next_u64() == copy.copy(single).next_u64()
     with pytest.raises(ValueError):
         SplitMix64(0).grid_columns((3, 0), 2)
 

@@ -74,6 +74,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "grid_columns takes the reduction's shift from n's bit length, not n - 1's",
+        "src/tarski/rng.py",
+        "ell = (n - 1).bit_length()",
+        "ell = n.bit_length()",
+        ("tests/test_oracle.py::test_grid_columns_match_repeated_below_calls",),
+    ),
+    Mutant(
+        "grid_columns keeps the lane above's spill in the reduction's high product",
+        "src/tarski/rng.py",
+        "t = ((w * magic) >> 64) & low",
+        "t = (w * magic) >> 64",
+        ("tests/test_oracle.py::test_grid_columns_match_repeated_below_calls",),
+    ),
+    Mutant(
         "_checked_table leaves the target field unset",
         "src/tarski/oracle.py",
         '    object.__setattr__(inst, "target", None)\n',
