@@ -105,6 +105,7 @@ class SplitMix64:
         advance = width * step * ones
         cols = []
         for axis, n in enumerate(shape):
+            # The reduction's shift l and multiplier m - 2^64 (module docstring).
             ell = (n - 1).bit_length()
             magic = ((1 << (64 + ell)) + n - 1) // n & _MASK64
             first = (self._state + (axis + 1) * _GAMMA) & _MASK64

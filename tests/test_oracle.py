@@ -568,9 +568,9 @@ def test_gen_values_match_the_reference_stream_at_every_lane_width():
             assert list(gen_random_monotone(shape, seed).table) == want, (shape, seed)
 
 
-# The sides at which the packed reduction modulo n changes its shift or
-# its multiplier's top bit: 2, 3 and 2^k - 1, 2^k and 2^k + 1 around the
-# one-, two-, four- and eight-byte limits, up to the largest side, 2^64.
+# Sides at which the packed reduction's shift l = (n-1).bit_length() steps
+# (powers of two and their neighbours) near the one-, four- and eight-byte
+# limits, with 2 and 3, up to the largest side, 2^64.
 EDGE_SIDES = [2, 3] + [2**k + e for k in (7, 8, 31, 32, 63) for e in (-1, 0, 1)] + [2**64 - 1, 2**64]
 
 
