@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MonotonicityViolation
-from .lattice import Box, Point, full_box, iter_box
+from .lattice import Point, full_box, iter_box
 from .oracle import _check_dense
 
 
@@ -98,10 +98,9 @@ def _solve_rec(query, lo: Point, hi: Point, axes, floor_ev, ceil_ev) -> tuple[Po
     )
 
 
-def brute_solve(oracle, box: Box | None = None) -> Point:
-    """First fixed point of the box in lexicographic order."""
-    if box is None:
-        box = full_box(oracle.instance.shape)
+def brute_solve(oracle) -> Point:
+    """First fixed point of the oracle's grid in lexicographic order."""
+    box = full_box(oracle.instance.shape)
     _check_dense(box.volume, "brute_solve")
     query = oracle.query
     scanned = []

@@ -3,7 +3,9 @@
 Grid points are plain tuples of ints (1-based coordinates). The componentwise
 partial order makes any box [lo, hi] a complete lattice; the solvers navigate
 it through levelsets, the sets of points with a fixed coordinate sum.
-Everything here is a pure function, safe to call from any thread.
+level_point is the central point of a level between two bounds, the probe
+that the levelset solver's shrink step writes out inline on the bounds it
+pulls in. Everything here is a pure function, safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -145,46 +147,23 @@ def classify(x: Point, fx: Point) -> tuple[SignVector, LabelSet]:
 
 
 def level_point(lower: Point, upper: Point, k: int) -> Point:
-    """A point q with lower <= q <= upper and sum(q) == k.
-
-    Deterministic greedy construction: start at lower and raise coordinates to
-    their upper bounds in axis order until the deficit is consumed.
-    """
-    lo_sum, _ = _check_level(lower, upper, k)
-    return _raise_in_axis_order(list(lower), upper, k - lo_sum)
-
-
-def central_level_point(lower: Point, upper: Point, k: int) -> Point:
-    """The point q with sum(q) == k on the segment from lower to upper.
+    """A point q with lower <= q <= upper and sum(q) == k: the central one,
+    where level k crosses the segment from lower to upper.
 
     Every coordinate covers the same share (k - sum(lower)) /
     (sum(upper) - sum(lower)) of its range, rounded down; the rounding
-    remainder is handed out greedily in axis order, as in level_point.
+    remainder goes up to the upper bounds in axis order.
     """
-    lo_sum, hi_sum = _check_level(lower, upper, k)
-    width = hi_sum - lo_sum
-    deficit = k - lo_sum
-    if width == 0:
-        return tuple(lower)
-    q = [a + deficit * (b - a) // width for a, b in zip(lower, upper)]
-    return _raise_in_axis_order(q, upper, k - sum(q))
-
-
-def _check_level(lower: Point, upper: Point, k: int) -> tuple[int, int]:
-    """The coordinate sums of lower and upper, once lower <= upper and k
-    lies between them is checked."""
     _same_dim(lower, upper)
     lo_sum, hi_sum = sum(lower), sum(upper)
     if not lo_sum <= k <= hi_sum or not all(a <= b for a, b in zip(lower, upper)):
         raise InfeasibleLevelError(
             f"no point with sum {k} inside {lower}..{upper}"
         )
-    return lo_sum, hi_sum
-
-
-def _raise_in_axis_order(q: list[int], upper: Point, deficit: int) -> Point:
-    """Raise coordinates of q <= upper to their upper bounds in axis order
-    until the deficit, what q lacks of the target sum, is used up."""
+    # lower == upper makes the width 0 and every numerator 0.
+    width = hi_sum - lo_sum or 1
+    q = [a + (k - lo_sum) * (b - a) // width for a, b in zip(lower, upper)]
+    deficit = k - sum(q)
     for i in range(len(q)):
         if deficit == 0:
             break

@@ -58,7 +58,7 @@ pick the central probe or the corner triple before either.
 
 A solve reaches F through one query function, which the solver binds once:
 the oracle's own, or with a trace a closure around it that writes one
-record per call. The level path, the outer loop and both dqy delegations
+record per call. The level path, the outer loop and its one dqy delegation
 all call it.
 """
 
@@ -301,21 +301,21 @@ class LevelsetSolver:
     def solve(self) -> Point:
         """Run the full algorithm on the oracle's grid and return a fixed
         point, one the oracle has answered with itself. A grid that is not
-        3D goes to the binary search baseline on the full box."""
+        3D goes to the binary search baseline on the full box, through the
+        same delegation branch as a 3D solve's tail."""
         shape = self.oracle.instance.shape
-        if len(shape) != 3:
-            return _dqy_point(self._query, (1,) * len(shape), shape)
         # The current box [lo, hi] is corners, with coordinate sums sums. An upward certificate
         # moves the corner at index 0 (lo), a downward one the corner at index 1 (hi).
-        corners, sums = [(1, 1, 1), shape], [3, shape[0] + shape[1] + shape[2]]
+        corners, sums = [(1,) * len(shape), shape], [len(shape), sum(shape)]
         pending = None  # the last level's queried outcome, not yet tightened
         try:
             while True:
                 lo, hi = corners
-                if lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2] or sums[1] - sums[0] <= 6:
-                    # A pinched side has no i-upward or i-downward point for a level to grab,
-                    # and a box of span <= 6 (at most 27 points) costs dqy a few queries per
-                    # axis, where a scan's worst case is one query per point.
+                if len(lo) != 3 or lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2] or sums[1] - sums[0] <= 6:
+                    # Levels are 3D only, so any other grid is dqy's whole. A pinched side has no
+                    # i-upward or i-downward point for a level to grab, and a box of span <= 6 (at
+                    # most 27 points) costs dqy a few queries per axis, where a scan's worst case
+                    # is one query per point.
                     self._context = _OUTER
                     return _dqy_point(self._query, lo, hi)
                 if pending is not None:
@@ -445,9 +445,9 @@ class LevelsetSolver:
                     # Level k has a point between u and v, at least s_i inside both bounds on every
                     # axis, so whatever per-axis label it gets moves that bound by at least s_i. The
                     # probe is the central one, which keeps every axis about equally far from both
-                    # bounds: central_level_point(u, v, k) written out. Some diameter >= 6 always
-                    # takes this branch, as S attains ell and r, so k - sum(ell) and sum(r) - k are
-                    # >= max(dia) >= sum(s); the step is a shrink step then, a small one otherwise.
+                    # bounds: level_point(u, v, k) written out. Some diameter >= 6 always takes this
+                    # branch, as S attains ell and r, so k - sum(ell) and sum(r) - k are >= max(dia)
+                    # >= sum(s); the step is a shrink step then, a small one otherwise.
                     phase = shrink if d0 >= 6 or d1 >= 6 or d2 >= 6 else small
                     # Every diameter 2 makes width 0 and u = v the one point, each numerator 0.
                     width = width or 1

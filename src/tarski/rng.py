@@ -38,8 +38,8 @@ _CHUNK = 1024
 @lru_cache(maxsize=8)
 def _lane_constants(width: int) -> tuple[int, int, int]:
     """For width 128-bit lanes: low (2^64 - 1 in every lane), ones (1 in
-    every lane) and ramp (k in lane k). grid_columns asks for _CHUNK lanes,
-    or for its count if that is smaller."""
+    every lane) and ramp (k in lane k). grid_columns asks for its count
+    split evenly over the fewest chunks of at most _CHUNK lanes."""
     low = int.from_bytes((b"\xff" * 8 + bytes(8)) * width, "little")
     ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
     ramp = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(width)), "little")
@@ -85,8 +85,8 @@ class SplitMix64:
         A column comes back as count little-endian 128-bit lanes, one per
         point: lane k holds the k-th point's 1 + below(n), from 1 to n.
 
-        The states are packed _CHUNK at a time, one per lane, lowest lane
-        first. A lane holds its 64-bit value in its low half and is masked
+        The states are packed _CHUNK or fewer at a time, one per lane, lowest
+        lane first. A lane holds its 64-bit value in its low half and is masked
         back to it after each right shift and before each multiply. So a
         right shift (by at most 64, whose spill from the lane above lands
         only in the high half) and a product (of two factors below 2^64, or
@@ -100,7 +100,9 @@ class SplitMix64:
             raise ValueError("below() needs a positive bound")
         d = len(shape)
         step = d * _GAMMA & _MASK64
-        width = max(min(count, _CHUNK), 1)
+        # The fewest chunks of at most _CHUNK lanes that hold count, all of one width: together
+        # they compute fewer lanes past count than there are chunks.
+        width = -(-count // -(-count // _CHUNK)) if count else 1
         low, ones, ramp = _lane_constants(width)
         advance = width * step * ones
         cols = []

@@ -5,7 +5,7 @@ import pytest
 from _families import CallLog, raw_random_table, rotation_batch
 from tarski.baseline import _dqy_point, brute_solve, dqy_solve
 from tarski.errors import CapacityError, MonotonicityViolation
-from tarski.lattice import Box, full_box, iter_box, leq
+from tarski.lattice import full_box, iter_box, leq
 from tarski.oracle import (
     CountedOracle,
     Instance,
@@ -155,12 +155,6 @@ def test_brute_solve_examples():
     assert brute_solve(o) == (2, 3, 1)
 
 
-def test_brute_solve_finds_point_in_certified_subbox():
-    inst = gen_target((6, 6, 6), (4, 2, 5))
-    o = CountedOracle(inst)
-    assert brute_solve(o, Box((2, 2, 2), (5, 5, 5))) == (4, 2, 5)
-
-
 def test_brute_solve_capacity():
     o = CountedOracle(gen_target((200, 200, 200), (1, 1, 1)))
     with pytest.raises(CapacityError):
@@ -181,14 +175,13 @@ def test_brute_solve_violation_lists_distinct_points_and_both_corners():
 
 
 def test_brute_solve_queries_in_iter_box_order():
-    # brute_solve makes the query calls of a plain scan of iter_box(box), in
-    # order, up to the first fixed point; without one it raises with the
-    # first 32 scanned pairs and the last one. 1-D to 4-D grids, sub-boxes
-    # off the origin, pinched sides and one-point boxes.
-    def plain_scan(inst, box):
+    # brute_solve makes the query calls of a plain scan of the grid's
+    # iter_box, in order, up to the first fixed point; without one it raises
+    # with the first 32 scanned pairs and the last one. 1-D to 4-D grids.
+    def plain_scan(inst):
         o = CountedOracle(inst)
         calls = []
-        for x in iter_box(box):
+        for x in iter_box(full_box(inst.shape)):
             calls.append((x, o.query(x)))
             if calls[-1][1] == x:
                 return calls, x
@@ -196,35 +189,31 @@ def test_brute_solve_queries_in_iter_box_order():
 
     cycle = tuple((x[0] % 4 + 1, x[1], x[2]) for x in iter_box(full_box((4, 4, 4))))
     cases = [
-        (gen_target((9,), (6,)), None),
-        (gen_target((5, 6), (4, 2)), None),
-        (gen_target((4, 5, 3), (3, 5, 2)), None),
-        (gen_target((3, 4, 2, 3), (2, 4, 1, 3)), None),
-        (gen_target((7, 7, 7), (5, 4, 6)), Box((3, 2, 4), (6, 5, 7))),
-        (gen_target((7, 7, 7), (5, 4, 6)), Box((5, 2, 6), (5, 6, 6))),
-        (gen_target((6, 6, 6, 6), (2, 5, 3, 4)), Box((2, 3, 3, 2), (4, 6, 3, 5))),
-        (gen_target((7, 7, 7), (5, 4, 6)), Box((5, 4, 6), (5, 4, 6))),
-        (gen_target((7, 7, 7), (5, 4, 6)), Box((2, 3, 4), (2, 3, 4))),
-        (Instance(shape=(4, 4, 4), kind="table", table=cycle), None),
+        gen_target((9,), (6,)),
+        gen_target((5, 6), (4, 2)),
+        gen_target((4, 5, 3), (3, 5, 2)),
+        gen_target((3, 4, 2, 3), (2, 4, 1, 3)),
+        Instance(shape=(4, 4, 4), kind="table", table=cycle),
+        # a 3-cycle: fewer than 32 scanned pairs, the last one among them
+        Instance(shape=(3,), kind="table", table=((2,), (3,), (1,))),
     ]
-    cases += [(raw_random_table(shape, seed), Box(tuple(2 for _ in shape), shape))
+    cases += [raw_random_table(shape, seed)
               for seed, shape in enumerate(((5,), (4, 5), (4, 3, 5), (3, 4, 3, 4)) * 5)]
     outcomes = set()
-    for inst, box in cases:
-        box = box or full_box(inst.shape)
-        calls, fixed = plain_scan(inst, box)
+    for inst in cases:
+        calls, fixed = plain_scan(inst)
         o = CallLog(inst)
         try:
-            assert brute_solve(o, box) == fixed
+            assert brute_solve(o) == fixed
             outcomes.add("fixed")
         except MonotonicityViolation as mv:
             assert fixed is None
             assert mv.implicated == tuple(calls[:32]) + tuple(calls[32:][-1:])
             outcomes.add(len(mv.implicated))
-        assert o.calls == calls, box
-    # the cycle table gives the 33 pairs, corners included; the one-point
-    # box off the target gives 1
-    assert {"fixed", 1, 33} <= outcomes, outcomes
+        assert o.calls == calls, inst.shape
+    # the cycle table gives the 33 pairs, corners included; the 3-cycle
+    # gives its 3
+    assert {"fixed", 3, 33} <= outcomes, outcomes
 
 
 def test_dqy_violation_on_hostile_table():

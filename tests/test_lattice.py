@@ -7,7 +7,6 @@ from tarski.errors import InfeasibleLevelError
 from tarski.lattice import (
     Box,
     LabelSet,
-    central_level_point,
     classify,
     extreme_level_point,
     full_box,
@@ -47,6 +46,27 @@ def test_iter_box_is_lazy_on_huge_sides():
     # no side's range is materialized: the first points come at once
     points = iter_box(full_box((6 * 2**40,) * 3))
     assert list(itertools.islice(points, 3)) == [(1, 1, 1), (1, 1, 2), (1, 1, 3)]
+
+
+def test_iter_box_order_on_sub_boxes():
+    # the points of each box in lexicographic order, first axis slowest,
+    # whatever the box: off the origin, with pinched sides, a single point,
+    # in one to four dimensions
+    boxes = [
+        Box((4,), (9,)),
+        Box((3,), (3,)),
+        Box((2, 5), (4, 6)),
+        Box((3, 1), (3, 4)),
+        Box((3, 2, 4), (6, 5, 7)),
+        Box((5, 2, 6), (5, 6, 6)),
+        Box((5, 4, 6), (5, 4, 6)),
+        Box((2, 3, 3, 2), (4, 6, 3, 5)),
+        Box((2, 2, 2, 2), (3, 4, 3, 4)),
+        Box((7, 1, 2, 9), (7, 1, 2, 9)),
+    ]
+    for box in boxes:
+        ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
+        assert list(iter_box(box)) == list(itertools.product(*ranges)), box
 
 
 def test_lattice_laws_exhaustive_on_3_cube():
@@ -134,9 +154,14 @@ def test_classify_matches_definition():
 
 
 def test_level_point_examples():
-    assert level_point((2, 2, 2), (7, 7, 7), 12) == (7, 3, 2)
+    assert level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
+    assert level_point((1, 1, 1), (1, 5, 9), 9) == (1, 3, 5)
     assert level_point((1, 1, 1), (1, 1, 1), 3) == (1, 1, 1)
     assert level_point((1, 1, 1), (4, 4, 4), 12) == (4, 4, 4)
+    # shares round down to (2,2,2); the remainder goes to axis 0 first
+    assert level_point((1, 1, 1), (4, 4, 4), 7) == (3, 2, 2)
+    # ... skipping an axis with no room
+    assert level_point((2, 1, 1), (2, 3, 3), 5) == (2, 2, 1)
 
 
 def test_level_point_infeasible():
@@ -153,35 +178,6 @@ def test_level_point_postcondition_random():
         upper = tuple(c + rnd.randint(0, 8) for c in lower)
         k = rnd.randint(sum(lower), sum(upper))
         q = level_point(lower, upper, k)
-        assert leq(lower, q) and leq(q, upper)
-        assert sum(q) == k
-
-
-def test_central_level_point_examples():
-    assert central_level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
-    assert central_level_point((1, 1, 1), (1, 5, 9), 9) == (1, 3, 5)
-    assert central_level_point((1, 1, 1), (1, 1, 1), 3) == (1, 1, 1)
-    assert central_level_point((1, 1, 1), (4, 4, 4), 12) == (4, 4, 4)
-    # shares round down to (2,2,2); the remainder goes to axis 0 first
-    assert central_level_point((1, 1, 1), (4, 4, 4), 7) == (3, 2, 2)
-    # ... skipping an axis with no room
-    assert central_level_point((2, 1, 1), (2, 3, 3), 5) == (2, 2, 1)
-
-
-def test_central_level_point_infeasible():
-    with pytest.raises(InfeasibleLevelError):
-        central_level_point((1, 1, 1), (2, 2, 2), 7)
-    with pytest.raises(InfeasibleLevelError):
-        central_level_point((2, 2, 2), (1, 3, 3), 6)
-
-
-def test_central_level_point_postcondition_random():
-    rnd = random.Random(42)
-    for _ in range(500):
-        lower = tuple(rnd.randint(1, 10) for _ in range(3))
-        upper = tuple(c + rnd.randint(0, 8) for c in lower)
-        k = rnd.randint(sum(lower), sum(upper))
-        q = central_level_point(lower, upper, k)
         assert leq(lower, q) and leq(q, upper)
         assert sum(q) == k
 

@@ -10,7 +10,6 @@ from tarski.baseline import dqy_solve
 from tarski.errors import MonotonicityViolation
 from tarski.lattice import (
     Box,
-    central_level_point,
     classify,
     full_box,
     glb,
@@ -454,7 +453,7 @@ def test_shrink_strictly_decreases_phi():
 def test_shrink_probe_is_central_inside_the_sixth_step_bounds(data):
     # On a random box [a, b] and level k whose S, the whole level, takes a
     # shrink step, the level's first shrink probe lies on level k a sixth of
-    # each diameter inside both bounds of S, and it is central_level_point of
+    # each diameter inside both bounds of S, and it is level_point of
     # those pulled-in bounds. F rotates the coordinates relative to a, clamped
     # to the box: a monotone map, so the init searches end in bounds or in an
     # outcome, and the example counts only when they end in bounds.
@@ -492,7 +491,7 @@ def test_shrink_probe_is_central_inside_the_sixth_step_bounds(data):
     lower = tuple(c + s for c, s in zip(view.ell, step))
     upper = tuple(c - s for c, s in zip(view.r, step))
     assert sum(q) == k and leq(lower, q) and leq(q, upper)
-    assert q == central_level_point(lower, upper, k)
+    assert q == level_point(lower, upper, k)
 
 
 class _FirstShrink(Exception):
@@ -568,7 +567,7 @@ def test_levels_of_diameter_6_to_9_open_with_their_central_shrink_probe():
         box = full_box((side,) * 3)
         assert search_space(state_from_coords(box, k, box.lo, box.hi)).dia == (dia,) * 3
         step = -(-dia // 6)
-        assert q == central_level_point((1 + step,) * 3, (side - step,) * 3, k)
+        assert q == level_point((1 + step,) * 3, (side - step,) * 3, k)
         out, order, _, phases = _scripted_level(box.lo, box.hi, k, {})
         assert order == [q] and phases == ["shrink"], side
         assert out == LevelOutcome(FIXED, q, q)
@@ -601,10 +600,8 @@ def test_a_level_searches_first_exactly_when_some_diameter_of_its_level_is_10():
 def test_shrink_probe_spec_example():
     # bounds (1,1,1)..(11,11,11) with dia (10,10,10) at level 18: after the
     # init searches the probe is the central level point (6,6,6) of the
-    # shrunken bounds [3..9]^3; their greedy level point (9,6,3) would sit on
-    # the bounds of axes 0 and 2
-    assert level_point((3, 3, 3), (9, 9, 9), 18) == (9, 6, 3)
-    assert central_level_point((3, 3, 3), (9, 9, 9), 18) == (6, 6, 6)
+    # shrunken bounds [3..9]^3
+    assert level_point((3, 3, 3), (9, 9, 9), 18) == (6, 6, 6)
     q, fq = (6, 6, 6), (7, 6, 5)
     _, order, events, _ = _scripted_level((1, 1, 1), (11, 11, 11), 18, {**_INIT_18, q: fq})
     assert order[6] == q
@@ -649,7 +646,7 @@ def test_small_case_interior_probe_is_the_central_level_point_inside_the_bounds(
     # On every small step of rotation and raw solves, in both modes, whose
     # level has a point of S strictly inside every bound
     # (sum(ell) + 3 <= k <= sum(r) - 3), the step's first query is
-    # central_level_point(ell + 1, r - 1, k) of its view, the shrink step's
+    # level_point(ell + 1, r - 1, k) of its view, the shrink step's
     # probe with every sixth step 1; both ends of that range of k occur. A
     # step's queries are the calls after the event before it.
     from _families import CallLog, raw_random_table, rotation_batch
@@ -680,7 +677,7 @@ def test_small_case_interior_probe_is_the_central_level_point_inside_the_bounds(
                     continue
                 lower = tuple(c + 1 for c in view.ell)
                 upper = tuple(c - 1 for c in view.r)
-                assert oracle.calls[mark][0] == central_level_point(lower, upper, k), (view, k)
+                assert oracle.calls[mark][0] == level_point(lower, upper, k), (view, k)
                 seen += 1
                 ends.update(end for end, at in (("low", low), ("high", high)) if k == at)
     assert seen > 100 and ends == {"low", "high"}, (seen, ends)

@@ -195,7 +195,7 @@ MUTANTS = (
         "range(a, b)",
         (
             "tests/test_baseline.py::test_brute_solve_examples",
-            "tests/test_baseline.py::test_brute_solve_finds_point_in_certified_subbox",
+            "tests/test_lattice.py::test_iter_box_order_on_sub_boxes",
         ),
     ),
     Mutant(
@@ -255,8 +255,15 @@ MUTANTS = (
     Mutant(
         "solve runs the level path on grids of more than 3 dimensions",
         "src/tarski/levelset.py",
-        "if len(shape) != 3:\n            return _dqy_point",
-        "if len(shape) < 3:\n            return _dqy_point",
+        "if len(lo) != 3 or ",
+        "if len(lo) < 3 or ",
+        ("tests/test_levelset.py::test_solve_is_dqy_call_for_call_above_3d_and_on_span_6_grids",),
+    ),
+    Mutant(
+        "solve's tail test does not test the grid's dimension",
+        "src/tarski/levelset.py",
+        "if len(lo) != 3 or ",
+        "if ",
         ("tests/test_levelset.py::test_solve_is_dqy_call_for_call_above_3d_and_on_span_6_grids",),
     ),
     Mutant(
@@ -516,10 +523,8 @@ def main() -> int:
                 print("the named tests timed out on the unmutated code, so no verdict above holds")
             else:
                 print("the named tests fail on the unmutated code, so no verdict above holds:")
-                with open(clean_log, encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.startswith(("FAILED", "ERROR")):
-                            print(f"  {line.rstrip()}")
+                for line in _failed_lines(clean_log):
+                    print(f"  {line}")
             return 1
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
     for p in problems:
