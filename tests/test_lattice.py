@@ -154,8 +154,6 @@ def test_classify_matches_definition():
 
 
 def test_level_point_examples():
-    assert level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
-    assert level_point((1, 1, 1), (1, 5, 9), 9) == (1, 3, 5)
     assert level_point((1, 1, 1), (1, 1, 1), 3) == (1, 1, 1)
     assert level_point((1, 1, 1), (4, 4, 4), 12) == (4, 4, 4)
     # shares round down to (2,2,2); the remainder goes to axis 0 first
@@ -180,6 +178,50 @@ def test_level_point_postcondition_random():
         q = level_point(lower, upper, k)
         assert leq(lower, q) and leq(q, upper)
         assert sum(q) == k
+
+
+def test_central_level_point_examples():
+    # every coordinate covers the same share of its range: the point where
+    # the level crosses the segment from lower to upper, in 1 to 4 dimensions
+    assert level_point((1,), (9,), 5) == (5,)
+    assert level_point((1, 1), (5, 9), 8) == (3, 5)
+    assert level_point((2, 2, 2), (6, 6, 6), 12) == (4, 4, 4)
+    assert level_point((1, 1, 1), (1, 5, 9), 9) == (1, 3, 5)
+    assert level_point((1, 1, 1, 1), (3, 5, 7, 9), 14) == (2, 3, 4, 5)
+
+
+def test_central_level_point_infeasible():
+    # a level below the lower bound's sum
+    with pytest.raises(InfeasibleLevelError):
+        level_point((3, 3), (5, 5), 5)
+    # a one-point segment asked for another level
+    with pytest.raises(InfeasibleLevelError):
+        level_point((2, 2), (2, 2), 5)
+    # bounds crossed on one axis, with the level between their sums
+    with pytest.raises(InfeasibleLevelError):
+        level_point((1, 2, 1, 1), (3, 1, 3, 3), 7)
+
+
+def test_central_level_point_postcondition_random():
+    # q is the segment point rounded down, with the remainder (less than the
+    # dimension) raised to the upper bounds on a prefix of the axes
+    rnd = random.Random(7)
+    for _ in range(500):
+        n = rnd.randint(1, 5)
+        lower = tuple(rnd.randint(1, 10) for _ in range(n))
+        upper = tuple(c + rnd.randint(0, 8) for c in lower)
+        k = rnd.randint(sum(lower), sum(upper))
+        q = level_point(lower, upper, k)
+        width = sum(upper) - sum(lower)
+        share = [
+            a + (k - sum(lower)) * (b - a) // width if width else a
+            for a, b in zip(lower, upper)
+        ]
+        assert all(s <= c <= b for s, c, b in zip(share, q, upper))
+        assert sum(q) == k and k - sum(share) < n
+        raised = [i for i in range(n) if q[i] > share[i]]
+        if raised:
+            assert all(q[j] == upper[j] for j in range(raised[-1]))
 
 
 def test_extreme_level_point_examples():
