@@ -32,9 +32,12 @@ FORMAT_MAGIC = "tarski-instance v1"
 # leading zero, separated by single spaces.
 _NUMBERS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*")
 # Table rows split at once by load_instance; one token list for a whole
-# file would add its size to peak memory. Only a chunk's distinct lines are
-# split: running maxima make most rows of a generated table repeat.
+# file would add its size to peak memory.
 _CHUNK_ROWS = 1024
+# Every _SAMPLE_STEP-th line of a chunk is its sample: a chunk whose sample
+# repeats a line is split by its distinct lines only, as running maxima make
+# most rows of a generated table repeat; any other chunk is split whole.
+_SAMPLE_STEP = 32
 
 
 @dataclass(frozen=True)
@@ -471,18 +474,19 @@ def _table_rows(path, shape, lines: list[str], start: int) -> tuple[Point, ...]:
     there are lines; InstanceFormatError at the first that is not len(shape)
     canonical decimals, each inside its axis's range.
 
-    Lines are read _CHUNK_ROWS at a time. A chunk's distinct lines, in the
-    order they first occur, are joined by " \\n " and split once, and each
-    line of the chunk takes the row parsed from its text, so equal lines
-    share one tuple. Running maxima saturate the tables gen_random_monotone
-    makes: gen_random_monotone((100,) * 3, 7) has 72 distinct rows among
-    its 10^6. A table whose rows are mostly distinct pays for finding them
-    and gains nothing.
+    Lines are read _CHUNK_ROWS at a time and joined by " \\n " and split
+    once. Running maxima saturate the tables gen_random_monotone makes, so
+    most of their rows repeat: when a chunk's sample (every _SAMPLE_STEP-th
+    line) holds a repeat, only its distinct lines, in the order they first
+    occur, are joined and split, and each line of the chunk takes the row
+    parsed from its text, so equal lines share one tuple. A chunk whose
+    sample holds no repeat is split whole, so a table whose rows are mostly
+    distinct does not pay for finding them.
     Each axis's tokens are looked up in a map from the decimals of 1..n to
     their values, so any other token, "\\n" included, is a KeyError. With
     d + 1 tokens per line but the last, that leaves every "\\n" after the
     d-th token of a line, so each line holds d tokens. A chunk thus passes
-    exactly when every distinct line of it, and so every line, is a valid
+    exactly when every line it splits, and so every line of it, is a valid
     row: all chunks before the first that fails are clean, and reading
     just that chunk again line by line names the first bad line of the
     file.
@@ -497,13 +501,13 @@ def _table_rows(path, shape, lines: list[str], start: int) -> tuple[Point, ...]:
     stop = min(len(lines), start + prod(shape))
     for i in range(start, stop, _CHUNK_ROWS):
         chunk = lines[i : min(i + _CHUNK_ROWS, stop)]
-        distinct = dict.fromkeys(chunk)
-        tokens = " \n ".join(distinct).split(" ")
-        if len(tokens) == (d + 1) * len(distinct) - 1:
+        sample = chunk[::_SAMPLE_STEP]
+        split = dict.fromkeys(chunk) if len(set(sample)) < len(sample) else chunk
+        tokens = " \n ".join(split).split(" ")
+        if len(tokens) == (d + 1) * len(split) - 1:
             try:
-                columns = [map(get, tokens[axis :: d + 1]) for axis, get in enumerate(lookups)]
-                parsed = dict(zip(distinct, zip(*columns)))
-                rows += map(parsed.__getitem__, chunk)
+                parsed = zip(*[map(get, tokens[axis :: d + 1]) for axis, get in enumerate(lookups)])
+                rows += parsed if split is chunk else map(dict(zip(split, parsed)).__getitem__, chunk)
                 continue
             except KeyError:
                 pass

@@ -149,47 +149,46 @@ def test_load_matches_the_reference_loader(data):
 def test_load_names_bad_rows_across_chunk_boundaries(tmp_path):
     # a 33 x 33 table has 1,089 rows, more than one chunk of load_instance's
     # reader (1,024 rows); row r is on line 4 + r. Each case replaces some
-    # rows, appends a copy of the last one, and keeps the first `keep` of
-    # them; a case without a reason is a file both loaders accept. The
-    # reader parses each distinct line of a chunk once, and this table
-    # repeats its rows: 22 distinct in the first chunk, all of the second
-    # are "33 33".
-    path = tmp_path / "inst.txt"
-    save_instance(gen_random_monotone((33, 33), 7), path)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    head, rows = lines[:4], lines[4:-1]
-    rows.append(rows[-1])
+    # rows of a table and keeps the first `keep` of them; a case without a
+    # reason is a file that both loaders accept. The generated table repeats
+    # its rows (22 distinct in the first chunk, all of the second are
+    # "33 33"), so the reader splits its chunks by their distinct lines; the
+    # identity repeats none, so the reader splits its chunks whole.
+    generated = gen_random_monotone((33, 33), 7)
+    identity = Instance(shape=(33, 33), kind="table", table=tuple(product(range(1, 34), repeat=2)))
     cases = [
         # the last row of the first chunk and the first of the second
-        ({1024: "1 02"}, 1089, 1028, "malformed table row: '1 02'"),
-        ({1024: "34 1"}, 1089, 1028, "value (34, 1) outside grid"),
-        ({1025: "1 02"}, 1089, 1029, "malformed table row: '1 02'"),
-        ({1025: "1"}, 1089, 1029, "expected 2 values per row"),
+        (generated, {1024: "1 02"}, 1089, 1028, "malformed table row: '1 02'"),
+        (generated, {1024: "34 1"}, 1089, 1028, "value (34, 1) outside grid"),
+        (generated, {1025: "1 02"}, 1089, 1029, "malformed table row: '1 02'"),
+        (generated, {1025: "1"}, 1089, 1029, "expected 2 values per row"),
         # an out-of-grid row in the first chunk before a malformed one in
         # the second
-        ({500: "0 1", 1030: "x"}, 1089, 504, "value (0, 1) outside grid"),
+        (generated, {500: "0 1", 1030: "x"}, 1089, 504, "value (0, 1) outside grid"),
         # the file ends inside the second chunk
-        ({}, 1050, 1055, "missing table row 1051"),
+        (generated, {}, 1050, 1055, "missing table row 1051"),
         # a long row and then a short one: the second chunk has as many
         # tokens as its lines should hold
-        ({1040: "1 1 1", 1041: "1"}, 1089, 1044, "expected 2 values per row"),
+        (generated, {1040: "1 1 1", 1041: "1"}, 1089, 1044, "expected 2 values per row"),
         # a bad line whose text repeats later in its chunk and in the next
-        ({600: "1 02", 800: "1 02", 1050: "1 02"}, 1089, 604, "malformed table row: '1 02'"),
-        # a line past the last row, whose text is that of the valid last row
-        ({}, 1090, 1094, "unexpected trailing content"),
+        (generated, {600: "1 02", 800: "1 02", 1050: "1 02"}, 1089, 604, "malformed table row: '1 02'"),
         # row 1's valid text on both sides of the chunk boundary
-        ({1024: "25 1", 1025: "25 1"}, 1089, None, None),
+        (generated, {1024: "25 1", 1025: "25 1"}, 1089, None, None),
+        (identity, {1025: "1 34"}, 1089, 1029, "value (1, 34) outside grid"),
+        (identity, {1000: "1 02", 1030: "x"}, 1089, 1004, "malformed table row: '1 02'"),
+        (identity, {}, 1089, None, None),
     ]
-    for edits, keep, line, reason in cases:
+    path = tmp_path / "inst.txt"
+    for inst, edits, keep, line, reason in cases:
+        save_instance(inst, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        head, rows = lines[:4], lines[4:-1]
         body = [edits.get(r, text) for r, text in enumerate(rows, 1)][:keep]
         text = "\n".join(head + body) + "\n"
         path.write_text(text, encoding="utf-8")
-        want = _load_reference(text) if reason is None else (line, reason)
-        assert _outcome(load_instance, path) == want, (edits, keep)
-        assert _outcome(_load_reference, text) == want, (edits, keep)
-    # the last case's rows 1024 and 1025 hold row 1's values
-    assert want.table[1023] == want.table[1024] == want.table[0] == (25, 1)
-    # a file of more than one chunk without a repeated row: the identity
-    identity = Instance(shape=(33, 33), kind="table", table=tuple(product(range(1, 34), repeat=2)))
-    save_instance(identity, path)
-    assert load_instance(path) == _load_reference(path.read_text(encoding="utf-8")) == identity
+        if reason is None:
+            assert _outcome(load_instance, path) == _load_reference(text), edits
+        else:
+            assert _outcome(load_instance, path) == (line, reason), (edits, keep)
+            assert _outcome(_load_reference, text) == (line, reason), (edits, keep)
+    assert load_instance(path) == identity

@@ -18,7 +18,7 @@ from tarski.oracle import (
     save_instance,
     verify_monotone,
 )
-from tarski.rng import _CHUNK, SplitMix64, _lane_constants
+from tarski.rng import _CHUNK, SplitMix64
 
 
 def test_target_sign_values():
@@ -596,21 +596,6 @@ def test_grid_columns_match_repeated_below_calls():
                 assert bulk.next_u64() == copy.copy(single).next_u64()
     with pytest.raises(ValueError):
         SplitMix64(0).grid_columns((3, 0), 2)
-
-
-def test_lane_constants_hold_their_lanes_at_every_chunk_width():
-    # the 13 lane widths grid_columns takes for cubes of sides 12-24 (each
-    # count above _CHUNK has its own), with the narrowest: low, ones and
-    # ramp hold 2^64 - 1, 1 and k in lane k of width lanes, and no lane
-    # above them
-    counts = [n**3 for n in range(12, 25)]
-    widths = {-(-c // -(-c // _CHUNK)) for c in counts}
-    assert len(widths) == 13 and max(widths) == _CHUNK
-    for width in sorted(widths | {1}):
-        low, ones, ramp = _lane_constants(width)
-        assert low == int.from_bytes((b"\xff" * 8 + bytes(8)) * width, "little")
-        assert ones == int.from_bytes((b"\x01" + bytes(15)) * width, "little")
-        assert ramp == sum(k << 128 * k for k in range(width))
 
 
 def test_load_names_the_first_of_two_bad_rows(tmp_path):

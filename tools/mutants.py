@@ -109,8 +109,8 @@ MUTANTS = (
     Mutant(
         "_table_rows maps a chunk's rows back over its distinct lines",
         "src/tarski/oracle.py",
-        "rows += map(parsed.__getitem__, chunk)",
-        "rows += map(parsed.__getitem__, distinct)",
+        "map(dict(zip(split, parsed)).__getitem__, chunk)",
+        "map(dict(zip(split, parsed)).__getitem__, split)",
         ("tests/test_instance_files.py::test_load_names_bad_rows_across_chunk_boundaries",),
     ),
     Mutant(
@@ -527,20 +527,22 @@ def main() -> int:
         clean_start = time.perf_counter()
         with open(clean_log, "w", encoding="utf-8") as out:
             clean_run = _pytest(clean, tests, out)
+        pool = ThreadPoolExecutor(max_workers=PARALLEL)
         try:
-            with ThreadPoolExecutor(max_workers=PARALLEL) as pool:
-                runs = [pool.submit(_run_mutant, base, os.path.join(tmp, f"mutant{i}"), m, clean_run)
-                        for i, m in enumerate(MUTANTS)]
-                for run in runs:
-                    result = run.result()
-                    if result is None:
-                        continue
-                    line, problem = result
-                    print(line, flush=True)
-                    if problem:
-                        problems.append(problem)
+            runs = [pool.submit(_run_mutant, base, os.path.join(tmp, f"mutant{i}"), m, clean_run)
+                    for i, m in enumerate(MUTANTS)]
+            for run in runs:
+                result = run.result()
+                if result is None:
+                    continue
+                line, problem = result
+                print(line, flush=True)
+                if problem:
+                    problems.append(problem)
             code = _exit_code(clean_run, TIMEOUT_S - (time.perf_counter() - clean_start))
         finally:
+            # On an error or Ctrl-C, mutants that have not started never do.
+            pool.shutdown(cancel_futures=True)
             clean_run.kill()  # a no-op once the run has ended
             clean_run.wait()
         if code != 0:
