@@ -704,3 +704,50 @@ def test_save_instance_pinned_bytes(tmp_path):
         save_instance(inst, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (shape, seed)
         assert load_instance(path) == inst
+
+
+def _rows_written(inst):
+    """The file of a table instance, written one row at a time."""
+    head = f"tarski-instance v1\nd {len(inst.shape)}\nshape {' '.join(map(str, inst.shape))}\nkind table\n"
+    return head + "".join(" ".join(map(str, row)) + "\n" for row in inst.table)
+
+
+def test_save_instance_writes_each_row_whichever_way_it_formats_the_table(tmp_path):
+    # save_instance formats a table by runs of equal rows when at least half
+    # of its sampled adjacent pairs are equal, else whole; both must write
+    # what a row-by-row writer writes. The generated tables take the run path
+    # (387 of 432 sampled pairs are equal at 24^3, 117 of 128 at 16^3 and
+    # seed 5), except 3^3 and 5 x 1 x 4, whose one sampled pair differs. So
+    # does the adversarial rotation, whose every sampled pair is equal while
+    # most rows differ from their neighbours. The rotation (3,840 runs in
+    # 4,096 rows), the identity and the period-n rows take the whole path. Of
+    # the two half-and-half tables, runs then distinct rows reads 53 of 128
+    # equal pairs (whole path), distinct rows then runs 64 of 128 (run path).
+    n = 16
+    cube = tuple(itertools.product(range(1, n + 1), repeat=3))
+    rotation = tuple((min(y + 1, n), min(z + 1, n), min(x + 1, n)) for x, y, z in cube)
+    adversarial = list(rotation)
+    for i in range(0, len(adversarial) - 1, 32):
+        adversarial[i + 1] = adversarial[i]
+    periodic = tuple((1, 1, i % n + 1) for i in range(n**3))
+    generated = gen_random_monotone((n, n, n), 5).table
+    half = n**3 // 2
+    tables = [
+        rotation, cube, tuple(adversarial), periodic,
+        generated[:half] + cube[half:], cube[:half] + generated[half:],
+    ]
+    insts = [gen_random_monotone(shape, seed) for shape, seed in PINNED_TABLES]
+    insts += [gen_random_monotone((130, 3), 1)]
+    insts += [Instance(shape=(n, n, n), kind="table", table=table) for table in tables]
+    path = tmp_path / "inst.txt"
+    for inst in insts:
+        save_instance(inst, path)
+        assert path.read_bytes() == _rows_written(inst).encode(), inst.shape
+        assert load_instance(path) == inst
+    # a loaded generated table holds one tuple per distinct row in each of
+    # its four 1,024-line chunks, and saves the same bytes
+    save_instance(Instance(shape=(n, n, n), kind="table", table=generated), path)
+    loaded = load_instance(path)
+    assert len({id(row) for row in loaded.table}) <= 4 * len(set(generated)) < n**3 // 8
+    save_instance(loaded, path)
+    assert path.read_bytes() == _rows_written(loaded).encode()

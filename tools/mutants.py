@@ -114,6 +114,13 @@ MUTANTS = (
         ("tests/test_instance_files.py::test_load_names_bad_rows_across_chunk_boundaries",),
     ),
     Mutant(
+        "save_instance writes each run of equal rows once",
+        "src/tarski/oracle.py",
+        "(row % r) * len(list(g))",
+        "row % r",
+        ("tests/test_oracle.py::test_save_instance_writes_each_row_whichever_way_it_formats_the_table",),
+    ),
+    Mutant(
         "the shrink probe is the greedy level point, not the central one",
         "src/tarski/levelset.py",
         "                    q0 = u0 + deficit * (v0 - u0) // width\n"
