@@ -450,12 +450,12 @@ def save_instance(inst: Instance, path) -> None:
 
     A table's rows are formatted one of two ways, which write the same
     bytes. Running maxima leave a generated table as a few hundred runs of
-    equal consecutive rows (226 in 13,824 rows at 24^3), so when at least
-    half of the sampled adjacent pairs (row i and row i + 1, at every
+    equal consecutive rows (226 in 13,824 rows at 24^3, seed 7), so when at
+    least half of the sampled adjacent pairs (row i and row i + 1, at every
     _SAMPLE_STEP-th i) are equal, each run's row is formatted once and its
     line repeated. Any other table, such as a rotation or the identity,
-    which have no runs, is formatted whole in one % operation, so it does
-    not pay for finding runs it lacks.
+    whose rows mostly differ from their neighbours, is formatted whole in
+    one % operation, so it does not pay for finding runs it lacks.
     """
     lines = [
         FORMAT_MAGIC,
