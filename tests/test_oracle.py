@@ -5,6 +5,7 @@ import operator
 
 import pytest
 
+import tarski.oracle
 from tarski.errors import CapacityError, InstanceFormatError, Violation
 from tarski.lattice import full_box, iter_box, leq
 from tarski.oracle import (
@@ -712,36 +713,39 @@ def _rows_written(inst):
     return head + "".join(" ".join(map(str, row)) + "\n" for row in inst.table)
 
 
-def test_save_instance_writes_each_row_whichever_way_it_formats_the_table(tmp_path):
+def test_save_instance_writes_each_row_whichever_way_it_formats_the_table(tmp_path, monkeypatch):
     # save_instance formats a table by runs of equal rows when at least half
     # of its sampled adjacent pairs are equal, else whole; both must write
-    # what a row-by-row writer writes. The generated tables take the run path
-    # (387 of 432 sampled pairs are equal at 24^3, 117 of 128 at 16^3 and
-    # seed 5), except 3^3 and 5 x 1 x 4, whose one sampled pair differs. So
-    # does the adversarial rotation, whose every sampled pair is equal while
-    # most rows differ from their neighbours. The rotation (3,840 runs in
-    # 4,096 rows), the identity and the period-n rows take the whole path. Of
-    # the two half-and-half tables, runs then distinct rows reads 53 of 128
-    # equal pairs (whole path), distinct rows then runs 64 of 128 (run path).
+    # what a row-by-row writer writes (PINNED_FILES pins the bytes of the
+    # generated shapes). At side 16 the pairs start at every 33rd row, so
+    # they fall at every place along the last axis. Generated tables take
+    # the run path at sides 8, 16 and 32, as does the adversarial rotation,
+    # whose every sampled pair is equal while most rows differ from their
+    # neighbours. The rotation (7 of 125 sampled pairs equal), the identity,
+    # the period-n rows and both half-and-half tables (58 and 62 of 125) take
+    # the whole path.
+    formatted_by_runs = []
+    monkeypatch.setattr(
+        tarski.oracle, "groupby", lambda table: formatted_by_runs.append(table) or itertools.groupby(table)
+    )
     n = 16
     cube = tuple(itertools.product(range(1, n + 1), repeat=3))
     rotation = tuple((min(y + 1, n), min(z + 1, n), min(x + 1, n)) for x, y, z in cube)
     adversarial = list(rotation)
-    for i in range(0, len(adversarial) - 1, 32):
+    for i in range(0, len(adversarial) - 1, 33):
         adversarial[i + 1] = adversarial[i]
     periodic = tuple((1, 1, i % n + 1) for i in range(n**3))
     generated = gen_random_monotone((n, n, n), 5).table
     half = n**3 // 2
-    tables = [
-        rotation, cube, tuple(adversarial), periodic,
-        generated[:half] + cube[half:], cube[:half] + generated[half:],
-    ]
-    insts = [gen_random_monotone(shape, seed) for shape, seed in PINNED_TABLES]
-    insts += [gen_random_monotone((130, 3), 1)]
-    insts += [Instance(shape=(n, n, n), kind="table", table=table) for table in tables]
+    by_runs = [gen_random_monotone((side,) * 3, seed) for side in (8, 16, 32) for seed in range(5)]
+    by_runs += [Instance(shape=(n, n, n), kind="table", table=tuple(adversarial))]
+    whole = [rotation, cube, periodic, generated[:half] + cube[half:], cube[:half] + generated[half:]]
+    whole = [Instance(shape=(n, n, n), kind="table", table=table) for table in whole]
     path = tmp_path / "inst.txt"
-    for inst in insts:
+    for inst, runs in [(inst, True) for inst in by_runs] + [(inst, False) for inst in whole]:
+        formatted_by_runs.clear()
         save_instance(inst, path)
+        assert formatted_by_runs == ([inst.table] if runs else []), inst.shape
         assert path.read_bytes() == _rows_written(inst).encode(), inst.shape
         assert load_instance(path) == inst
     # a loaded generated table holds one tuple per distinct row in each of

@@ -121,6 +121,20 @@ MUTANTS = (
         ("tests/test_oracle.py::test_save_instance_writes_each_row_whichever_way_it_formats_the_table",),
     ),
     Mutant(
+        "save_instance samples every 32nd pair, in step with a last side of 8 or 16",
+        "src/tarski/oracle.py",
+        "count(_SAMPLE_STEP) if gcd(s, inst.shape[-1]) == 1",
+        "count(_SAMPLE_STEP)",
+        ("tests/test_oracle.py::test_save_instance_writes_each_row_whichever_way_it_formats_the_table",),
+    ),
+    Mutant(
+        "save_instance formats every table by runs",
+        "src/tarski/oracle.py",
+        ">= len(sampled)",
+        ">= 0",
+        ("tests/test_oracle.py::test_save_instance_writes_each_row_whichever_way_it_formats_the_table",),
+    ),
+    Mutant(
         "the shrink probe is the greedy level point, not the central one",
         "src/tarski/levelset.py",
         "                    q0 = u0 + deficit * (v0 - u0) // width\n"
